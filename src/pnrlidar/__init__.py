@@ -1,7 +1,6 @@
 """Photon-number threshold detection: statistics, SNR analysis, simulation."""
 
 from .photon_stats import (
-    CountSampleStream,
     PhotonPmf,
     PmfTruncationError,
     SourceKind,
@@ -12,8 +11,7 @@ from .photon_stats import (
     mixed_tail,
     poisson_pmf,
     poisson_tail,
-    sample_count,
-    sample_counts,
+    sample_histogram,
     thermal_pmf,
     thermal_tail,
 )

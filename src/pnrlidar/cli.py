@@ -13,23 +13,14 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import math
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from datetime import datetime, timezone
 from importlib import resources
 from pathlib import Path
 
 from . import __version__
-from .photon_stats import (
-    PhotonPmf,
-    SourceKind,
-    SourceParams,
-    build_pmf,
-    mixed_pmf,
-    poisson_pmf,
-    thermal_pmf,
-)
+from .photon_stats import SourceKind, SourceParams, build_pmf
 from .rangefinder_sim import SimConfig, estimate_ratio, run_simulation
 from .snr_analysis import (
     find_boundary,
@@ -148,16 +139,7 @@ def _cmd_pmf(args) -> int:
         if getattr(args, name) is None:
             raise ValueError(f"--{name.replace('_', '-')} is required for kind {kind.value}")
     params = SourceParams(args.n_p or 0.0, args.n_th or 0.0)
-    if args.n_max is not None:
-        fn = {
-            SourceKind.THERMAL: lambda n: thermal_pmf(n, params.n_th_mean),
-            SourceKind.POISSON: lambda n: poisson_pmf(n, params.n_p_mean),
-            SourceKind.MIXED: lambda n: mixed_pmf(n, params),
-        }[kind]
-        probs = [fn(n) for n in range(args.n_max + 1)]
-        pmf = PhotonPmf(kind, params, tuple(probs), args.n_max, max(0.0, 1.0 - math.fsum(probs)))
-    else:
-        pmf = build_pmf(kind, params, args.tolerance)
+    pmf = build_pmf(kind, params, args.tolerance, args.n_max)
     manifest = _manifest("pmf", {
         "kind": kind.value, "n_p_mean": params.n_p_mean, "n_th_mean": params.n_th_mean,
         "n_max": pmf.n_max, "tolerance": args.tolerance, "residual": pmf.residual,
@@ -230,11 +212,9 @@ def _cmd_boundary(args) -> int:
 def _cmd_simulate(args) -> int:
     config = load_sim_config(args.config)
     if args.seed is not None:
-        config = SimConfig(config.repetitions, args.seed, config.num_bins,
-                           config.noise_mean, config.targets, config.thresholds)
+        config = replace(config, seed=args.seed)
     if args.repetitions is not None:
-        config = SimConfig(args.repetitions, config.seed, config.num_bins,
-                           config.noise_mean, config.targets, config.thresholds)
+        config = replace(config, repetitions=args.repetitions)
     result = run_simulation(config)
 
     bin_cols = ["bin", "intensity_norm"] + [f"threshold_{n}_norm" for n in config.thresholds]
@@ -391,7 +371,7 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, RuntimeError) as exc:
+    except (ValueError, RuntimeError, OSError) as exc:
         print(f"pnrlidar: error: {exc}", file=sys.stderr)
         return 1
 

@@ -5,26 +5,28 @@ Single-mode thermal light has geometric photon statistics
     p_th(n) = n_th^n / (n_th + 1)^(n+1) = x^n (1 - x),    x = n_th / (n_th + 1),
 
 coherent (laser) light has Poisson statistics, and their mixture is the
-convolution of the two laws.  The convolution has a closed form in terms of
-the upper incomplete gamma function with integer shape,
+convolution of the two laws.  Because the thermal law is geometric, the
+convolution obeys a recurrence in positive terms,
 
-    p(n) = (1 - x) e^(n_p/x - n_p) (x^n / n!) Gamma(n_p/x, n + 1),
+    p(n) = x p(n-1) + (1 - x) p_poisson(n),
 
-which this module evaluates by exact finite sums.  One time bin is treated
-as one mode per repetition, so a single (n_p, n_th) pair fully describes a
+so a PMF table to n_max costs O(n_max).  One time bin is treated as one
+mode per repetition, so a single (n_p, n_th) pair fully describes a
 detection slot.
 
 Also provided: tail probabilities above a photon-number threshold, truncated
-PMF construction, and counter-based seeded samplers whose draws are pure
-functions of (seed, stream_id, draw_index).
+PMF construction, and a seeded sampler that draws the photon-count histogram
+of many independent repetitions at once: one multinomial over a PMF table,
+from a generator keyed by (seed, key).
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Sequence
+from typing import Iterator
 
 import numpy as np
 
@@ -32,7 +34,6 @@ __all__ = [
     "SourceKind",
     "SourceParams",
     "PhotonPmf",
-    "CountSampleStream",
     "PmfTruncationError",
     "thermal_pmf",
     "poisson_pmf",
@@ -42,12 +43,11 @@ __all__ = [
     "build_pmf",
     "thermal_tail",
     "mixed_tail",
-    "sample_count",
-    "sample_counts",
+    "sample_histogram",
 ]
 
-# Means above this make exp(-mean) underflow; samplers split Poisson draws
-# into chunks instead (Poisson additivity), analytics switch to log space.
+# Means above this make exp(-mean) underflow; the incomplete gamma ratio
+# switches to log space.
 _LOG_SPACE_CUTOFF = 700.0
 # Direct-recurrence regime bound for Poisson terms.
 _RECURRENCE_CUTOFF = 30
@@ -190,30 +190,33 @@ def incomplete_gamma_ratio(y: float, k: int) -> float:
 def mixed_pmf(n: int, params: SourceParams) -> float:
     """Probability of n photons from coherent plus thermal light.
 
-    Closed form (1-x) e^(n_p/x - n_p) x^n Gamma(n_p/x, n+1) / n!, with the
-    gamma factor supplied by :func:`incomplete_gamma_ratio`.  The x == 0 and
-    n_p == 0 limits reduce to the pure Poisson and pure thermal laws.
+    The n-th term of the recurrence p(n) = x p(n-1) + (1-x) p_poisson(n),
+    the same pass that :func:`build_pmf` tabulates.  The x == 0 and
+    n_p == 0 limits are the pure Poisson and pure thermal laws.
     """
     n = _check_count(n)
-    x = params.x
-    n_p = params.n_p_mean
-    if x == 0.0:
-        return poisson_pmf(n, n_p)
-    if n_p == 0.0:
-        return thermal_pmf(n, params.n_th_mean)
-    y = n_p / x
-    if y > _LOG_SPACE_CUTOFF:
-        # The gamma ratio's seed e^(-y) underflows before the compensating
-        # exponential factor is applied; evaluate the whole sum in log space.
-        log_x = math.log(x)
-        log_np = math.log(n_p)
-        log_1mx = math.log1p(-x)
-        return math.fsum(
-            math.exp(log_1mx + (n - m) * log_x + m * log_np - n_p - math.lgamma(m + 1))
-            for m in range(n + 1)
-        )
-    scale = math.exp(y - n_p + n * math.log(x))
-    return (1.0 - x) * scale * incomplete_gamma_ratio(y, n + 1)
+    return next(itertools.islice(_terms(SourceKind.MIXED, params), n, None))
+
+
+def _terms(kind: SourceKind, params: SourceParams) -> Iterator[float]:
+    """p(0), p(1), ... of one law, each term in O(1)."""
+    if kind is SourceKind.MIXED and params.x == 0.0:
+        kind = SourceKind.POISSON
+    elif kind is SourceKind.MIXED and params.n_p_mean == 0.0:
+        kind = SourceKind.THERMAL
+    if kind is SourceKind.THERMAL:
+        return (thermal_pmf(n, params.n_th_mean) for n in itertools.count())
+    if kind is SourceKind.POISSON:
+        return (poisson_pmf(n, params.n_p_mean) for n in itertools.count())
+    return _mixed_terms(params)
+
+
+def _mixed_terms(params: SourceParams) -> Iterator[float]:
+    x, n_p = params.x, params.n_p_mean
+    q = 0.0
+    for n in itertools.count():
+        q = x * q + (1.0 - x) * poisson_pmf(n, n_p)
+        yield q
 
 
 def thermal_tail(threshold_n: int, n_th_mean: float) -> float:
@@ -231,8 +234,8 @@ def mixed_tail(threshold_n: int, params: SourceParams) -> float:
 
         P(n >= N) = P_poisson(n >= N) + sum_{m<N} p_p(m) x^(N-m),
 
-    an exact regrouping of the incomplete-gamma closed form into positive
-    terms, so small tails are not lost to 1 - (almost 1) cancellation.
+    an exact regrouping of the convolution into positive terms, so small
+    tails are not lost to 1 - (almost 1) cancellation.
     """
     threshold_n = _check_threshold(threshold_n)
     x = params.x
@@ -245,36 +248,51 @@ def mixed_tail(threshold_n: int, params: SourceParams) -> float:
     return min(total, 1.0)
 
 
-def build_pmf(kind: SourceKind, params: SourceParams, tolerance: float = 1e-12) -> PhotonPmf:
-    """Tabulate a PMF out to the smallest n_max whose residual <= tolerance.
+def build_pmf(
+    kind: SourceKind, params: SourceParams, tolerance: float = 1e-12, n_max: int | None = None
+) -> PhotonPmf:
+    """Tabulate a PMF out to a fixed n_max, or else to the smallest n_max
+    whose residual <= tolerance.
 
-    The truncation bound is capped at 10 * (n_p + n_th) + 200; hitting the
-    cap raises :class:`PmfTruncationError` rather than returning a PMF that
-    silently misses mass.
+    The residual is the mass beyond n_max: x^(n_max+1) for thermal light,
+    1 - sum(probs) (at least 0) otherwise.  Without a fixed n_max the bound
+    is capped at 10 * (n_p + n_th) + 200; hitting the cap raises
+    :class:`PmfTruncationError` rather than returning a PMF that silently
+    misses mass.
     """
     tolerance = float(tolerance)
     if not 0.0 < tolerance < 1.0:
         raise ValueError(f"tolerance must be in (0, 1), got {tolerance!r}")
     kind = SourceKind(kind)
-    pmf_fn = {
-        SourceKind.THERMAL: lambda n: thermal_pmf(n, params.n_th_mean),
-        SourceKind.POISSON: lambda n: poisson_pmf(n, params.n_p_mean),
-        SourceKind.MIXED: lambda n: mixed_pmf(n, params),
-    }[kind]
+    terms = _terms(kind, params)
+    if n_max is not None:
+        if n_max != int(n_max) or n_max < 0:
+            raise ValueError(f"n_max must be a nonnegative integer, got {n_max!r}")
+        probs = list(itertools.islice(terms, int(n_max) + 1))
+        return PhotonPmf(kind, params, tuple(probs), int(n_max), _residual(kind, params, probs))
     cap = int(10.0 * (params.n_p_mean + params.n_th_mean)) + 200
-    probs: list[float] = []
-    for n in range(cap + 1):
-        probs.append(pmf_fn(n))
-        if kind is SourceKind.THERMAL:
-            residual = params.x ** (n + 1)
-        else:
-            residual = max(0.0, 1.0 - math.fsum(probs))
+    probs = []
+    running = 0.0
+    for n, p in zip(range(cap + 1), terms):
+        probs.append(p)
+        running += p
+        # The running sum is within n + 1 ulps of the exact one, so fsum (slow
+        # on long lists of wide range) only runs once it may reach tolerance.
+        if kind is not SourceKind.THERMAL and 1.0 - running > tolerance + (n + 1) * 2.3e-16:
+            continue
+        residual = _residual(kind, params, probs)
         if residual <= tolerance:
             return PhotonPmf(kind, params, tuple(probs), n, residual)
     raise PmfTruncationError(
-        f"residual {residual:.3e} still above tolerance {tolerance:.3e} "
+        f"residual {_residual(kind, params, probs):.3e} still above tolerance {tolerance:.3e} "
         f"at the hard cap n_max = {cap}"
     )
+
+
+def _residual(kind: SourceKind, params: SourceParams, probs: list[float]) -> float:
+    if kind is SourceKind.THERMAL:
+        return params.x ** len(probs)
+    return max(0.0, 1.0 - math.fsum(probs))
 
 
 def _check_count(n: int) -> int:
@@ -289,134 +307,96 @@ def _check_threshold(threshold_n: int) -> int:
     return int(threshold_n)
 
 
-# --- seeded counter-based sampling ---
-#
-# Every uniform is derived by hashing (seed, stream_id, draw_index, lane)
-# with a SplitMix64-style avalanche mix, so a draw is a pure function of its
-# coordinates: streams can be drawn in any order or in parallel and still
-# reproduce bit-identically.
-
-_MASK64 = np.uint64(0xFFFFFFFFFFFFFFFF)
-_GOLDEN = np.uint64(0x9E3779B97F4A7C15)
-_MIX_A = np.uint64(0xBF58476D1CE4E5B9)
-_MIX_B = np.uint64(0x94D049BB133111EB)
-_U53_SCALE = float(2.0**-53)
-
-# Lane tags keep the thermal and Poisson components of one draw independent;
-# Poisson chunks (mean split for additivity) get lanes above these.
-_LANE_THERMAL = np.uint64(1)
-_LANE_POISSON = np.uint64(2)
 
 
-def _mix64(z: np.ndarray) -> np.ndarray:
-    z = (z ^ (z >> np.uint64(30))) * _MIX_A
-    z = (z ^ (z >> np.uint64(27))) * _MIX_B
-    return z ^ (z >> np.uint64(31))
+# --- seeded histogram sampling ---
+
+_SEED_MASK = 2**64 - 1
 
 
-def _uniforms(seed: int, stream_ids: np.ndarray, draw_indices: np.ndarray, lane: np.uint64) -> np.ndarray:
-    """Deterministic uniforms in [0, 1) for hashed (seed, stream, index, lane)."""
-    with np.errstate(over="ignore"):  # uint64 wraparound is the intended arithmetic
-        z = np.full(np.broadcast(stream_ids, draw_indices).shape, np.uint64(seed & 0xFFFFFFFFFFFFFFFF))
-        z = _mix64(z + _GOLDEN)
-        z = _mix64(z ^ (stream_ids.astype(np.uint64) * _GOLDEN + _GOLDEN))
-        z = _mix64(z ^ (draw_indices.astype(np.uint64) * _MIX_A + _GOLDEN))
-        z = _mix64(z ^ (lane * _MIX_B + _GOLDEN))
-        return (z >> np.uint64(11)).astype(np.float64) * _U53_SCALE
+def sample_histogram(
+    pmf: PhotonPmf, draws: int, seed: int, key: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Photon-count histogram of ``draws`` independent draws from pmf's law.
+
+    Returns ``(values, counts)``: ``counts[i]`` draws equal ``values[i]``,
+    values ascending.  One multinomial places the draws in the cells
+    0..n_max of the table plus an overflow cell that holds the law's mass
+    beyond n_max; each overflow draw is then resolved from the law itself
+    (:func:`_overflow_counts`), so values may reach past n_max and no count
+    is clamped.  The generator is Philox keyed by (seed, key): equal
+    arguments give equal histograms, and distinct keys give independent
+    streams.
+    """
+    # numpy.random is not loaded by `import numpy`; importing it here keeps
+    # its cost out of the analysis commands.
+    from numpy.random import Generator, Philox, SeedSequence
+
+    if draws != int(draws) or draws < 0:
+        raise ValueError(f"draws must be a nonnegative integer, got {draws!r}")
+    if key != int(key) or key < 0:
+        raise ValueError(f"key must be a nonnegative integer, got {key!r}")
+    n_p, x = _law(pmf)
+    if x == 1.0:
+        raise ValueError(f"thermal mean {pmf.params.n_th_mean!r} too large to sample: x rounds to 1")
+    rng = Generator(Philox(SeedSequence(int(seed) & _SEED_MASK, spawn_key=(int(key),))))
+    m = pmf.n_max
+    # Mass beyond the table by the threshold identity (positive terms): the
+    # draws whose Poisson part is <= m, then those whose Poisson part is > m.
+    short = x * pmf.probs[m] / (1.0 - x)
+    cells = _multinomial(rng, int(draws), np.append(pmf.probs, short + poisson_tail(m + 1, n_p)))
+    values, counts = np.arange(m + 1), cells[:-1]
+    if cells[-1]:
+        beyond = np.unique(_overflow_counts(rng, int(cells[-1]), n_p, x, m, short), return_counts=True)
+        values, counts = np.append(values, beyond[0]), np.append(counts, beyond[1])
+    return values, counts
 
 
-def _thermal_counts(x: float, u: np.ndarray) -> np.ndarray:
-    """Geometric-law inversion: count = floor(log(1-u) / log(x))."""
-    if x == 0.0:
-        return np.zeros(u.shape, dtype=np.int64)
-    return np.floor(np.log1p(-u) / math.log(x)).astype(np.int64)
+def _law(pmf: PhotonPmf) -> tuple[float, float]:
+    """(n_p, x) of the Poisson and geometric parts of a PMF's law."""
+    if pmf.kind is SourceKind.THERMAL:
+        return 0.0, pmf.params.x
+    if pmf.kind is SourceKind.POISSON:
+        return pmf.params.n_p_mean, 0.0
+    return pmf.params.n_p_mean, pmf.params.x
 
 
-def _poisson_counts_single(
-    mean: float, seed: int, stream_ids: np.ndarray, draw_indices: np.ndarray, lane: np.uint64
-) -> np.ndarray:
-    """CDF inversion for one Poisson component with mean <= the log cutoff."""
-    shape = np.broadcast(stream_ids, draw_indices).shape
-    if mean == 0.0:
-        return np.zeros(shape, dtype=np.int64)
-    u = _uniforms(seed, stream_ids, draw_indices, lane)
-    counts = np.zeros(shape, dtype=np.int64)
-    term = np.full(shape, math.exp(-mean))
-    cdf = term.copy()
-    cap = int(10.0 * mean) + 200
-    for n in range(1, cap + 1):
-        pending = u >= cdf
-        if not pending.any():
-            break
-        counts[pending] = n
-        term *= mean / n
-        cdf += term
+def _multinomial(rng, draws: int, weights: np.ndarray) -> np.ndarray:
+    """Counts per cell of ``draws`` draws with probabilities ``weights / sum``.
+
+    numpy draws the cells in order, each from what remains of the mass, and
+    gives the last cell whatever is left.  Cells go in ascending order of
+    weight, so the remaining mass never shrinks to the size of its rounding
+    and the leftover lands on the largest cell.
+    """
+    order = np.argsort(weights, kind="stable")
+    counts = np.empty(weights.size, dtype=np.int64)
+    counts[order] = rng.multinomial(draws, weights[order] / weights.sum())
     return counts
 
 
-def _poisson_counts(
-    mean: float, seed: int, stream_ids: np.ndarray, draw_indices: np.ndarray
-) -> np.ndarray:
-    # Split large means into exact Poisson(mean / chunks) summands so the
-    # inversion seed exp(-mean) never underflows.
-    chunks = max(1, math.ceil(mean / _LOG_SPACE_CUTOFF))
-    total = _poisson_counts_single(mean / chunks, seed, stream_ids, draw_indices, _LANE_POISSON)
-    for c in range(1, chunks):
-        lane = _LANE_POISSON + np.uint64(2 * c)
-        total += _poisson_counts_single(mean / chunks, seed, stream_ids, draw_indices, lane)
-    return total
+def _overflow_counts(rng, k: int, n_p: float, x: float, m: int, short: float) -> np.ndarray:
+    """Photon counts of k draws of Poisson(n_p) + Geometric(x) that exceed m.
 
-
-def _draw_counts(
-    kind: SourceKind,
-    params: SourceParams,
-    seed: int,
-    stream_ids: np.ndarray,
-    draw_indices: np.ndarray,
-) -> np.ndarray:
-    if kind is SourceKind.THERMAL:
-        u = _uniforms(seed, stream_ids, draw_indices, _LANE_THERMAL)
-        return _thermal_counts(params.x, u)
-    if kind is SourceKind.POISSON:
-        return _poisson_counts(params.n_p_mean, seed, stream_ids, draw_indices)
-    u = _uniforms(seed, stream_ids, draw_indices, _LANE_THERMAL)
-    thermal = _thermal_counts(params.x, u)
-    return thermal + _poisson_counts(params.n_p_mean, seed, stream_ids, draw_indices)
-
-
-@dataclass(frozen=True)
-class CountSampleStream:
-    """Descriptor of one logical stream of photon-count draws.
-
-    Value-like: drawing is a pure function of (stream, draw_index), so the
-    same descriptor may be shared across threads or rebuilt from its fields.
+    With P the Poisson part, a draw exceeds m with weight pois(P) for
+    P > m and pois(P) x^(m+1-P) for P <= m (the geometric part must make up
+    the difference); ``short`` is the sum of the latter.  Given P, the count
+    is max(P, m+1) plus a fresh geometric draw, since geometric draws are
+    memoryless.  So a base is drawn from the cells m+1, m+2, ... with
+    weights short + pois(m+1), pois(m+2), ..., and a geometric draw added.
+    Poisson cells are tabulated until they fall below 2^-60 of the total,
+    far below the precision of the weights themselves.
     """
-
-    seed: int
-    stream_id: int
-    kind: SourceKind
-    params: SourceParams
-
-    def __post_init__(self) -> None:
-        if self.stream_id < 0:
-            raise ValueError(f"stream_id must be >= 0, got {self.stream_id}")
-
-    def draw(self, draw_index: int) -> int:
-        return sample_count(self, draw_index)
-
-    def draw_many(self, draw_indices: Sequence[int] | np.ndarray) -> np.ndarray:
-        return sample_counts(self, draw_indices)
-
-
-def sample_count(stream: CountSampleStream, draw_index: int) -> int:
-    """The photon count of one draw; deterministic per (seed, stream, index)."""
-    return int(sample_counts(stream, np.asarray([draw_index]))[0])
-
-
-def sample_counts(stream: CountSampleStream, draw_indices: Sequence[int] | np.ndarray) -> np.ndarray:
-    """Vectorized :func:`sample_count` over an array of draw indices."""
-    indices = np.atleast_1d(np.asarray(draw_indices))
-    if indices.size and indices.min() < 0:
-        raise ValueError("draw indices must be >= 0")
-    sids = np.asarray(stream.stream_id, dtype=np.uint64)
-    return _draw_counts(stream.kind, stream.params, stream.seed, sids, indices)
+    weights = [short + poisson_pmf(m + 1, n_p)]
+    total = weights[0]
+    for base in itertools.count(m + 2):
+        term = poisson_pmf(base, n_p)
+        if base > n_p and term <= total * 2.0**-60:
+            break
+        weights.append(term)
+        total += term
+    cells = _multinomial(rng, k, np.asarray(weights))
+    counts = np.repeat(np.arange(m + 1, m + 1 + len(weights)), cells)
+    if x > 0.0:
+        counts += rng.geometric(1.0 - x, size=k) - 1
+    return counts

@@ -41,6 +41,12 @@ class TestPmfCommand:
         assert run_cli("pmf", "--kind", "thermal") == 1
         assert "--n-th" in capsys.readouterr().err
 
+    def test_negative_bound_refused(self, capsys):
+        assert run_cli("pmf", "--kind", "thermal", "--n-th", "1", "--n-max", "-1") == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("pnrlidar: error:")
+
     def test_manifest_carries_residual(self, tmp_path):
         out = tmp_path / "pmf.csv"
         assert run_cli("pmf", "--kind", "thermal", "--n-th", "1", "--n-max", "4",
@@ -128,6 +134,13 @@ class TestSweepCommand:
             assert run_cli("sweep", "--n-th", "1", "--thresholds", "2,5",
                            "--grid-points", "40", "--output", str(out)) == 0
         assert a.read_bytes() == b.read_bytes()
+
+    def test_unwritable_output_is_an_error(self, tmp_path, capsys):
+        out = tmp_path / "nodir" / "x.csv"
+        assert run_cli("sweep", "--n-th", "1", "--output", str(out)) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("pnrlidar: error:")
+        assert not out.parent.exists()
 
 
 class TestOptimumBoundaryCommands:

@@ -1,12 +1,12 @@
-"""Distribution-level checks: closed forms vs defining sums, tails, samplers."""
+"""Distribution-level checks: recurrences vs defining sums, tails, the sampler."""
 
 import math
 
 import numpy as np
 import pytest
+from scipy import stats
 
 from pnrlidar.photon_stats import (
-    CountSampleStream,
     PmfTruncationError,
     SourceKind,
     SourceParams,
@@ -16,7 +16,7 @@ from pnrlidar.photon_stats import (
     mixed_tail,
     poisson_pmf,
     poisson_tail,
-    sample_count,
+    sample_histogram,
     thermal_pmf,
     thermal_tail,
 )
@@ -173,6 +173,25 @@ class TestBuildPmf:
         assert math.fsum(pmf.probs) + pmf.residual == pytest.approx(1.0, abs=1e-12)
         assert all(0.0 <= p <= 1.0 for p in pmf.probs)
 
+    def test_fixed_bound_table(self):
+        params = SourceParams(2.0, 1.0)
+        pmf = build_pmf(SourceKind.MIXED, params, n_max=30)
+        assert pmf.n_max == 30 and len(pmf.probs) == 31
+        assert list(pmf.probs) == [mixed_pmf(n, params) for n in range(31)]
+        assert pmf.residual == pytest.approx(mixed_tail(31, params), abs=1e-15)
+
+    def test_fixed_bound_reaches_past_the_cap(self):
+        # a tolerance walk would need more terms than the cap allows
+        with pytest.raises(PmfTruncationError):
+            build_pmf(SourceKind.MIXED, SourceParams(1.0, 40.0), 1e-12)
+        pmf = build_pmf(SourceKind.MIXED, SourceParams(1.0, 40.0), n_max=1500)
+        assert pmf.residual < 1e-12
+
+    @pytest.mark.parametrize("bad", [-1, 2.5])
+    def test_fixed_bound_domain(self, bad):
+        with pytest.raises(ValueError):
+            build_pmf(SourceKind.THERMAL, SourceParams(0.0, 1.0), n_max=bad)
+
     def test_tolerance_domain(self):
         for bad in (0.0, 1.0, -0.1, 2.0):
             with pytest.raises(ValueError):
@@ -251,37 +270,53 @@ class TestSourceParams:
             SourceParams(1.0, math.inf)
 
 
+def oracle_pmf(kind, params, width):
+    """Law on 0..width-1 from scipy's Poisson pmf convolved with the geometric law."""
+    n = np.arange(width)
+    n_p = 0.0 if kind is SourceKind.THERMAL else params.n_p_mean
+    x = 0.0 if kind is SourceKind.POISSON else params.x
+    return np.convolve(stats.poisson.pmf(n, n_p), (1.0 - x) * x**n)[:width]
+
+
+def sampled(pmf, draws, seed, key):
+    """sample_histogram as a dense array: out[n] draws equal n."""
+    values, counts = sample_histogram(pmf, draws, seed, key)
+    assert np.all(np.diff(values) > 0)
+    out = np.zeros(values[-1] + 1, dtype=np.int64)
+    out[values] = counts
+    return out
+
+
 class TestSampling:
     def test_identical_streams_identical_sequences(self):
-        kwargs = dict(seed=987654321, stream_id=11, kind=SourceKind.MIXED, params=SourceParams(3.0, 1.0))
-        a = CountSampleStream(**kwargs).draw_many(range(2000))
-        b = CountSampleStream(**kwargs).draw_many(range(2000))
+        pmf = build_pmf(SourceKind.MIXED, SourceParams(3.0, 1.0))
+        a = sampled(pmf, 2000, 987654321, 11)
+        b = sampled(pmf, 2000, 987654321, 11)
         assert np.array_equal(a, b)
 
     def test_draw_order_does_not_matter(self):
-        stream = CountSampleStream(5, 2, SourceKind.MIXED, SourceParams(2.0, 0.5))
-        sequential = stream.draw_many(range(100))
-        shuffled = [stream.draw(i) for i in (57, 3, 99, 0, 42)]
-        assert shuffled == [int(sequential[i]) for i in (57, 3, 99, 0, 42)]
-
-    def test_scalar_matches_batch(self):
-        stream = CountSampleStream(42, 0, SourceKind.POISSON, SourceParams(4.0, 0.0))
-        batch = stream.draw_many(range(50))
-        assert all(sample_count(stream, i) == batch[i] for i in range(50))
+        pmf = build_pmf(SourceKind.MIXED, SourceParams(2.0, 0.5))
+        forward = [sampled(pmf, 100, 5, key) for key in range(6)]
+        backward = [sampled(pmf, 100, 5, key) for key in reversed(range(6))][::-1]
+        assert all(np.array_equal(a, b) for a, b in zip(forward, backward))
 
     def test_streams_differ_by_id_and_seed(self):
-        base = CountSampleStream(1, 0, SourceKind.THERMAL, SourceParams(0.0, 1.0))
-        other_id = CountSampleStream(1, 1, SourceKind.THERMAL, SourceParams(0.0, 1.0))
-        other_seed = CountSampleStream(2, 0, SourceKind.THERMAL, SourceParams(0.0, 1.0))
-        n = 500
-        assert not np.array_equal(base.draw_many(range(n)), other_id.draw_many(range(n)))
-        assert not np.array_equal(base.draw_many(range(n)), other_seed.draw_many(range(n)))
+        pmf = build_pmf(SourceKind.THERMAL, SourceParams(0.0, 1.0))
+        base = sampled(pmf, 500, 1, 0)
+        assert not np.array_equal(base, sampled(pmf, 500, 1, 1))
+        assert not np.array_equal(base, sampled(pmf, 500, 2, 0))
 
     def test_degenerate_sources_draw_zero(self):
-        thermal = CountSampleStream(3, 0, SourceKind.THERMAL, SourceParams(0.0, 0.0))
-        poisson = CountSampleStream(3, 0, SourceKind.POISSON, SourceParams(0.0, 5.0))
-        assert not thermal.draw_many(range(200)).any()
-        assert not poisson.draw_many(range(200)).any()
+        thermal = build_pmf(SourceKind.THERMAL, SourceParams(0.0, 0.0))
+        poisson = build_pmf(SourceKind.POISSON, SourceParams(0.0, 5.0))
+        for pmf in (thermal, poisson):
+            hist = sampled(pmf, 200, 3, 0)
+            assert hist[0] == 200 and not hist[1:].any()
+
+    def test_histogram_counts_every_draw(self):
+        pmf = build_pmf(SourceKind.MIXED, SourceParams(3.0, 1.0))
+        for draws in (0, 1, 12345):
+            assert sampled(pmf, draws, 9, 4).sum() == draws
 
     @pytest.mark.parametrize(
         "kind,params",
@@ -292,19 +327,46 @@ class TestSampling:
         ],
     )
     def test_empirical_distribution_close_to_analytic(self, kind, params):
-        stream = CountSampleStream(777, 0, kind, params)
-        draws = stream.draw_many(np.arange(150_000))
         pmf = build_pmf(kind, params, 1e-13)
-        width = max(int(draws.max()) + 1, pmf.n_max + 1)
-        empirical = np.bincount(draws, minlength=width) / draws.size
-        analytic = np.zeros(width)
-        analytic[: pmf.n_max + 1] = pmf.probs
-        tv = 0.5 * np.abs(empirical - analytic).sum() + 0.5 * pmf.residual
+        hist = sampled(pmf, 150_000, 777, 0)
+        analytic = oracle_pmf(kind, params, hist.size)
+        tv = 0.5 * np.abs(hist / hist.sum() - analytic).sum() + 0.5 * (1.0 - analytic.sum())
         assert tv < 0.015
 
+    @pytest.mark.parametrize(
+        "kind,params",
+        [
+            (SourceKind.THERMAL, SourceParams(0.0, 3.0)),
+            (SourceKind.POISSON, SourceParams(10.0, 0.0)),
+            (SourceKind.MIXED, SourceParams(3.0, 1.0)),
+        ],
+    )
+    def test_overflow_draws_follow_the_law(self, kind, params):
+        # a 5-cell table leaves much of the mass to the overflow cell, whose
+        # draws must land beyond n_max with the law's own tail
+        reps = 150_000
+        pmf = build_pmf(kind, params, n_max=4)
+        hist = sampled(pmf, reps, 2024, 0)
+        assert hist.sum() == reps and hist.size > 6
+        checked = 0
+        for big_n in range(5, hist.size):
+            p = mixed_tail(big_n, params)  # each kind's params carry a zero mean for the other part
+            if reps * min(p, 1.0 - p) < 25.0:
+                continue
+            sigma = math.sqrt(p * (1.0 - p) / reps)
+            assert abs(hist[big_n:].sum() / reps - p) < 5.0 * sigma, big_n
+            checked += 1
+        assert checked >= 4
+
+    def test_negative_seed_is_reproducible(self):
+        pmf = build_pmf(SourceKind.MIXED, SourceParams(1.0, 1.0))
+        a = sampled(pmf, 1000, -7, 2)
+        assert np.array_equal(a, sampled(pmf, 1000, -7, 2))
+        assert not np.array_equal(a, sampled(pmf, 1000, 7, 2))
+
     def test_rejects_negative_identifiers(self):
+        pmf = build_pmf(SourceKind.THERMAL, SourceParams(0.0, 1.0))
         with pytest.raises(ValueError):
-            CountSampleStream(1, -1, SourceKind.THERMAL, SourceParams(0.0, 1.0))
-        stream = CountSampleStream(1, 0, SourceKind.THERMAL, SourceParams(0.0, 1.0))
+            sampled(pmf, 10, 1, -1)
         with pytest.raises(ValueError):
-            stream.draw_many([-1, 0])
+            sampled(pmf, -1, 1, 0)

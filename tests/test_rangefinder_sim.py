@@ -121,6 +121,51 @@ class TestRunSimulation:
             previous = worst
         assert previous < 0.02
 
+    def test_negative_seed_runs(self):
+        a = run_simulation(four_target_config(seed=-1234))
+        b = run_simulation(four_target_config(seed=-1234))
+        assert np.array_equal(a.intensity_raw, b.intensity_raw)
+        assert not np.array_equal(a.intensity_raw, run_simulation(four_target_config()).intensity_raw)
+
+    @pytest.mark.parametrize(
+        "noise_mean,target_mean", [(40.0, 1.0), (1.0, 1000.0), (1e5, 1.0), (1.0, 3e4)]
+    )
+    def test_wide_laws_run(self, noise_mean, target_mean):
+        # past the cap of build_pmf's tolerance mode, then past the sampler's table
+        reps = 1000
+        config = SimConfig(repetitions=reps, seed=5, num_bins=8, noise_mean=noise_mean,
+                           targets=((3, target_mean),), thresholds=(2, 5))
+        result = run_simulation(config)
+        for b in range(8):
+            n_p = target_mean if b == 3 else 0.0
+            mean = n_p + noise_mean
+            sigma = math.sqrt((n_p + noise_mean * (noise_mean + 1.0)) / reps)
+            assert abs(result.intensity_raw[b] / reps - mean) < 5.0 * sigma
+
+    def test_noise_too_wide_to_sample_is_refused(self):
+        # n_th / (n_th + 1) rounds to 1: the thermal law is not representable
+        config = SimConfig(repetitions=10, seed=1, num_bins=4, noise_mean=1e17)
+        with pytest.raises(ValueError, match="too large to sample"):
+            run_simulation(config)
+
+    def test_raw_frequencies_match_theory_at_high_sampling(self):
+        # 10^8 repetitions cost no more than 10^3: the sampler draws histograms
+        reps = 10**8
+        config = four_target_config(repetitions=reps, seed=7)
+        result = run_simulation(config)
+        targets = config.target_map
+        z = []
+        for b in range(config.num_bins):
+            params = SourceParams(targets.get(b, 0.0), config.noise_mean)
+            mean = params.n_p_mean + params.n_th_mean
+            var = params.n_p_mean + params.n_th_mean * (params.n_th_mean + 1.0)
+            z.append((result.intensity_raw[b] / reps - mean) / math.sqrt(var / reps))
+            for n in config.thresholds:
+                p = mixed_tail(n, params)
+                z.append((result.threshold_raw[n][b] / reps - p) / math.sqrt(p * (1.0 - p) / reps))
+        assert len(z) == 150
+        assert max(abs(v) for v in z) < 5.0
+
 
 class TestNormalize:
     def test_constant_array_becomes_ones(self):
@@ -155,6 +200,18 @@ class TestEstimateRatio:
         assert est.threshold_value == pytest.approx(
             result.threshold_norm[5][40], rel=1e-12
         )
+
+    def test_normalized_values_within_errors_at_high_sampling(self):
+        # the noise-bin normalizer's error dominates at bin 40, N = 5, and
+        # does not shrink relative to the bin's own error as repetitions grow
+        config = four_target_config(repetitions=10**8, seed=7)
+        result = run_simulation(config)
+        expected = expected_result(config)
+        for b, _ in config.targets:
+            for n in config.thresholds:
+                est = estimate_ratio(result, b, n)
+                assert abs(est.intensity_value - expected.intensity[b]) < 5.0 * est.intensity_se
+                assert abs(est.threshold_value - expected.threshold[n][b]) < 5.0 * est.threshold_se
 
     def test_validation(self):
         result = run_simulation(four_target_config())
