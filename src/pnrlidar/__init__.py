@@ -9,6 +9,7 @@ from .photon_stats import (
     incomplete_gamma_ratio,
     mixed_pmf,
     mixed_tail,
+    mixed_tail_terms,
     poisson_pmf,
     poisson_tail,
     sample_histogram,
@@ -31,7 +32,6 @@ from .snr_analysis import (
     snr_ratio,
     snr_report,
     sweep_ratio,
-    threshold_gap,
 )
 from .rangefinder_sim import (
     DegenerateNoiseError,

@@ -196,15 +196,17 @@ def _cmd_boundary(args) -> int:
     grid = log_grid(args.nth_min, args.nth_max, args.nth_points)
     rows = []
     skipped = []
+    multiple = []
     for n in args.thresholds:
         curve = find_boundary(n, grid)
         for n_th, n_p in curve.points:
             rows.append((curve.threshold_n, n_th, n_p, snr_ratio(SourceParams(n_p, n_th), n)))
         skipped.extend({"threshold_n": n, "n_th_mean": t, "side": side} for t, side in curve.no_crossing)
+        multiple.extend({"threshold_n": n, "n_th_mean": t} for t in curve.multiple_crossings)
     manifest = _manifest("boundary", {
         "thresholds": list(args.thresholds), "nth_min": args.nth_min,
         "nth_max": args.nth_max, "nth_points": args.nth_points,
-        "no_crossing": skipped,
+        "no_crossing": skipped, "multiple_crossings": multiple,
     })
     return _emit(args, manifest, {"": (["threshold_n", "n_th_mean", "n_p_mean", "ratio"], rows)})
 

@@ -29,6 +29,7 @@ from enum import Enum
 from typing import Iterator
 
 import numpy as np
+from numpy.typing import ArrayLike
 
 __all__ = [
     "SourceKind",
@@ -43,6 +44,7 @@ __all__ = [
     "build_pmf",
     "thermal_tail",
     "mixed_tail",
+    "mixed_tail_terms",
     "sample_histogram",
 ]
 
@@ -235,17 +237,107 @@ def mixed_tail(threshold_n: int, params: SourceParams) -> float:
         P(n >= N) = P_poisson(n >= N) + sum_{m<N} p_p(m) x^(N-m),
 
     an exact regrouping of the convolution into positive terms, so small
-    tails are not lost to 1 - (almost 1) cancellation.
+    tails are not lost to 1 - (almost 1) cancellation.  One point of
+    :func:`mixed_tail_terms`.
+    """
+    return float(mixed_tail_terms(threshold_n, params.n_p_mean, params.x)[0][0])
+
+
+def mixed_tail_terms(
+    threshold_n: int, n_p: ArrayLike, x: ArrayLike
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Mixed-light tail P(n >= N) over arrays, with the parts SNR needs.
+
+    ``n_p`` (signal means) and ``x`` (thermal ratios n_th / (n_th + 1))
+    broadcast together.  Returns ``(tail, poisson, scaled)``:
+
+        poisson = P_poisson(n >= N),
+        tail    = poisson + sum_{m<N} p_p(m) x^(N-m),   at most 1,
+        scaled  = sum_{m<N} p_p(m) x^(-m),
+
+    the threshold identity in positive terms.  So the tail over the thermal
+    tail x^N is poisson / x^N + scaled (exactly 1 at n_p == 0), and
+    (1/x - 1) scaled is its derivative in n_p.  ``scaled`` is meaningless
+    at x == 0 and overflows where x^(1-N) does.
+
+    The Poisson terms p_p(0..N) are computed once per point, in the regimes
+    of :func:`poisson_pmf`.  The Poisson tail sums whichever side of N
+    carries less mass, as :func:`poisson_tail` does, so a small tail keeps
+    its relative precision.  The shapes of ``tail`` and ``scaled`` are the
+    broadcast shape (at least 1-D); ``poisson`` has the shape of ``n_p``.
     """
     threshold_n = _check_threshold(threshold_n)
-    x = params.x
-    n_p = params.n_p_mean
-    if x == 0.0:
-        return poisson_tail(threshold_n, n_p)
-    total = poisson_tail(threshold_n, n_p)
-    for m in range(threshold_n):
-        total += poisson_pmf(m, n_p) * x ** (threshold_n - m)
-    return min(total, 1.0)
+    n_p = np.atleast_1d(np.asarray(n_p, dtype=float))
+    x = np.asarray(x, dtype=float)
+    if not ((n_p >= 0.0) & (n_p < math.inf)).all():
+        bad = n_p[~((n_p >= 0.0) & (n_p < math.inf))]
+        raise ValueError(f"n_p_mean must be finite and >= 0, got {float(bad[0])!r}")
+    if not ((x >= 0.0) & (x <= 1.0)).all():
+        bad = x[~((x >= 0.0) & (x <= 1.0))]
+        raise ValueError(f"thermal ratio x must be in [0, 1], got {float(bad[0])!r}")
+
+    # Broadcast by leading axes of length 1, so the term index can go last:
+    # sums along a contiguous last axis do not depend on the number of points.
+    ndim, shape = max(n_p.ndim, x.ndim), n_p.shape
+    n_p = n_p.reshape((1,) * (ndim - n_p.ndim) + n_p.shape)
+    x = x.reshape((1,) * (ndim - x.ndim) + x.shape)[..., None]
+    m = np.arange(threshold_n + 1, dtype=float)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        terms = _poisson_terms(n_p, m)
+        below = terms[..., :-1]
+        mass = np.minimum(below.sum(axis=-1), 1.0)
+        poisson = 1.0 - mass
+        upper = mass >= 0.5
+        if upper.any():
+            poisson[upper] = _upper_poisson_tail(n_p[upper], terms[..., -1][upper], threshold_n)
+        identity = (below * x ** (threshold_n - m[:-1])).sum(axis=-1)
+        scaled = (below * x**-m[:-1]).sum(axis=-1)
+    return np.minimum(poisson + identity, 1.0), poisson.reshape(shape), scaled
+
+
+def _poisson_terms(n_p: np.ndarray, n: np.ndarray) -> np.ndarray:
+    """p_p(n) of each mean at the counts n = 0, 1, ..., shape n_p.shape + n.shape.
+
+    The regimes of :func:`poisson_pmf`: the recurrence p(n) = p(n-1) mean / n
+    (a running product, in the same order) while mean and n are at most
+    _RECURRENCE_CUTOFF, log space beyond.
+    """
+    lam = n_p[..., None]
+    terms = np.cumprod(np.concatenate([np.exp(-lam), lam / n[1:]], axis=-1), axis=-1)
+    log_space = (n > _RECURRENCE_CUTOFF) | (lam > _RECURRENCE_CUTOFF)
+    if log_space.any():
+        log_factorial = np.array([math.lgamma(k + 1.0) for k in n.tolist()])
+        terms = np.where(log_space, np.exp(n * np.log(lam) - lam - log_factorial), terms)
+    return terms
+
+
+# Upward-tail terms summed per pass; a pass holds a (points x steps) block.
+_TAIL_STEPS = 16
+
+
+def _upper_poisson_tail(lam: np.ndarray, first: np.ndarray, threshold_n: int) -> np.ndarray:
+    """sum_{n>=N} p_p(n) from first = p_p(N), with :func:`poisson_tail`'s stopping rule.
+
+    Terms follow p(n) = p(n-1) mean / n, _TAIL_STEPS per pass for the
+    elements still summing; an element stops after the pass in which a term
+    falls below 1e-18 of its total.  The tail is the smaller side here, so
+    the median is below N and the mean (at most median + ln 2) is too:
+    terms fall from the first step on, faster than geometrically, and never
+    reach poisson_tail's cap of 10 mean + 200 steps.
+    """
+    total = first.copy()
+    live = np.flatnonzero(first)  # a zero first term is the whole sum
+    lam, term = lam[live, None], first[live, None]
+    steps = threshold_n + np.arange(1.0, _TAIL_STEPS + 1)
+    while live.size:
+        block = np.cumprod(lam / steps, axis=1)
+        block *= term
+        total[live] += block.sum(axis=1)
+        term = block[:, -1:]
+        steps += _TAIL_STEPS
+        going = term[:, 0] >= 1e-18 * total[live]
+        live, lam, term = live[going], lam[going], term[going]
+    return np.minimum(total, 1.0)
 
 
 def build_pmf(

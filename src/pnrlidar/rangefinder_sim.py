@@ -158,7 +158,9 @@ def run_simulation(config: SimConfig) -> SimResult:
     target_map = config.target_map
 
     intensity_raw = np.zeros(config.num_bins, dtype=np.int64)
-    intensity_sq_raw = np.zeros(config.num_bins, dtype=np.int64)
+    # Sums of squared counts pass the int64 range for wide noise (about 2e19
+    # at noise_mean = 1e8 and 1000 repetitions); float64 holds them.
+    intensity_sq_raw = np.zeros(config.num_bins)
     threshold_raw = {n: np.zeros(config.num_bins, dtype=np.int64) for n in config.thresholds}
 
     for b in range(config.num_bins):
@@ -167,7 +169,7 @@ def run_simulation(config: SimConfig) -> SimResult:
             table = _count_table(SourceParams(target_map[b], config.noise_mean))
         values, counts = sample_histogram(table, config.repetitions, config.seed, b)
         intensity_raw[b] = values @ counts
-        intensity_sq_raw[b] = (values * values) @ counts
+        intensity_sq_raw[b] = np.square(values, dtype=float) @ counts
         for n in config.thresholds:
             threshold_raw[n][b] = counts[values >= n].sum()
 

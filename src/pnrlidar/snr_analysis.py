@@ -11,23 +11,31 @@ while a detector that fires only when the photon count reaches N has
 
 the exceedance probability of the signal-plus-noise law over that of noise
 alone.  SNR_q is monotone increasing in both n_p and N; whether it beats
-SNR_c depends on (n_p, n_th, N).  This module evaluates both closed forms,
-their analytic derivative and threshold-step identities, and maps the
-advantage region: ratio sweeps over signal grids, the signal mean that
-maximizes the ratio at fixed noise (golden-section refinement), and the
-ratio == 1 boundary in the (n_th, n_p) plane (bisection).
+SNR_c depends on (n_p, n_th, N).  This module evaluates both closed forms
+and the analytic derivative of SNR_q, and maps the advantage region: ratio
+sweeps over signal grids, the signal mean that maximizes the ratio at fixed
+noise (nested grid scans), and the ratio == 1 boundary in the (n_th, n_p)
+plane (bisection in lockstep over the noise levels).
 
-Zero thermal noise is a domain error throughout: the intensity SNR divides
-by n_th, and the daylight regime this targets is noise-dominated.
+Every value comes from one array evaluation over whole grids
+(:func:`pnrlidar.photon_stats.mixed_tail_terms`); the scalar functions
+evaluate a grid of one point.  Zero thermal noise is a domain error
+throughout: the intensity SNR divides by n_th, and the daylight regime this
+targets is noise-dominated.  So is noise small enough that x^N underflows
+double precision, where SNR_q cannot be represented.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
-from .photon_stats import SourceParams, mixed_tail, poisson_pmf, poisson_tail
+import numpy as np
+from numpy.typing import ArrayLike
+
+from .photon_stats import SourceParams, mixed_tail_terms
 
 __all__ = [
     "ZeroNoiseError",
@@ -41,7 +49,6 @@ __all__ = [
     "snr_ratio",
     "snr_report",
     "quantum_snr_derivative",
-    "threshold_gap",
     "sweep_ratio",
     "find_optimum",
     "find_boundary",
@@ -57,8 +64,6 @@ BOUNDARY_ABS_TOL = 1e-6
 BOUNDARY_RATIO_TOL = 1e-5
 BOUNDARY_SCAN_RANGE = (1e-4, 1e4)
 BOUNDARY_SCAN_POINTS = 300
-
-_GOLDEN_RATIO = (1.0 + math.sqrt(5.0)) / 2.0
 
 
 class ZeroNoiseError(ValueError):
@@ -114,29 +119,67 @@ def _check_params(params: SourceParams) -> SourceParams:
     return params
 
 
+def _snr_arrays(
+    n_p: ArrayLike, n_th: ArrayLike, threshold_n: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(quantum_snr, snr_ratio, quantum_snr_derivative) over broadcast arrays.
+
+    One call of :func:`mixed_tail_terms`.  The quantum SNR is assembled as
+    P_poisson(n >= N) / x^N + sum_{m<N} p_p(m) x^(-m), which is exactly 1 at
+    n_p == 0.  A value that double precision cannot hold is refused with a
+    ValueError naming n_th and N: x^N below the smallest normal double
+    (tiny noise at a deep threshold), or an SNR that overflows.
+    """
+    n_th = np.asarray(n_th, dtype=float)
+    if not ((n_th > 0.0) & (n_th < math.inf)).all():
+        if (n_th == 0.0).any():
+            raise ZeroNoiseError("n_th_mean must be > 0 for SNR analysis")
+        bad = n_th[~((n_th > 0.0) & (n_th < math.inf))]
+        raise ValueError(f"n_th_mean must be finite and >= 0, got {float(bad[0])!r}")
+    x = n_th / (n_th + 1.0)
+    _, poisson, scaled = mixed_tail_terms(threshold_n, n_p, x)
+    threshold_n = int(threshold_n)
+    x_n = x**threshold_n
+    if (x_n < sys.float_info.min).any():
+        raise ValueError(
+            f"n_th = {float(np.min(n_th))!r} is too small for threshold N = {threshold_n}: "
+            "x^N underflows, so the SNR is not representable"
+        )
+    with np.errstate(over="ignore", invalid="ignore"):
+        quantum = poisson / x_n + scaled
+        classical = (n_p + n_th) / n_th
+        ratio = quantum / classical
+        slope = (1.0 / x - 1.0) * scaled
+    if not (np.isfinite(quantum).all() and np.isfinite(classical).all() and np.isfinite(slope).all()):
+        finite = np.isfinite(quantum) & np.isfinite(classical) & np.isfinite(slope)
+        worst = float(np.broadcast_to(n_th, finite.shape)[~finite].min())
+        raise ValueError(
+            f"SNR at n_th = {worst!r}, threshold N = {threshold_n} overflows double precision"
+        )
+    return quantum, ratio, slope
+
+
 def classical_snr(params: SourceParams) -> float:
     """Intensity-detection SNR: (n_p + n_th) / n_th."""
     _check_params(params)
-    return (params.n_p_mean + params.n_th_mean) / params.n_th_mean
+    value = (params.n_p_mean + params.n_th_mean) / params.n_th_mean
+    if value == math.inf:
+        raise ValueError(f"intensity SNR at n_th = {params.n_th_mean!r} overflows double precision")
+    return value
 
 
 def quantum_snr(params: SourceParams, threshold_n: int) -> float:
     """Threshold-detection SNR at threshold N: mixed exceedance over x^N.
 
-    The numerator is the closed-form mixed tail (positive finite sum), so
-    the value is exact at n_p == 0 (SNR_q == 1) and free of cancellation
-    for deep thresholds.
+    Built from the positive terms of the threshold identity, so the value
+    is exactly 1 at n_p == 0 and free of cancellation for deep thresholds.
     """
-    _check_params(params)
-    threshold_n = int(threshold_n)
-    if threshold_n < 1:
-        raise ValueError(f"threshold must be >= 1, got {threshold_n}")
-    return mixed_tail(threshold_n, params) / params.x**threshold_n
+    return float(_snr_arrays(params.n_p_mean, params.n_th_mean, threshold_n)[0][0])
 
 
 def snr_ratio(params: SourceParams, threshold_n: int) -> float:
     """quantum_snr / classical_snr; > 1 where thresholding wins."""
-    return quantum_snr(params, threshold_n) / classical_snr(params)
+    return float(_snr_arrays(params.n_p_mean, params.n_th_mean, threshold_n)[1][0])
 
 
 def snr_report(params: SourceParams, thresholds: Sequence[int]) -> SnrReport:
@@ -154,28 +197,7 @@ def quantum_snr_derivative(params: SourceParams, threshold_n: int) -> float:
     as the rescaled sum (1/x - 1) sum_{m<N} p_p(m) x^(-m) so the exponential
     factor never overflows.
     """
-    _check_params(params)
-    threshold_n = int(threshold_n)
-    if threshold_n < 1:
-        raise ValueError(f"threshold must be >= 1, got {threshold_n}")
-    x = params.x
-    total = 0.0
-    for m in range(threshold_n):
-        total += poisson_pmf(m, params.n_p_mean) * x ** (-m)
-    return (1.0 / x - 1.0) * total
-
-
-def threshold_gap(params: SourceParams, threshold_n: int) -> float:
-    """quantum_snr(N+1) - quantum_snr(N) via the threshold-step identity.
-
-    Equals (1 - x) / x^(N+1) * sum_{n>=N} p_p(n+1); zero only at n_p == 0.
-    """
-    _check_params(params)
-    threshold_n = int(threshold_n)
-    if threshold_n < 1:
-        raise ValueError(f"threshold must be >= 1, got {threshold_n}")
-    x = params.x
-    return (1.0 - x) / x ** (threshold_n + 1) * poisson_tail(threshold_n + 1, params.n_p_mean)
+    return float(_snr_arrays(params.n_p_mean, params.n_th_mean, threshold_n)[2][0])
 
 
 @dataclass(frozen=True)
@@ -188,26 +210,28 @@ class SweepPoint:
 def sweep_ratio(
     n_th_mean: float, thresholds: Sequence[int], n_p_grid: Sequence[float]
 ) -> list[SweepPoint]:
-    """SNR ratio over a signal-mean grid, one row per (grid point, threshold)."""
+    """SNR ratio over a signal-mean grid, one row per (grid point, threshold).
+
+    Every ratio is evaluated, one array call per threshold, before any row
+    is built.
+    """
     grid = [float(v) for v in n_p_grid]
     if not grid:
         raise ValueError("n_p_grid must be nonempty")
     if any(b <= a for a, b in zip(grid, grid[1:])):
         raise ValueError("n_p_grid must be strictly increasing")
-    rows = []
-    for threshold_n in thresholds:
-        for n_p in grid:
-            params = SourceParams(n_p, n_th_mean)
-            rows.append(SweepPoint(n_p, int(threshold_n), snr_ratio(params, threshold_n)))
-    return rows
+    points = np.array(grid)
+    ratios = [(int(n), _snr_arrays(points, n_th_mean, n)[1].tolist()) for n in thresholds]
+    return [SweepPoint(n_p, n, r) for n, values in ratios for n_p, r in zip(grid, values)]
 
 
 def log_grid(lo: float, hi: float, points: int) -> list[float]:
     """Logarithmically spaced grid, endpoints included."""
     if not (0.0 < lo < hi) or points < 2:
         raise ValueError("need 0 < lo < hi and at least 2 points")
-    step = (math.log(hi) - math.log(lo)) / (points - 1)
-    inner = [math.exp(math.log(lo) + i * step) for i in range(1, points - 1)]
+    log_lo = math.log(lo)
+    step = (math.log(hi) - log_lo) / (points - 1)
+    inner = [math.exp(log_lo + i * step) for i in range(1, points - 1)]
     return [lo, *inner, hi]
 
 
@@ -220,63 +244,42 @@ def find_optimum(
 ) -> OptimumPoint:
     """Signal mean maximizing the SNR ratio at fixed noise and threshold.
 
-    Scans a log-spaced bracket for the global maximum, then refines with
-    golden-section search in log(n_p) to the requested relative tolerance.
-    A maximum on the bracket edge means no interior optimum: SearchError.
+    Scans a log-spaced bracket of ``bracket_points`` for the global maximum;
+    a maximum on the bracket edge means no interior optimum: SearchError.
+    Then nested scans: the two grid cells around the best point are scanned
+    again with ``bracket_points``, each scan one array call narrowing the
+    bracket about (bracket_points - 1) / 2 times, until its width in
+    log(n_p) is at most ``relative_tol``; the log midpoint is returned.
     """
     if n_th_mean <= 0.0:
         raise ZeroNoiseError("n_th_mean must be > 0 for SNR analysis")
+    if bracket_points < 4:
+        raise ValueError(f"bracket_points must be >= 4 to narrow the bracket, got {bracket_points}")
 
-    def ratio_at(log_np: float) -> float:
-        return snr_ratio(SourceParams(math.exp(log_np), n_th_mean), threshold_n)
+    def scan(lo: float, hi: float) -> tuple[list[float], int]:
+        grid = log_grid(lo, hi, bracket_points)
+        return grid, int(np.argmax(_snr_arrays(np.array(grid), n_th_mean, threshold_n)[1]))
 
-    grid = log_grid(bracket[0], bracket[1], bracket_points)
-    values = [ratio_at(math.log(g)) for g in grid]
-    best = max(range(len(grid)), key=values.__getitem__)
+    grid, best = scan(*bracket)
     if best == 0 or best == len(grid) - 1:
         raise SearchError(
             f"no interior ratio maximum for N={threshold_n}, n_th={n_th_mean} "
             f"in bracket {bracket}"
         )
-
-    # Golden-section on the log axis: absolute tolerance there is relative
-    # tolerance in n_p.
-    a = math.log(grid[best - 1])
-    b = math.log(grid[best + 1])
-    c = b - (b - a) / _GOLDEN_RATIO
-    d = a + (b - a) / _GOLDEN_RATIO
-    fc, fd = ratio_at(c), ratio_at(d)
-    while (b - a) > relative_tol:
-        if fc > fd:
-            b, d, fd = d, c, fc
-            c = b - (b - a) / _GOLDEN_RATIO
-            fc = ratio_at(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + (b - a) / _GOLDEN_RATIO
-            fd = ratio_at(d)
-    log_best = (a + b) / 2.0
-    best_n_p = math.exp(log_best)
-    return OptimumPoint(int(threshold_n), float(n_th_mean), best_n_p, ratio_at(log_best))
-
-
-def _bisect_ratio_crossing(
-    f: Callable[[float], float], lo: float, hi: float, abs_tol: float, ratio_tol: float
-) -> float | None:
-    """Root of f (a ratio minus 1) in [lo, hi] with f(lo), f(hi) of opposite sign."""
-    flo = f(lo)
-    for _ in range(300):
-        mid = 0.5 * (lo + hi)
-        fmid = f(mid)
-        if (hi - lo) <= abs_tol and abs(fmid) <= ratio_tol:
-            return mid
-        if (flo < 0.0) == (fmid < 0.0):
-            lo, flo = mid, fmid
-        else:
-            hi = mid
-        if hi == lo:
+    # Width in log(n_p) is relative width in n_p.  A bracket that stops
+    # narrowing (adjacent doubles) ends the search as well.
+    width = math.inf
+    while True:
+        lo, hi = grid[best - 1], grid[best + 1]
+        narrowed = math.log(hi / lo)
+        if narrowed <= relative_tol or narrowed >= width:
             break
-    return None
+        width = narrowed
+        grid, best = scan(lo, hi)
+        best = min(max(best, 1), len(grid) - 2)
+    best_n_p = math.exp(0.5 * (math.log(lo) + math.log(hi)))
+    best_ratio = snr_ratio(SourceParams(best_n_p, n_th_mean), threshold_n)
+    return OptimumPoint(int(threshold_n), float(n_th_mean), best_n_p, best_ratio)
 
 
 def find_boundary(
@@ -289,49 +292,62 @@ def find_boundary(
 ) -> BoundaryCurve:
     """Map the ratio == 1 boundary over a grid of noise means.
 
-    For each n_th the signal axis is scanned on a log grid and the
-    largest-n_p sign change of (ratio - 1) is bisected; that crossing bounds
-    the advantage region from above, matching a region that sits below the
-    curve.  Grid points with no sign change are reported rather than
-    guessed, and points with several crossings are flagged.
+    Each noise level's scan, a log grid on the signal axis, is one array
+    call.  At each noise level the largest-n_p sign change of (ratio - 1)
+    bounds the advantage region from above, matching a region that sits
+    below the curve.  Those crossings are bisected in lockstep over the
+    noise levels, one array call per step; each level stops once its
+    bracket is within ``abs_tol`` and |ratio - 1| <= ``ratio_tol`` at the
+    midpoint, and is reported as "unresolved" if its bracket collapses or
+    300 steps pass first.  Levels with no sign change are reported rather
+    than guessed, and levels with several crossings are flagged.
     """
+    levels = np.asarray(n_th_grid, dtype=float)
+    if (levels <= 0.0).any():
+        raise ZeroNoiseError("n_th grid values must be > 0")
+    scan = np.array(log_grid(scan_range[0], scan_range[1], scan_points))
+    side: dict[int, str] = {}  # noise levels without a sign change
+    crossing, cell, f_lo, multiple = [], [], [], []
+    for i, n_th in enumerate(levels.tolist()):
+        excess = _snr_arrays(scan, n_th, threshold_n)[1] - 1.0
+        changes = np.flatnonzero((excess[1:] > 0.0) != (excess[:-1] > 0.0))
+        if not changes.size:
+            side[i] = "above" if excess[scan.size // 2] > 0.0 else "below"
+            continue
+        if changes.size > 1:
+            multiple.append(n_th)
+        crossing.append(i)
+        cell.append(changes[-1])
+        f_lo.append(excess[changes[-1]])
+
+    # Lockstep bisection over the crossing levels.
+    cell = np.array(cell, dtype=int)
+    lo, hi, f_lo, noise = scan[cell], scan[cell + 1], np.array(f_lo), levels[crossing]
+    roots = np.full(cell.size, np.nan)
+    live = np.arange(cell.size)
+    for _ in range(300):
+        if not live.size:
+            break
+        mid = 0.5 * (lo[live] + hi[live])
+        f_mid = _snr_arrays(mid, noise[live], threshold_n)[1] - 1.0
+        found = (hi[live] - lo[live] <= abs_tol) & (np.abs(f_mid) <= ratio_tol)
+        roots[live[found]] = mid[found]
+        same = (f_lo[live] < 0.0) == (f_mid < 0.0)
+        lo[live[same]], f_lo[live[same]] = mid[same], f_mid[same]
+        hi[live[~same]] = mid[~same]
+        live = live[~found & (hi[live] != lo[live])]
+
     points: list[tuple[float, float]] = []
     no_crossing: list[tuple[float, str]] = []
-    multiple: list[float] = []
-    scan = log_grid(scan_range[0], scan_range[1], scan_points)
-    for n_th in n_th_grid:
-        n_th = float(n_th)
-        if n_th <= 0.0:
-            raise ZeroNoiseError("n_th grid values must be > 0")
-
-        def excess(n_p: float) -> float:
-            return snr_ratio(SourceParams(n_p, n_th), threshold_n) - 1.0
-
-        values = [excess(v) for v in scan]
-        sign_changes = [
-            i
-            for i in range(len(scan) - 1)
-            if (values[i] > 0.0) != (values[i + 1] > 0.0)
-        ]
-        if not sign_changes:
-            side = "above" if values[len(values) // 2] > 0.0 else "below"
-            no_crossing.append((n_th, side))
-            continue
-        if len(sign_changes) > 1:
-            multiple.append(n_th)
-        i = sign_changes[-1]
-        root = _bisect_ratio_crossing(excess, scan[i], scan[i + 1], abs_tol, ratio_tol)
-        if root is None:
+    root_of = dict(zip(crossing, roots.tolist()))
+    for i, n_th in enumerate(levels.tolist()):
+        if i in side:
+            no_crossing.append((n_th, side[i]))
+        elif math.isnan(root_of[i]):
             no_crossing.append((n_th, "unresolved"))
-            continue
-        points.append((n_th, root))
-    return BoundaryCurve(
-        int(threshold_n),
-        tuple(points),
-        ratio_tol,
-        tuple(no_crossing),
-        tuple(multiple),
-    )
+        else:
+            points.append((n_th, root_of[i]))
+    return BoundaryCurve(int(threshold_n), tuple(points), ratio_tol, tuple(no_crossing), tuple(multiple))
 
 
 def boundary_knee(curve: BoundaryCurve) -> float:

@@ -7,6 +7,7 @@ import math
 import pytest
 
 from pnrlidar.cli import ConfigError, bundled_config_path, load_sim_config, main, parse_sim_config
+from pnrlidar.snr_analysis import find_boundary, log_grid
 
 
 def run_cli(*argv):
@@ -159,6 +160,40 @@ class TestOptimumBoundaryCommands:
         assert len(lines) == 6
         for line in lines:
             assert abs(float(line.split(",")[3]) - 1.0) <= 1e-5
+
+
+class TestTinyNoiseRefused:
+    # x^N underflows double precision, so no SNR can be printed
+    @pytest.mark.parametrize("argv", [
+        ("snr", "--n-p", "1", "--n-th", "1e-200", "--thresholds", "2"),
+        ("sweep", "--n-th", "1e-300"),
+        ("optimum", "--n-th", "1e-200"),
+        ("boundary", "--nth-min", "1e-200", "--nth-max", "1", "--nth-points", "5"),
+    ])
+    def test_exits_with_error_line(self, capsys, argv):
+        assert run_cli(*argv) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("pnrlidar: error:")
+        assert "n_th = 1e-" in captured.err and "Traceback" not in captured.err
+        assert "inf" not in captured.out
+
+
+class TestBoundaryManifest:
+    def test_manifest_carries_crossing_diagnostics(self, tmp_path):
+        # N = 1 never crosses; near n_th = 1e4 the excess ratio - 1 is at
+        # rounding level, so the N = 2 scan sees several sign changes
+        out = tmp_path / "b.csv"
+        assert run_cli("boundary", "--thresholds", "1,2", "--nth-min", "1000",
+                       "--nth-max", "10000", "--nth-points", "5", "--output", str(out)) == 0
+        params = json.loads((tmp_path / "b.manifest.json").read_text())["parameters"]
+        grid = log_grid(1000.0, 10000.0, 5)
+        no_crossing, multiple = [], []
+        for n in (1, 2):
+            curve = find_boundary(n, grid)
+            no_crossing += [{"threshold_n": n, "n_th_mean": t, "side": side} for t, side in curve.no_crossing]
+            multiple += [{"threshold_n": n, "n_th_mean": t} for t in curve.multiple_crossings]
+        assert params["no_crossing"] == no_crossing and no_crossing
+        assert params["multiple_crossings"] == multiple and multiple
 
 
 class TestSimulateCommand:

@@ -14,6 +14,7 @@ from pnrlidar.photon_stats import (
     incomplete_gamma_ratio,
     mixed_pmf,
     mixed_tail,
+    mixed_tail_terms,
     poisson_pmf,
     poisson_tail,
     sample_histogram,
@@ -253,6 +254,51 @@ class TestTails:
             thermal_tail(0, 1.0)
         with pytest.raises(ValueError):
             mixed_tail(0, SourceParams(1.0, 1.0))
+
+
+class TestMixedTailTerms:
+    # x is taken as 1 - p, so the kernel and the oracle see the same law: p
+    # rounds, and 1 - p is exact.
+    SIGNAL = np.geomspace(1e-4, 1e4, 41)
+    P_NOISE = 1.0 / (1.0 + np.geomspace(1e-3, 1e3, 13))
+
+    def test_scipy_oracle(self):
+        # P(S >= N) for S = Poisson(n_p) + Geometric, by total probability
+        # over the Poisson count: stats.poisson and stats.nbinom(1, p).
+        x = 1.0 - self.P_NOISE[:, None]
+        for big_n in range(1, 51):
+            tail, poisson, scaled = mixed_tail_terms(big_n, self.SIGNAL, x)
+            m = np.arange(big_n)[:, None, None]
+            pmf = stats.poisson.pmf(m, self.SIGNAL)
+            oracle = stats.poisson.sf(big_n - 1, self.SIGNAL)
+            geometric = stats.nbinom.sf(big_n - 1 - m, 1, self.P_NOISE[:, None])
+            np.testing.assert_allclose(poisson, oracle, rtol=1e-12, atol=0.0)
+            np.testing.assert_allclose(tail, oracle + (pmf * geometric).sum(axis=0), rtol=1e-12, atol=0.0)
+            np.testing.assert_allclose(scaled, (pmf * x**-m).sum(axis=0), rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("n_th", [0.0, 1e-3, 1.0, 40.0])
+    def test_scalar_wrapper_is_array_element(self, n_th):
+        params = SourceParams(0.0, n_th)
+        grid = [0.0, *self.SIGNAL.tolist()]
+        for big_n in (1, 2, 7, 31, 50):
+            tail = mixed_tail_terms(big_n, grid, params.x)[0]
+            assert [mixed_tail(big_n, SourceParams(n_p, n_th)) for n_p in grid] == tail.tolist()
+
+    def test_poisson_part_matches_poisson_tail(self):
+        for big_n in (1, 3, 12, 40):
+            poisson = mixed_tail_terms(big_n, self.SIGNAL, 0.5)[1]
+            expected = [poisson_tail(big_n, n_p) for n_p in self.SIGNAL]
+            np.testing.assert_allclose(poisson, expected, rtol=1e-13, atol=0.0)
+
+    def test_domain(self):
+        for bad in ([-1.0], [math.nan], [math.inf]):
+            with pytest.raises(ValueError):
+                mixed_tail_terms(2, bad, 0.5)
+        for bad in (-0.1, 1.5, math.nan):
+            with pytest.raises(ValueError):
+                mixed_tail_terms(2, [1.0], bad)
+        with pytest.raises(ValueError):
+            mixed_tail_terms(0, [1.0], 0.5)
 
 
 class TestSourceParams:

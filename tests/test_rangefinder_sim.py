@@ -82,6 +82,13 @@ class TestRunSimulation:
         keep = [b for b in range(50) if b != 40]
         assert np.array_equal(with_target.intensity_raw[keep], without.intensity_raw[keep])
 
+    def test_sum_of_squares_does_not_wrap(self):
+        # counts near 1e8 square to about 2e19 per bin, past the int64 range;
+        # Cauchy-Schwarz: reps * sum(n^2) >= (sum n)^2
+        result = run_simulation(SimConfig(1000, 1, 2, 1e8))
+        for b in range(2):
+            assert float(result.intensity_sq_raw[b]) * 1000 >= float(result.intensity_raw[b]) ** 2
+
     def test_raw_bounds_and_counting_bound(self):
         result = run_simulation(four_target_config())
         reps = result.config.repetitions

@@ -2,10 +2,18 @@
 
 import math
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from pnrlidar.photon_stats import SourceParams, mixed_pmf, thermal_pmf
+from pnrlidar.photon_stats import SourceParams, mixed_pmf, poisson_tail, thermal_pmf
 from pnrlidar.snr_analysis import (
+    BOUNDARY_ABS_TOL,
+    BOUNDARY_RATIO_TOL,
+    BOUNDARY_SCAN_POINTS,
+    BOUNDARY_SCAN_RANGE,
+    OPTIMUM_RELATIVE_TOL,
     SearchError,
     ZeroNoiseError,
     boundary_knee,
@@ -18,8 +26,8 @@ from pnrlidar.snr_analysis import (
     snr_ratio,
     snr_report,
     sweep_ratio,
-    threshold_gap,
 )
+from pnrlidar.snr_analysis import _snr_arrays
 
 SIGNAL_GRID = (0.0, 0.5, 1.0, 3.0, 10.0)
 NOISE_GRID = (0.2, 1.0, 5.0)
@@ -46,6 +54,10 @@ class TestClassicalSnr:
     def test_zero_noise_rejected(self):
         with pytest.raises(ZeroNoiseError):
             classical_snr(SourceParams(1.0, 0.0))
+
+    def test_overflow_refused(self):
+        with pytest.raises(ValueError, match="n_th = 1e-300"):
+            classical_snr(SourceParams(1e10, 1e-300))
 
 
 class TestQuantumSnr:
@@ -151,10 +163,20 @@ class TestDerivative:
             quantum_snr_derivative(SourceParams(1.0, 0.0), 2)
 
 
+def threshold_gap(params, big_n):
+    """quantum_snr(N+1) - quantum_snr(N) by the threshold-step identity."""
+    x = params.x
+    return (1.0 - x) / x ** (big_n + 1) * poisson_tail(big_n + 1, params.n_p_mean)
+
+
 class TestThresholdGap:
+    # The step between thresholds, quantum_snr(N+1) - quantum_snr(N),
+    # equals (1 - x) / x^(N+1) * P_poisson(n >= N+1); zero only at n_p == 0.
     def test_zero_at_no_signal(self):
         for big_n in (1, 4, 9):
-            assert threshold_gap(SourceParams(0.0, 1.0), big_n) == 0.0
+            params = SourceParams(0.0, 1.0)
+            assert quantum_snr(params, big_n + 1) - quantum_snr(params, big_n) == 0.0
+            assert threshold_gap(params, big_n) == 0.0
 
     @pytest.mark.parametrize("n_th", NOISE_GRID)
     @pytest.mark.parametrize("n_p", SIGNAL_GRID[1:])
@@ -260,6 +282,124 @@ class TestFindBoundary:
         curve = find_boundary(2, [1.0, 2.0])
         with pytest.raises(ValueError):
             boundary_knee(curve)
+
+
+def per_level_boundary(threshold_n, n_th_grid):
+    """find_boundary one noise level at a time, by scalar bisection (reference)."""
+    scan = np.array(log_grid(*BOUNDARY_SCAN_RANGE, BOUNDARY_SCAN_POINTS))
+    points, no_crossing, multiple = [], [], []
+    for n_th in n_th_grid:
+        def excess(n_p):
+            return snr_ratio(SourceParams(n_p, n_th), threshold_n) - 1.0
+
+        values = _snr_arrays(scan, n_th, threshold_n)[1] - 1.0
+        changes = np.flatnonzero((values[:-1] > 0.0) != (values[1:] > 0.0))
+        if not changes.size:
+            no_crossing.append((n_th, "above" if values[scan.size // 2] > 0.0 else "below"))
+            continue
+        if changes.size > 1:
+            multiple.append(n_th)
+        lo, hi = scan[changes[-1]], scan[changes[-1] + 1]
+        f_lo, root = excess(lo), None
+        for _ in range(300):
+            mid = 0.5 * (lo + hi)
+            f_mid = excess(mid)
+            if hi - lo <= BOUNDARY_ABS_TOL and abs(f_mid) <= BOUNDARY_RATIO_TOL:
+                root = mid
+                break
+            if (f_lo < 0.0) == (f_mid < 0.0):
+                lo, f_lo = mid, f_mid
+            else:
+                hi = mid
+            if hi == lo:
+                break
+        if root is None:
+            no_crossing.append((n_th, "unresolved"))
+        else:
+            points.append((n_th, root))
+    return points, no_crossing, multiple
+
+
+class TestArrayKernel:
+    @pytest.mark.parametrize("n_th", [0.01, 1.0, 100.0])
+    def test_scalar_wrappers_are_array_elements(self, n_th):
+        grid = [0.0, *log_grid(1e-3, 1e3, 41)]
+        for big_n in (1, 2, 7, 20):
+            quantum, ratio, slope = _snr_arrays(np.array(grid), n_th, big_n)
+            params = [SourceParams(n_p, n_th) for n_p in grid]
+            assert [quantum_snr(p, big_n) for p in params] == quantum.tolist()
+            assert [snr_ratio(p, big_n) for p in params] == ratio.tolist()
+            assert [quantum_snr_derivative(p, big_n) for p in params] == slope.tolist()
+
+    @pytest.mark.parametrize("n_th", [0.5, 2.0])
+    @pytest.mark.parametrize("big_n", [2, 5, 10])
+    def test_nested_scans_match_dense_scan(self, big_n, n_th):
+        opt = find_optimum(n_th, big_n)
+        dense = np.geomspace(1e-3, 1e3, 100_000)
+        i = int(np.argmax(_snr_arrays(dense, n_th, big_n)[1]))
+        dense = np.geomspace(dense[i - 1], dense[i + 1], 100_000)
+        best = dense[np.argmax(_snr_arrays(dense, n_th, big_n)[1])]
+        assert abs(math.log(opt.best_n_p_mean / best)) <= OPTIMUM_RELATIVE_TOL
+        assert opt.best_ratio == snr_ratio(SourceParams(opt.best_n_p_mean, n_th), big_n)
+
+    @pytest.mark.parametrize("big_n", [2, 3, 4, 5])
+    def test_lockstep_boundary_matches_per_level_bisection(self, big_n):
+        grid = log_grid(0.2, 40.0, 60)
+        curve = find_boundary(big_n, grid)
+        points, no_crossing, multiple = per_level_boundary(big_n, grid)
+        assert [t for t, _ in curve.points] == [t for t, _ in points]
+        np.testing.assert_allclose(
+            [p for _, p in curve.points], [p for _, p in points], rtol=0.0, atol=BOUNDARY_ABS_TOL
+        )
+        assert curve.no_crossing == tuple(no_crossing)
+        assert curve.multiple_crossings == tuple(multiple)
+
+    @pytest.mark.parametrize("call", [
+        lambda: quantum_snr(SourceParams(1.0, 1e-200), 2),
+        lambda: quantum_snr(SourceParams(1e-5, 1e-155), 2),  # x^N subnormal, SNR finite
+        lambda: snr_ratio(SourceParams(1.0, 1e-110), 3),
+        lambda: quantum_snr_derivative(SourceParams(1.0, 1e-200), 2),
+        lambda: sweep_ratio(1e-300, [2], [0.5, 1.0]),
+        lambda: find_optimum(1e-200, 2),
+        lambda: find_boundary(2, [1e-200, 1.0]),
+        lambda: snr_ratio(SourceParams(1e10, 1e-300), 1),
+    ])
+    def test_unrepresentable_snr_refused(self, call):
+        with pytest.raises(ValueError, match=r"n_th = 1e-\d+.*N = \d"):
+            call()
+
+
+PROPERTY_SETTINGS = settings(max_examples=60, derandomize=True, deadline=None)
+noise = st.floats(0.1, 10.0)
+signal = st.floats(1e-3, 100.0)
+threshold = st.integers(1, 20)
+
+
+class TestProperties:
+    @PROPERTY_SETTINGS
+    @given(st.floats(1e-3, 1e3), st.integers(1, 50))
+    def test_no_signal_is_exactly_unity(self, n_th, big_n):
+        assert quantum_snr(SourceParams(0.0, n_th), big_n) == 1.0
+
+    @PROPERTY_SETTINGS
+    @given(signal, st.floats(1e-3, 1.0), noise, threshold)
+    def test_monotone_in_signal(self, n_p, step, n_th, big_n):
+        low = quantum_snr(SourceParams(n_p, n_th), big_n)
+        assert quantum_snr(SourceParams(n_p * (1.0 + step), n_th), big_n) >= low
+
+    @PROPERTY_SETTINGS
+    @given(signal, noise, threshold)
+    def test_monotone_in_threshold(self, n_p, n_th, big_n):
+        params = SourceParams(n_p, n_th)
+        assert quantum_snr(params, big_n + 1) >= quantum_snr(params, big_n)
+
+    @PROPERTY_SETTINGS
+    @given(st.floats(0.0, 0.99), st.floats(1e-3, 1.0), noise, st.integers(2, 8))
+    def test_ratio_rises_below_the_optimum(self, fraction, step, n_th, big_n):
+        best = find_optimum(n_th, big_n).best_n_p_mean
+        low = best * fraction / (1.0 + step)
+        high = best * fraction
+        assert snr_ratio(SourceParams(high, n_th), big_n) >= snr_ratio(SourceParams(low, n_th), big_n)
 
 
 class TestLogGrid:
