@@ -21,10 +21,10 @@ from .snr_analysis import (
     OptimumPoint,
     SearchError,
     SnrReport,
-    SweepPoint,
     ZeroNoiseError,
     classical_snr,
     find_boundary,
+    find_optima,
     find_optimum,
     log_grid,
     quantum_snr,

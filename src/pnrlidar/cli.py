@@ -11,25 +11,19 @@ goes to stdout.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
+import math
 import sys
 from dataclasses import asdict, replace
 from datetime import datetime, timezone
 from importlib import resources
+from itertools import repeat
 from pathlib import Path
 
 from . import __version__
 from .photon_stats import SourceKind, SourceParams, build_pmf
 from .rangefinder_sim import SimConfig, estimate_ratio, run_simulation
-from .snr_analysis import (
-    find_boundary,
-    find_optimum,
-    log_grid,
-    snr_ratio,
-    snr_report,
-    sweep_ratio,
-)
+from .snr_analysis import find_boundary, find_optima, log_grid, snr_report, sweep_ratio
 
 __all__ = ["main", "ConfigError", "parse_sim_config", "bundled_config_path"]
 
@@ -46,10 +40,19 @@ def _fmt(value):
     return str(value)
 
 
-def _write_csv(stream, columns, rows) -> None:
-    writer = csv.writer(stream, lineterminator="\n")
-    writer.writerow(columns)
-    writer.writerows([_fmt(v) for v in row] for row in rows)
+def _same(value):
+    return value
+
+
+def _rows(rows):
+    """A table's row source: rows with each value passed through ``fmt``."""
+    return lambda fmt: ([fmt(v) for v in row] for row in rows)
+
+
+def _write_csv(stream, columns, text_rows) -> None:
+    # Every field is a number or a column name, so none needs quoting.
+    stream.write(",".join(columns) + "\n")
+    stream.writelines(",".join(row) + "\n" for row in text_rows)
 
 
 def _manifest(subcommand: str, parameters: dict, seed=None) -> dict:
@@ -72,12 +75,15 @@ def _emit(
 ) -> int:
     """Write CSV table(s) or one structured JSON document, plus the manifest.
 
-    ``tables`` maps a suffix ("" for the primary file) to (columns, rows).
-    Structured mode folds everything into a single JSON document.
+    ``tables`` maps a suffix ("" for the primary file) to (columns, source),
+    where ``source(fmt)`` yields the rows with each value passed through
+    ``fmt``: ``_fmt`` for CSV text, the value itself for JSON.  Structured
+    mode folds everything into a single JSON document.
     """
     if (args.format or default_format) == "structured":
         payload = data if data is not None else {
-            name or "table": {"columns": cols, "rows": rows} for name, (cols, rows) in tables.items()
+            name or "table": {"columns": cols, "rows": list(source(_same))}
+            for name, (cols, source) in tables.items()
         }
         text = json.dumps({"manifest": manifest, "data": payload}, indent=2) + "\n"
         if args.output is None:
@@ -89,13 +95,14 @@ def _emit(
 
     if args.output is None:
         for name in sorted(tables):
-            _write_csv(sys.stdout, *tables[name])
+            cols, source = tables[name]
+            _write_csv(sys.stdout, cols, source(_fmt))
         return 0
     out = Path(args.output)
-    for name, (cols, rows) in tables.items():
+    for name, (cols, source) in tables.items():
         path = out if not name else out.with_name(out.stem + f"_{name}" + out.suffix)
         with path.open("w", newline="") as fh:
-            _write_csv(fh, cols, rows)
+            _write_csv(fh, cols, source(_fmt))
     _write_manifest(args.output, manifest)
     return 0
 
@@ -123,6 +130,8 @@ def _parse_thresholds(text: str) -> tuple[int, ...]:
 def _grid(args) -> list[float]:
     if args.grid_scale == "log":
         return log_grid(args.grid_min, args.grid_max, args.grid_points)
+    if not (math.isfinite(args.grid_min) and math.isfinite(args.grid_max)):
+        raise ValueError(f"grid bounds must be finite, got {args.grid_min!r} and {args.grid_max!r}")
     if args.grid_points < 2:
         raise ValueError("need 0 < lo < hi and at least 2 points")
     step = (args.grid_max - args.grid_min) / (args.grid_points - 1)
@@ -147,7 +156,7 @@ def _cmd_pmf(args) -> int:
     rows = [(n, p) for n, p in enumerate(pmf.probs)]
     data = {"columns": ["n", "probability"], "rows": rows,
             "n_max": pmf.n_max, "residual": pmf.residual}
-    return _emit(args, manifest, {"": (["n", "probability"], rows)}, data)
+    return _emit(args, manifest, {"": (["n", "probability"], _rows(rows))}, data)
 
 
 def _cmd_snr(args) -> int:
@@ -166,7 +175,7 @@ def _cmd_snr(args) -> int:
     return _emit(
         args,
         manifest,
-        {"": (["threshold_n", "classical_snr", "quantum_snr", "snr_ratio"], rows)},
+        {"": (["threshold_n", "classical_snr", "quantum_snr", "snr_ratio"], _rows(rows))},
         data,
         default_format="structured",
     )
@@ -174,7 +183,14 @@ def _cmd_snr(args) -> int:
 
 def _cmd_sweep(args) -> int:
     grid = _grid(args)
-    rows = [(p.n_p_mean, p.threshold_n, p.ratio) for p in sweep_ratio(args.n_th, args.thresholds, grid)]
+    ratios = sweep_ratio(args.n_th, args.thresholds, grid).tolist()
+
+    def rows(fmt):
+        # Each grid value, threshold and ratio is formatted once.
+        grid_text = [fmt(v) for v in grid]
+        for n, values in zip(args.thresholds, ratios):
+            yield from zip(grid_text, repeat(fmt(n)), map(fmt, values))
+
     manifest = _manifest("sweep", {
         "n_th_mean": args.n_th, "thresholds": list(args.thresholds),
         "grid_min": args.grid_min, "grid_max": args.grid_max,
@@ -184,12 +200,13 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_optimum(args) -> int:
-    rows = []
-    for n in args.thresholds:
-        opt = find_optimum(args.n_th, n)
-        rows.append((opt.threshold_n, opt.n_th_mean, opt.best_n_p_mean, opt.best_ratio))
+    rows = [
+        (opt.threshold_n, opt.n_th_mean, opt.best_n_p_mean, opt.best_ratio)
+        for opt in find_optima(args.n_th, args.thresholds)
+    ]
     manifest = _manifest("optimum", {"n_th_mean": args.n_th, "thresholds": list(args.thresholds)})
-    return _emit(args, manifest, {"": (["threshold_n", "n_th_mean", "best_n_p_mean", "best_ratio"], rows)})
+    columns = ["threshold_n", "n_th_mean", "best_n_p_mean", "best_ratio"]
+    return _emit(args, manifest, {"": (columns, _rows(rows))})
 
 
 def _cmd_boundary(args) -> int:
@@ -199,8 +216,7 @@ def _cmd_boundary(args) -> int:
     multiple = []
     for n in args.thresholds:
         curve = find_boundary(n, grid)
-        for n_th, n_p in curve.points:
-            rows.append((curve.threshold_n, n_th, n_p, snr_ratio(SourceParams(n_p, n_th), n)))
+        rows.extend((n, n_th, n_p, ratio) for (n_th, n_p), ratio in zip(curve.points, curve.ratios))
         skipped.extend({"threshold_n": n, "n_th_mean": t, "side": side} for t, side in curve.no_crossing)
         multiple.extend({"threshold_n": n, "n_th_mean": t} for t in curve.multiple_crossings)
     manifest = _manifest("boundary", {
@@ -208,7 +224,7 @@ def _cmd_boundary(args) -> int:
         "nth_max": args.nth_max, "nth_points": args.nth_points,
         "no_crossing": skipped, "multiple_crossings": multiple,
     })
-    return _emit(args, manifest, {"": (["threshold_n", "n_th_mean", "n_p_mean", "ratio"], rows)})
+    return _emit(args, manifest, {"": (["threshold_n", "n_th_mean", "n_p_mean", "ratio"], _rows(rows))})
 
 
 def _cmd_simulate(args) -> int:
@@ -237,7 +253,8 @@ def _cmd_simulate(args) -> int:
         "bins": {"columns": bin_cols, "rows": bin_rows},
         "ratios": {"columns": ratio_cols, "rows": ratio_rows},
     }
-    return _emit(args, manifest, {"": (bin_cols, bin_rows), "ratios": (ratio_cols, ratio_rows)}, data)
+    tables = {"": (bin_cols, _rows(bin_rows)), "ratios": (ratio_cols, _rows(ratio_rows))}
+    return _emit(args, manifest, tables, data)
 
 
 # --- simulation config files ---

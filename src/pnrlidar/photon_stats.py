@@ -244,12 +244,13 @@ def mixed_tail(threshold_n: int, params: SourceParams) -> float:
 
 
 def mixed_tail_terms(
-    threshold_n: int, n_p: ArrayLike, x: ArrayLike
+    threshold_n: ArrayLike, n_p: ArrayLike, x: ArrayLike
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Mixed-light tail P(n >= N) over arrays, with the parts SNR needs.
 
-    ``n_p`` (signal means) and ``x`` (thermal ratios n_th / (n_th + 1))
-    broadcast together.  Returns ``(tail, poisson, scaled)``:
+    ``threshold_n`` (integers N >= 1), ``n_p`` (signal means) and ``x``
+    (thermal ratios n_th / (n_th + 1)) broadcast together.  Returns
+    ``(tail, poisson, scaled)``:
 
         poisson = P_poisson(n >= N),
         tail    = poisson + sum_{m<N} p_p(m) x^(N-m),   at most 1,
@@ -260,14 +261,20 @@ def mixed_tail_terms(
     (1/x - 1) scaled is its derivative in n_p.  ``scaled`` is meaningless
     at x == 0 and overflows where x^(1-N) does.
 
-    The Poisson terms p_p(0..N) are computed once per point, in the regimes
-    of :func:`poisson_pmf`.  The Poisson tail sums whichever side of N
-    carries less mass, as :func:`poisson_tail` does, so a small tail keeps
-    its relative precision.  The shapes of ``tail`` and ``scaled`` are the
-    broadcast shape (at least 1-D); ``poisson`` has the shape of ``n_p``.
+    One walk over the term index m = 0, 1, ..., max(N) serves every
+    threshold.  It computes the Poisson term p_p(m) of each point in the
+    regimes of :func:`poisson_pmf`, keeps running sums over m per point (not
+    per threshold), and each element reads them at m = N - 1; the identity
+    sum runs as the Horner recurrence s <- x (s + p_p(m)).  Every sum over m
+    is sequential, so an element's value does not depend on the other
+    elements of the call: a scalar call gives the element's bits.  The
+    Poisson tail sums whichever side of N carries less mass, as
+    :func:`poisson_tail` does, so a small tail keeps its relative
+    precision.  ``poisson`` has the broadcast shape of ``threshold_n`` and
+    ``n_p``, ``tail`` and ``scaled`` that of all three (each at least 1-D).
     """
-    threshold_n = _check_threshold(threshold_n)
-    n_p = np.atleast_1d(np.asarray(n_p, dtype=float))
+    big_n = _check_thresholds(threshold_n)
+    n_p = np.asarray(n_p, dtype=float)
     x = np.asarray(x, dtype=float)
     if not ((n_p >= 0.0) & (n_p < math.inf)).all():
         bad = n_p[~((n_p >= 0.0) & (n_p < math.inf))]
@@ -276,67 +283,104 @@ def mixed_tail_terms(
         bad = x[~((x >= 0.0) & (x <= 1.0))]
         raise ValueError(f"thermal ratio x must be in [0, 1], got {float(bad[0])!r}")
 
-    # Broadcast by leading axes of length 1, so the term index can go last:
-    # sums along a contiguous last axis do not depend on the number of points.
-    ndim, shape = max(n_p.ndim, x.ndim), n_p.shape
-    n_p = n_p.reshape((1,) * (ndim - n_p.ndim) + n_p.shape)
-    x = x.reshape((1,) * (ndim - x.ndim) + x.shape)[..., None]
-    m = np.arange(threshold_n + 1, dtype=float)
+    point_shape = np.broadcast_shapes(big_n.shape, n_p.shape, (1,))
+    shape = np.broadcast_shapes(point_shape, x.shape)
+    wanted = set(big_n.ravel().tolist())
+    top = max(wanted, default=1)
+    x = np.atleast_1d(x)
+    mass, first = np.empty(point_shape), np.empty(point_shape)
+    identity, scaled = np.empty(shape), np.empty(shape)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        terms = _poisson_terms(n_p, m)
-        below = terms[..., :-1]
-        mass = np.minimum(below.sum(axis=-1), 1.0)
+        for m, p in enumerate(_poisson_walk(np.atleast_1d(n_p), top)):
+            if m in wanted:
+                np.copyto(first, p, where=big_n == m)
+            if m == top:
+                break
+            # x^-m with an exponent array: numpy evaluates a scalar exponent
+            # -1 as a reciprocal, rounded differently from its power loop.
+            term = p * np.power(x, np.full(x.shape, -float(m)))
+            if m == 0:
+                below, run_scaled, run_identity = p.copy(), term, x * p
+            else:
+                below += p
+                run_scaled += term
+                run_identity += p
+                run_identity *= x
+            if m + 1 in wanted:
+                at = big_n == m + 1
+                np.copyto(mass, below, where=at)
+                np.copyto(scaled, run_scaled, where=at)
+                np.copyto(identity, run_identity, where=at)
+        mass = np.minimum(mass, 1.0)
         poisson = 1.0 - mass
         upper = mass >= 0.5
         if upper.any():
-            poisson[upper] = _upper_poisson_tail(n_p[upper], terms[..., -1][upper], threshold_n)
-        identity = (below * x ** (threshold_n - m[:-1])).sum(axis=-1)
-        scaled = (below * x**-m[:-1]).sum(axis=-1)
-    return np.minimum(poisson + identity, 1.0), poisson.reshape(shape), scaled
+            lam = np.broadcast_to(n_p, point_shape)[upper]
+            start = np.broadcast_to(big_n, point_shape)[upper]
+            poisson[upper] = _upper_poisson_tail(lam, first[upper], start)
+    return np.minimum(poisson + identity, 1.0), poisson, scaled
 
 
-def _poisson_terms(n_p: np.ndarray, n: np.ndarray) -> np.ndarray:
-    """p_p(n) of each mean at the counts n = 0, 1, ..., shape n_p.shape + n.shape.
+def _poisson_walk(n_p: np.ndarray, top: int) -> Iterator[np.ndarray]:
+    """p_p(m) of each mean for m = 0, 1, ..., top, one array per m.
 
-    The regimes of :func:`poisson_pmf`: the recurrence p(n) = p(n-1) mean / n
-    (a running product, in the same order) while mean and n are at most
-    _RECURRENCE_CUTOFF, log space beyond.
+    The regimes of :func:`poisson_pmf`: the recurrence p(m) = p(m-1) mean / m
+    while mean and m are at most _RECURRENCE_CUTOFF, log space beyond.
     """
-    lam = n_p[..., None]
-    terms = np.cumprod(np.concatenate([np.exp(-lam), lam / n[1:]], axis=-1), axis=-1)
-    log_space = (n > _RECURRENCE_CUTOFF) | (lam > _RECURRENCE_CUTOFF)
-    if log_space.any():
-        log_factorial = np.array([math.lgamma(k + 1.0) for k in n.tolist()])
-        terms = np.where(log_space, np.exp(n * np.log(lam) - lam - log_factorial), terms)
-    return terms
+    large = n_p > _RECURRENCE_CUTOFF
+    large_mean = n_p[large]
+    log_large = np.log(large_mean)
+    log_mean = None
+    for m in range(top + 1):
+        if m > _RECURRENCE_CUTOFF:
+            if log_mean is None:
+                log_mean = np.log(n_p)
+            yield np.exp(m * log_mean - n_p - math.lgamma(m + 1.0))
+            continue
+        recurrence = np.exp(-n_p) if m == 0 else recurrence * (n_p / m)
+        if not large_mean.size:
+            yield recurrence
+            continue
+        p = recurrence.copy()
+        p[large] = np.exp(m * log_large - large_mean - math.lgamma(m + 1.0))
+        yield p
 
 
-# Upward-tail terms summed per pass; a pass holds a (points x steps) block.
-_TAIL_STEPS = 16
+# Upward-tail terms per pass: at least _TAIL_STEPS, more while the block
+# (points x terms) stays within _TAIL_BLOCK elements, at most _TAIL_MAX_STEPS.
+_TAIL_STEPS, _TAIL_BLOCK, _TAIL_MAX_STEPS = 4, 4096, 64
 
 
-def _upper_poisson_tail(lam: np.ndarray, first: np.ndarray, threshold_n: int) -> np.ndarray:
-    """sum_{n>=N} p_p(n) from first = p_p(N), with :func:`poisson_tail`'s stopping rule.
+def _upper_poisson_tail(lam: np.ndarray, first: np.ndarray, start: np.ndarray) -> np.ndarray:
+    """sum_{n>=N} p_p(n) from first = p_p(N), N = start, as :func:`poisson_tail` sums it.
 
-    Terms follow p(n) = p(n-1) mean / n, _TAIL_STEPS per pass for the
-    elements still summing; an element stops after the pass in which a term
-    falls below 1e-18 of its total.  The tail is the smaller side here, so
-    the median is below N and the mean (at most median + ln 2) is too:
-    terms fall from the first step on, faster than geometrically, and never
-    reach poisson_tail's cap of 10 mean + 200 steps.
+    The terms follow p(n) = p(n-1) mean / n and are added to the total one
+    at a time, the operations of poisson_tail in its order, so the number of
+    terms per pass (more for fewer elements) does not change a bit.  An
+    element stops after the pass in which a term falls below 1e-18 of its
+    total or to zero (a subnormal total makes 1e-18 of it zero); the later
+    terms of that pass are below half an ulp of the total and leave it as
+    it is.  The tail is the smaller side here, so the median is below N and
+    the mean (at most median + ln 2) is too: terms fall from the first step
+    on, faster than geometrically, and never reach poisson_tail's cap of
+    10 mean + 200 steps.
     """
     total = first.copy()
     live = np.flatnonzero(first)  # a zero first term is the whole sum
-    lam, term = lam[live, None], first[live, None]
-    steps = threshold_n + np.arange(1.0, _TAIL_STEPS + 1)
+    lam, term, count = lam[live, None], first[live], start[live].astype(float)
     while live.size:
-        block = np.cumprod(lam / steps, axis=1)
-        block *= term
-        total[live] += block.sum(axis=1)
-        term = block[:, -1:]
-        steps += _TAIL_STEPS
-        going = term[:, 0] >= 1e-18 * total[live]
-        live, lam, term = live[going], lam[going], term[going]
+        steps = min(max(_TAIL_STEPS, _TAIL_BLOCK // live.size), _TAIL_MAX_STEPS)
+        block = count[:, None] + np.arange(1.0, steps + 1)
+        np.divide(lam, block, out=block)
+        block[:, 0] *= term
+        np.cumprod(block, axis=1, out=block)
+        term = block[:, -1].copy()
+        block[:, 0] += total[live]
+        np.cumsum(block, axis=1, out=block)
+        total[live] = block[:, -1]
+        count += steps
+        going = (term > 0.0) & (term >= 1e-18 * total[live])
+        live, lam, term, count = live[going], lam[going], term[going], count[going]
     return np.minimum(total, 1.0)
 
 
@@ -397,6 +441,16 @@ def _check_threshold(threshold_n: int) -> int:
     if threshold_n != int(threshold_n) or threshold_n < 1:
         raise ValueError(f"threshold must be a positive integer, got {threshold_n!r}")
     return int(threshold_n)
+
+
+def _check_thresholds(threshold_n: ArrayLike) -> np.ndarray:
+    values = np.asarray(threshold_n)
+    with np.errstate(invalid="ignore"):
+        ints = values.astype(np.int64)
+    bad = (ints != values) | (ints < 1)
+    if bad.any():
+        raise ValueError(f"threshold must be a positive integer, got {values[bad].ravel()[0].item()!r}")
+    return ints
 
 
 

@@ -18,8 +18,11 @@ noise (nested grid scans), and the ratio == 1 boundary in the (n_th, n_p)
 plane (bisection in lockstep over the noise levels).
 
 Every value comes from one array evaluation over whole grids
-(:func:`pnrlidar.photon_stats.mixed_tail_terms`); the scalar functions
-evaluate a grid of one point.  Zero thermal noise is a domain error
+(:func:`pnrlidar.photon_stats.mixed_tail_terms`), in which the threshold N
+is an array axis like n_p and n_th: a sweep over every threshold is one
+call, and the optimum searches of all thresholds run in lockstep.  The
+scalar functions evaluate a grid of one point, and give the bits of the
+matching array element.  Zero thermal noise is a domain error
 throughout: the intensity SNR divides by n_th, and the daylight regime this
 targets is noise-dominated.  So is noise small enough that x^N underflows
 double precision, where SNR_q cannot be represented.
@@ -43,7 +46,6 @@ __all__ = [
     "SnrReport",
     "OptimumPoint",
     "BoundaryCurve",
-    "SweepPoint",
     "classical_snr",
     "quantum_snr",
     "snr_ratio",
@@ -51,6 +53,7 @@ __all__ = [
     "quantum_snr_derivative",
     "sweep_ratio",
     "find_optimum",
+    "find_optima",
     "find_boundary",
     "boundary_knee",
     "log_grid",
@@ -99,7 +102,8 @@ class BoundaryCurve:
     """Locus of ratio == 1 points bounding the threshold-advantage region.
 
     ``points`` holds (n_th_mean, n_p_mean) pairs, one per grid noise level
-    with a crossing; the region below each point has ratio > 1.  Noise
+    with a crossing; the region below each point has ratio > 1, and
+    ``ratios`` holds the SNR ratio at each point (within ``tolerance`` of 1).  Noise
     levels without a crossing are listed in ``no_crossing`` with the scanned
     ratio's sign ("above" if the ratio stayed above 1 everywhere, "below"
     otherwise).  ``multiple_crossings`` flags noise levels where the scan
@@ -108,6 +112,7 @@ class BoundaryCurve:
 
     threshold_n: int
     points: tuple[tuple[float, float], ...]
+    ratios: tuple[float, ...] = ()
     tolerance: float = BOUNDARY_RATIO_TOL
     no_crossing: tuple[tuple[float, str], ...] = ()
     multiple_crossings: tuple[float, ...] = ()
@@ -120,15 +125,17 @@ def _check_params(params: SourceParams) -> SourceParams:
 
 
 def _snr_arrays(
-    n_p: ArrayLike, n_th: ArrayLike, threshold_n: int
+    n_p: ArrayLike, n_th: ArrayLike, threshold_n: ArrayLike
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(quantum_snr, snr_ratio, quantum_snr_derivative) over broadcast arrays.
 
-    One call of :func:`mixed_tail_terms`.  The quantum SNR is assembled as
+    One call of :func:`mixed_tail_terms`; ``threshold_n`` broadcasts with
+    ``n_p`` and ``n_th``.  The quantum SNR is assembled as
     P_poisson(n >= N) / x^N + sum_{m<N} p_p(m) x^(-m), which is exactly 1 at
     n_p == 0.  A value that double precision cannot hold is refused with a
-    ValueError naming n_th and N: x^N below the smallest normal double
-    (tiny noise at a deep threshold), or an SNR that overflows.
+    ValueError naming n_th and N of the first such element in input order
+    (C order of the broadcast): x^N below the smallest normal double (tiny
+    noise at a deep threshold), or an SNR that overflows.
     """
     n_th = np.asarray(n_th, dtype=float)
     if not ((n_th > 0.0) & (n_th < math.inf)).all():
@@ -138,24 +145,28 @@ def _snr_arrays(
         raise ValueError(f"n_th_mean must be finite and >= 0, got {float(bad[0])!r}")
     x = n_th / (n_th + 1.0)
     _, poisson, scaled = mixed_tail_terms(threshold_n, n_p, x)
-    threshold_n = int(threshold_n)
-    x_n = x**threshold_n
-    if (x_n < sys.float_info.min).any():
-        raise ValueError(
-            f"n_th = {float(np.min(n_th))!r} is too small for threshold N = {threshold_n}: "
-            "x^N underflows, so the SNR is not representable"
-        )
-    with np.errstate(over="ignore", invalid="ignore"):
+    big_n = np.asarray(threshold_n)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        # x^2 as x * x, correctly rounded whether N is a scalar or an array:
+        # numpy's power loop rounds differently, and takes a scalar exponent
+        # 2 to x * x only on long arrays.
+        x_n = np.where(big_n == 2, x * x, np.power(x, big_n.astype(float)))
         quantum = poisson / x_n + scaled
         classical = (n_p + n_th) / n_th
         ratio = quantum / classical
         slope = (1.0 / x - 1.0) * scaled
-    if not (np.isfinite(quantum).all() and np.isfinite(classical).all() and np.isfinite(slope).all()):
-        finite = np.isfinite(quantum) & np.isfinite(classical) & np.isfinite(slope)
-        worst = float(np.broadcast_to(n_th, finite.shape)[~finite].min())
-        raise ValueError(
-            f"SNR at n_th = {worst!r}, threshold N = {threshold_n} overflows double precision"
-        )
+    underflow = np.broadcast_to(x_n < sys.float_info.min, ratio.shape)
+    failed = underflow | ~(np.isfinite(quantum) & np.isfinite(classical) & np.isfinite(slope))
+    if failed.any():
+        at = np.unravel_index(int(np.argmax(failed)), failed.shape)
+        n_th_at = float(np.broadcast_to(n_th, failed.shape)[at])
+        n_at = int(np.broadcast_to(big_n, failed.shape)[at])
+        if underflow[at]:
+            raise ValueError(
+                f"n_th = {n_th_at!r} is too small for threshold N = {n_at}: "
+                "x^N underflows, so the SNR is not representable"
+            )
+        raise ValueError(f"SNR at n_th = {n_th_at!r}, threshold N = {n_at} overflows double precision")
     return quantum, ratio, slope
 
 
@@ -185,7 +196,9 @@ def snr_ratio(params: SourceParams, threshold_n: int) -> float:
 def snr_report(params: SourceParams, thresholds: Sequence[int]) -> SnrReport:
     """Evaluate classical and quantum SNR at each threshold."""
     classical = classical_snr(params)
-    quantum = {int(n): quantum_snr(params, n) for n in thresholds}
+    big_n = np.asarray(thresholds)
+    values = _snr_arrays(params.n_p_mean, params.n_th_mean, big_n)[0]
+    quantum = {int(n): q for n, q in zip(big_n.tolist(), values.tolist())}
     ratio = {n: q / classical for n, q in quantum.items()}
     return SnrReport(params, classical, quantum, ratio)
 
@@ -200,33 +213,26 @@ def quantum_snr_derivative(params: SourceParams, threshold_n: int) -> float:
     return float(_snr_arrays(params.n_p_mean, params.n_th_mean, threshold_n)[2][0])
 
 
-@dataclass(frozen=True)
-class SweepPoint:
-    n_p_mean: float
-    threshold_n: int
-    ratio: float
-
-
 def sweep_ratio(
     n_th_mean: float, thresholds: Sequence[int], n_p_grid: Sequence[float]
-) -> list[SweepPoint]:
-    """SNR ratio over a signal-mean grid, one row per (grid point, threshold).
+) -> np.ndarray:
+    """SNR ratio over a signal-mean grid for each threshold, in one array call.
 
-    Every ratio is evaluated, one array call per threshold, before any row
-    is built.
+    Returns the (thresholds x grid) array whose element [i, j] is
+    snr_ratio at n_p_grid[j] and thresholds[i], bit for bit.
     """
     grid = [float(v) for v in n_p_grid]
     if not grid:
         raise ValueError("n_p_grid must be nonempty")
     if any(b <= a for a, b in zip(grid, grid[1:])):
         raise ValueError("n_p_grid must be strictly increasing")
-    points = np.array(grid)
-    ratios = [(int(n), _snr_arrays(points, n_th_mean, n)[1].tolist()) for n in thresholds]
-    return [SweepPoint(n_p, n, r) for n, values in ratios for n_p, r in zip(grid, values)]
+    return _snr_arrays(np.array(grid), n_th_mean, np.asarray(thresholds)[:, None])[1]
 
 
 def log_grid(lo: float, hi: float, points: int) -> list[float]:
     """Logarithmically spaced grid, endpoints included."""
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise ValueError(f"grid bounds must be finite, got {lo!r} and {hi!r}")
     if not (0.0 < lo < hi) or points < 2:
         raise ValueError("need 0 < lo < hi and at least 2 points")
     log_lo = math.log(lo)
@@ -244,42 +250,74 @@ def find_optimum(
 ) -> OptimumPoint:
     """Signal mean maximizing the SNR ratio at fixed noise and threshold.
 
-    Scans a log-spaced bracket of ``bracket_points`` for the global maximum;
-    a maximum on the bracket edge means no interior optimum: SearchError.
+    The search of :func:`find_optima` for one threshold.
+    """
+    return find_optima(n_th_mean, [threshold_n], bracket, bracket_points, relative_tol)[0]
+
+
+def find_optima(
+    n_th_mean: float,
+    thresholds: Sequence[int],
+    bracket: tuple[float, float] = OPTIMUM_BRACKET,
+    bracket_points: int = OPTIMUM_BRACKET_POINTS,
+    relative_tol: float = OPTIMUM_RELATIVE_TOL,
+) -> list[OptimumPoint]:
+    """Signal mean maximizing the SNR ratio at fixed noise, per threshold.
+
+    Scans a log-spaced bracket of ``bracket_points`` for each threshold's
+    global maximum; a maximum on the bracket edge means no interior
+    optimum: SearchError, for the first such threshold in input order.
     Then nested scans: the two grid cells around the best point are scanned
-    again with ``bracket_points``, each scan one array call narrowing the
-    bracket about (bracket_points - 1) / 2 times, until its width in
-    log(n_p) is at most ``relative_tol``; the log midpoint is returned.
+    again with ``bracket_points``, each scan narrowing the bracket about
+    (bracket_points - 1) / 2 times, until its width in log(n_p) is at most
+    ``relative_tol``; the log midpoint is returned, with its ratio.  The
+    thresholds are searched in lockstep: each round is one array call over
+    the thresholds still narrowing, so the whole search takes about five
+    calls.  A threshold's search takes the same steps, and gives the same
+    bits, as it does alone.  Results follow the input order.
     """
     if n_th_mean <= 0.0:
         raise ZeroNoiseError("n_th_mean must be > 0 for SNR analysis")
     if bracket_points < 4:
         raise ValueError(f"bracket_points must be >= 4 to narrow the bracket, got {bracket_points}")
+    big_n = np.asarray(thresholds)
 
-    def scan(lo: float, hi: float) -> tuple[list[float], int]:
-        grid = log_grid(lo, hi, bracket_points)
-        return grid, int(np.argmax(_snr_arrays(np.array(grid), n_th_mean, threshold_n)[1]))
+    def scan(grids: list[list[float]], rows: list[int]) -> list[int]:
+        ratios = _snr_arrays(np.array(grids), n_th_mean, big_n[rows, None])[1]
+        return np.argmax(ratios, axis=1).tolist()
 
-    grid, best = scan(*bracket)
-    if best == 0 or best == len(grid) - 1:
-        raise SearchError(
-            f"no interior ratio maximum for N={threshold_n}, n_th={n_th_mean} "
-            f"in bracket {bracket}"
-        )
+    grid = log_grid(*bracket, bracket_points)
+    best = scan([grid], list(range(big_n.size)))
+    for n, b in zip(big_n.tolist(), best):
+        if b == 0 or b == len(grid) - 1:
+            raise SearchError(
+                f"no interior ratio maximum for N={int(n)}, n_th={n_th_mean} in bracket {bracket}"
+            )
+    brackets = [(grid[b - 1], grid[b + 1]) for b in best]
     # Width in log(n_p) is relative width in n_p.  A bracket that stops
-    # narrowing (adjacent doubles) ends the search as well.
-    width = math.inf
+    # narrowing (adjacent doubles) ends that threshold's search as well.
+    width = [math.inf] * big_n.size
+    live = list(range(big_n.size))
     while True:
-        lo, hi = grid[best - 1], grid[best + 1]
-        narrowed = math.log(hi / lo)
-        if narrowed <= relative_tol or narrowed >= width:
+        narrowing = []
+        for i in live:
+            narrowed = math.log(brackets[i][1] / brackets[i][0])
+            if relative_tol < narrowed < width[i]:
+                width[i] = narrowed
+                narrowing.append(i)
+        if not narrowing:
             break
-        width = narrowed
-        grid, best = scan(lo, hi)
-        best = min(max(best, 1), len(grid) - 2)
-    best_n_p = math.exp(0.5 * (math.log(lo) + math.log(hi)))
-    best_ratio = snr_ratio(SourceParams(best_n_p, n_th_mean), threshold_n)
-    return OptimumPoint(int(threshold_n), float(n_th_mean), best_n_p, best_ratio)
+        live = narrowing
+        grids = [log_grid(*brackets[i], bracket_points) for i in live]
+        for i, grid, b in zip(live, grids, scan(grids, live)):
+            b = min(max(b, 1), len(grid) - 2)
+            brackets[i] = (grid[b - 1], grid[b + 1])
+    best_n_p = [math.exp(0.5 * (math.log(lo) + math.log(hi))) for lo, hi in brackets]
+    best_ratio = _snr_arrays(np.array(best_n_p), n_th_mean, big_n)[1].tolist()
+    return [
+        OptimumPoint(int(n), float(n_th_mean), p, r)
+        for n, p, r in zip(big_n.tolist(), best_n_p, best_ratio)
+    ]
 
 
 def find_boundary(
@@ -298,9 +336,10 @@ def find_boundary(
     below the curve.  Those crossings are bisected in lockstep over the
     noise levels, one array call per step; each level stops once its
     bracket is within ``abs_tol`` and |ratio - 1| <= ``ratio_tol`` at the
-    midpoint, and is reported as "unresolved" if its bracket collapses or
-    300 steps pass first.  Levels with no sign change are reported rather
-    than guessed, and levels with several crossings are flagged.
+    midpoint, whose ratio is kept with the point, and is reported as
+    "unresolved" if its bracket collapses or 300 steps pass first.  Levels
+    with no sign change are reported rather than guessed, and levels with
+    several crossings are flagged.
     """
     levels = np.asarray(n_th_grid, dtype=float)
     if (levels <= 0.0).any():
@@ -323,31 +362,37 @@ def find_boundary(
     # Lockstep bisection over the crossing levels.
     cell = np.array(cell, dtype=int)
     lo, hi, f_lo, noise = scan[cell], scan[cell + 1], np.array(f_lo), levels[crossing]
-    roots = np.full(cell.size, np.nan)
+    roots, root_ratios = np.full(cell.size, np.nan), np.full(cell.size, np.nan)
     live = np.arange(cell.size)
     for _ in range(300):
         if not live.size:
             break
         mid = 0.5 * (lo[live] + hi[live])
-        f_mid = _snr_arrays(mid, noise[live], threshold_n)[1] - 1.0
+        ratio = _snr_arrays(mid, noise[live], threshold_n)[1]
+        f_mid = ratio - 1.0
         found = (hi[live] - lo[live] <= abs_tol) & (np.abs(f_mid) <= ratio_tol)
         roots[live[found]] = mid[found]
+        root_ratios[live[found]] = ratio[found]
         same = (f_lo[live] < 0.0) == (f_mid < 0.0)
         lo[live[same]], f_lo[live[same]] = mid[same], f_mid[same]
         hi[live[~same]] = mid[~same]
         live = live[~found & (hi[live] != lo[live])]
 
     points: list[tuple[float, float]] = []
+    ratios: list[float] = []
     no_crossing: list[tuple[float, str]] = []
-    root_of = dict(zip(crossing, roots.tolist()))
+    root_of = dict(zip(crossing, zip(roots.tolist(), root_ratios.tolist())))
     for i, n_th in enumerate(levels.tolist()):
         if i in side:
             no_crossing.append((n_th, side[i]))
-        elif math.isnan(root_of[i]):
+        elif math.isnan(root_of[i][0]):
             no_crossing.append((n_th, "unresolved"))
         else:
-            points.append((n_th, root_of[i]))
-    return BoundaryCurve(int(threshold_n), tuple(points), ratio_tol, tuple(no_crossing), tuple(multiple))
+            points.append((n_th, root_of[i][0]))
+            ratios.append(root_of[i][1])
+    return BoundaryCurve(
+        int(threshold_n), tuple(points), tuple(ratios), ratio_tol, tuple(no_crossing), tuple(multiple)
+    )
 
 
 def boundary_knee(curve: BoundaryCurve) -> float:

@@ -7,7 +7,7 @@ import math
 import pytest
 
 from pnrlidar.cli import ConfigError, bundled_config_path, load_sim_config, main, parse_sim_config
-from pnrlidar.snr_analysis import find_boundary, log_grid
+from pnrlidar.snr_analysis import find_boundary, find_optimum, log_grid
 
 
 def run_cli(*argv):
@@ -64,6 +64,11 @@ class TestSnrCommand:
         assert doc["data"]["classical"] == 11.0
         assert doc["data"]["ratio"]["5"] == pytest.approx(2.86, abs=0.05)
 
+    def test_subnormal_tail_ends(self, capsys):
+        # p_p(2) at n_p = 1e-160 is subnormal and the next term is 0
+        assert run_cli("snr", "--n-p", "1e-160", "--n-th", "1", "--thresholds", "2") == 0
+        assert json.loads(capsys.readouterr().out)["data"]["ratio"] == {"2": 1.0}
+
     def test_zero_signal_ratios_are_one(self, capsys):
         assert run_cli("snr", "--n-p", "0", "--n-th", "1", "--thresholds", "2,5") == 0
         doc = json.loads(capsys.readouterr().out)
@@ -115,6 +120,21 @@ class TestSweepCommand:
         assert captured.err.startswith("pnrlidar: error: ")
         assert "at least 2 points" in captured.err
 
+    @pytest.mark.parametrize("scale", ["log", "linear"])
+    @pytest.mark.parametrize("bound", ["--grid-max=inf", "--grid-min=-inf", "--grid-max=nan"])
+    def test_non_finite_bound_refused(self, capsys, scale, bound):
+        assert run_cli("sweep", "--n-th", "1", "--grid-scale", scale, bound) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("pnrlidar: error: grid bounds must be finite")
+        assert bound.partition("=")[2] in captured.err
+
+    def test_subnormal_tails_end(self, capsys):
+        # once the Poisson tail sum is subnormal its terms fall to 0
+        assert run_cli("sweep", "--n-th", "1", "--grid-min", "1e-308", "--grid-max", "1e308") == 0
+        lines = capsys.readouterr().out.strip().splitlines()
+        assert len(lines) == 1 + 4 * 200
+
     def test_grid_endpoints_exact(self, capsys):
         for scale in ("log", "linear"):
             assert run_cli("sweep", "--n-th", "1", "--thresholds", "2",
@@ -152,6 +172,22 @@ class TestOptimumBoundaryCommands:
         assert best == sorted(best)
         ratios = [float(line.split(",")[3]) for line in lines]
         assert ratios == sorted(ratios)
+
+    def test_optimum_keeps_input_order(self, capsys):
+        assert run_cli("optimum", "--n-th", "1", "--thresholds", "5,2,5") == 0
+        lines = capsys.readouterr().out.strip().splitlines()[1:]
+        assert [line.split(",")[0] for line in lines] == ["5", "2", "5"]
+        assert lines[0] == lines[2]
+        best = find_optimum(1.0, 2)
+        assert lines[1] == f"2,1,{best.best_n_p_mean!r},{best.best_ratio!r}"
+
+    def test_optimum_without_maximum_is_an_error(self, capsys):
+        assert run_cli("optimum", "--n-th", "1", "--thresholds", "3,1") == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "pnrlidar: error: no interior ratio maximum for N=1, n_th=1.0 in bracket (0.001, 1000.0)\n"
+        )
 
     def test_boundary_points_on_contract(self, capsys):
         assert run_cli("boundary", "--thresholds", "3", "--nth-min", "0.5",

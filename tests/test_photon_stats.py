@@ -290,6 +290,25 @@ class TestMixedTailTerms:
             expected = [poisson_tail(big_n, n_p) for n_p in self.SIGNAL]
             np.testing.assert_allclose(poisson, expected, rtol=1e-13, atol=0.0)
 
+    def test_threshold_axis_matches_per_threshold_calls(self):
+        # unsorted and repeated thresholds, including the log-space terms
+        # above N = 30; every output equals the one-threshold call bit for bit
+        big_n = np.concatenate([np.random.default_rng(0).permutation(np.arange(1, 51)), [7, 31, 1]])
+        big_n = big_n[:, None, None]
+        x = 1.0 - self.P_NOISE[:, None]
+        signal = np.array([0.0, *self.SIGNAL.tolist()])
+        arrays = mixed_tail_terms(big_n, signal, x)
+        assert [a.shape for a in arrays] == [(53, 13, 42), (53, 1, 42), (53, 13, 42)]
+        for i, n in enumerate(big_n.ravel().tolist()):
+            for array, single in zip(arrays, mixed_tail_terms(n, signal, x)):
+                assert array[i].tolist() == np.broadcast_to(single, array[i].shape).tolist()
+
+    def test_subnormal_poisson_tail_ends(self):
+        # p_p(2) is subnormal and the next term is 0: the upward sum stops
+        poisson = mixed_tail_terms([2, 3, 2], 1e-160, 0.5)[1]
+        assert poisson.tolist() == [poisson_tail(2, 1e-160), poisson_tail(3, 1e-160), poisson_tail(2, 1e-160)]
+        assert poisson[0] > 0.0
+
     def test_domain(self):
         for bad in ([-1.0], [math.nan], [math.inf]):
             with pytest.raises(ValueError):
@@ -297,8 +316,9 @@ class TestMixedTailTerms:
         for bad in (-0.1, 1.5, math.nan):
             with pytest.raises(ValueError):
                 mixed_tail_terms(2, [1.0], bad)
-        with pytest.raises(ValueError):
-            mixed_tail_terms(0, [1.0], 0.5)
+        for bad in (0, [2, 0], [2.5], [3, math.nan]):
+            with pytest.raises(ValueError, match="threshold must be a positive integer"):
+                mixed_tail_terms(bad, [1.0], 0.5)
 
 
 class TestSourceParams:

@@ -19,6 +19,7 @@ from pnrlidar.snr_analysis import (
     boundary_knee,
     classical_snr,
     find_boundary,
+    find_optima,
     find_optimum,
     log_grid,
     quantum_snr,
@@ -196,18 +197,21 @@ class TestThresholdGap:
 
 class TestSweep:
     def test_single_point_grid_reproduces_ratio(self):
-        rows = sweep_ratio(1.0, [4], [2.5])
-        assert len(rows) == 1
-        assert rows[0].ratio == snr_ratio(SourceParams(2.5, 1.0), 4)
+        ratios = sweep_ratio(1.0, [4], [2.5])
+        assert ratios.shape == (1, 1)
+        assert ratios[0, 0] == snr_ratio(SourceParams(2.5, 1.0), 4)
 
     def test_row_count(self):
-        rows = sweep_ratio(1.0, [2, 3, 4], log_grid(0.1, 10.0, 25))
-        assert len(rows) == 75
+        grid = log_grid(0.1, 10.0, 25)
+        ratios = sweep_ratio(1.0, [2, 3, 4], grid)
+        assert ratios.shape == (3, 25)
+        assert ratios[0, 0] == snr_ratio(SourceParams(grid[0], 1.0), 2)
+        assert ratios[2, 24] == snr_ratio(SourceParams(grid[24], 1.0), 4)
 
     @pytest.mark.parametrize("big_n", [2, 3, 4, 5])
     def test_single_interior_maximum(self, big_n):
         grid = log_grid(0.01, 100.0, 120)
-        values = [p.ratio for p in sweep_ratio(1.0, [big_n], grid)]
+        values = sweep_ratio(1.0, [big_n], grid)[0].tolist()
         rises = [i for i in range(1, len(values) - 1)
                  if values[i] > values[i - 1] and values[i] > values[i + 1]]
         assert len(rises) == 1
@@ -353,6 +357,66 @@ class TestArrayKernel:
         )
         assert curve.no_crossing == tuple(no_crossing)
         assert curve.multiple_crossings == tuple(multiple)
+
+    @pytest.mark.parametrize("n_th", [0.01, 1.0, 100.0])
+    def test_threshold_axis_matches_per_threshold_calls(self, n_th):
+        # unsorted and repeated thresholds, including the log-space terms
+        # above N = 30; every output equals the one-threshold call bit for bit
+        big_n = np.concatenate([np.random.default_rng(0).permutation(np.arange(1, 51)), [7, 31, 1]])
+        grid = np.array([0.0, *log_grid(1e-3, 1e3, 41)])
+        arrays = _snr_arrays(grid, n_th, big_n[:, None])
+        for i, n in enumerate(big_n.tolist()):
+            for array, single in zip(arrays, _snr_arrays(grid, n_th, n)):
+                assert array[i].tolist() == single.tolist()
+
+    def test_noise_axis_matches_scalar_calls(self):
+        # long noise and threshold axes take numpy's vector loops, where a
+        # power can round differently from a one-point call; each element
+        # still equals its one-point call
+        levels = log_grid(0.05, 50.0, 300)
+        thresholds = [1, 2, 3, 40]
+        arrays = _snr_arrays(2.0, np.array(levels)[:, None], thresholds)
+        params = [SourceParams(2.0, n_th) for n_th in levels]
+        for j, big_n in enumerate(thresholds):
+            for array, scalar in zip(arrays, (quantum_snr, snr_ratio, quantum_snr_derivative)):
+                assert array[:, j].tolist() == [scalar(p, big_n) for p in params]
+
+    def test_sweep_elements_are_scalar_ratios(self):
+        grid = log_grid(0.05, 60.0, 9)
+        thresholds = [9, 2, 40, 2]
+        ratios = sweep_ratio(0.7, thresholds, grid)
+        assert ratios.tolist() == [
+            [snr_ratio(SourceParams(n_p, 0.7), n) for n_p in grid] for n in thresholds
+        ]
+
+    @pytest.mark.parametrize("n_th", [0.5, 1.0, 4.0])
+    def test_lockstep_optima_equal_single_threshold_searches(self, n_th):
+        thresholds = [5, 2, 12, 5, 3]
+        assert find_optima(n_th, thresholds) == [find_optimum(n_th, n) for n in thresholds]
+
+    @pytest.mark.parametrize("thresholds", [[3, 1], [1, 3], [3, 1, 2]])
+    def test_optima_refuse_the_first_threshold_without_maximum(self, thresholds):
+        with pytest.raises(SearchError) as error:
+            find_optima(1.0, thresholds)
+        assert str(error.value) == "no interior ratio maximum for N=1, n_th=1.0 in bracket (0.001, 1000.0)"
+
+    @pytest.mark.parametrize("call, first", [
+        (lambda: find_optima(1e-100, [2, 5, 3, 7]), "n_th = 1e-100 is too small for threshold N = 5:"),
+        (lambda: find_optima(1e-100, [7, 5]), "n_th = 1e-100 is too small for threshold N = 7:"),
+        (lambda: sweep_ratio(1e-100, [3, 2, 6, 5], [0.5, 1.0]), "threshold N = 6:"),
+        (lambda: _snr_arrays(1.0, [1.0, 1e-120, 1e-200], 3), "n_th = 1e-120 is too small"),
+        (lambda: _snr_arrays(1.0, np.array([1.0, 1e-200])[:, None], [1, 3, 2]),
+         "n_th = 1e-200 is too small for threshold N = 3:"),
+    ])
+    def test_tiny_noise_names_the_first_failing_element(self, call, first):
+        with pytest.raises(ValueError, match=first):
+            call()
+
+    @pytest.mark.parametrize("big_n", [2, 5])
+    def test_boundary_carries_the_ratio_at_each_point(self, big_n):
+        curve = find_boundary(big_n, log_grid(0.2, 40.0, 12))
+        assert len(curve.ratios) == len(curve.points) > 0
+        assert list(curve.ratios) == [snr_ratio(SourceParams(n_p, n_th), big_n) for n_th, n_p in curve.points]
 
     @pytest.mark.parametrize("call", [
         lambda: quantum_snr(SourceParams(1.0, 1e-200), 2),
