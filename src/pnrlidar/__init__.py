@@ -6,12 +6,10 @@ from .photon_stats import (
     SourceKind,
     SourceParams,
     build_pmf,
-    incomplete_gamma_ratio,
     mixed_pmf,
     mixed_tail,
     mixed_tail_terms,
     poisson_pmf,
-    poisson_tail,
     sample_histogram,
     thermal_pmf,
     thermal_tail,
@@ -35,6 +33,7 @@ from .snr_analysis import (
 )
 from .rangefinder_sim import (
     DegenerateNoiseError,
+    ExpectedResult,
     RatioEstimate,
     SimConfig,
     SimResult,

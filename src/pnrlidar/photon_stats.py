@@ -38,8 +38,6 @@ __all__ = [
     "PmfTruncationError",
     "thermal_pmf",
     "poisson_pmf",
-    "poisson_tail",
-    "incomplete_gamma_ratio",
     "mixed_pmf",
     "build_pmf",
     "thermal_tail",
@@ -48,9 +46,6 @@ __all__ = [
     "sample_histogram",
 ]
 
-# Means above this make exp(-mean) underflow; the incomplete gamma ratio
-# switches to log space.
-_LOG_SPACE_CUTOFF = 700.0
 # Direct-recurrence regime bound for Poisson terms.
 _RECURRENCE_CUTOFF = 30
 
@@ -130,65 +125,6 @@ def poisson_pmf(n: int, n_p_mean: float) -> float:
     return p
 
 
-def poisson_tail(threshold_n: int, n_p_mean: float) -> float:
-    """Probability that a Poisson draw is >= threshold_n.
-
-    Whichever side of the threshold carries less mass is the one summed:
-    small tails are accumulated upward from the threshold term (full
-    relative precision, no 1 - CDF cancellation), large tails as one minus
-    the short below-threshold sum.
-    """
-    threshold_n = _check_threshold(threshold_n)
-    n_p_mean = _check_mean(n_p_mean, "n_p_mean")
-    if n_p_mean == 0.0:
-        return 0.0
-    below = incomplete_gamma_ratio(n_p_mean, threshold_n)
-    if below < 0.5:
-        return 1.0 - below
-    term = poisson_pmf(threshold_n, n_p_mean)
-    total = term
-    n = threshold_n
-    # Terms decay at least geometrically once n > mean; cap mirrors build_pmf.
-    cap = threshold_n + int(10.0 * n_p_mean) + 200
-    while term > 0.0 and n < cap:
-        n += 1
-        term *= n_p_mean / n
-        total += term
-        if term < total * 1e-18:
-            break
-    return min(total, 1.0)
-
-
-def incomplete_gamma_ratio(y: float, k: int) -> float:
-    """Gamma(y, k) / (k-1)!, the normalized upper incomplete gamma.
-
-    Evaluated by the exact finite sum e^(-y) * sum_{m<k} y^m / m! that the
-    integer shape admits; equals the probability that a Poisson draw with
-    mean y is below k.  Decreasing in y, increasing in k, equals 1 at y = 0.
-    """
-    y = float(y)
-    if not math.isfinite(y) or y < 0.0:
-        raise ValueError(f"y must be finite and >= 0, got {y!r}")
-    k = int(k)
-    if k < 1:
-        raise ValueError(f"k must be a positive integer, got {k}")
-    if y > _LOG_SPACE_CUTOFF:
-        # e^(-y) underflows; sum term-wise in log space instead.
-        log_y = math.log(y)
-        return min(
-            math.fsum(
-                math.exp(m * log_y - y - math.lgamma(m + 1)) for m in range(k)
-            ),
-            1.0,
-        )
-    term = math.exp(-y)
-    total = term
-    for m in range(1, k):
-        term *= y / m
-        total += term
-    return min(total, 1.0)
-
-
 def mixed_pmf(n: int, params: SourceParams) -> float:
     """Probability of n photons from coherent plus thermal light.
 
@@ -265,13 +201,15 @@ def mixed_tail_terms(
     threshold.  It computes the Poisson term p_p(m) of each point in the
     regimes of :func:`poisson_pmf`, keeps running sums over m per point (not
     per threshold), and each element reads them at m = N - 1; the identity
-    sum runs as the Horner recurrence s <- x (s + p_p(m)).  Every sum over m
-    is sequential, so an element's value does not depend on the other
-    elements of the call: a scalar call gives the element's bits.  The
-    Poisson tail sums whichever side of N carries less mass, as
-    :func:`poisson_tail` does, so a small tail keeps its relative
-    precision.  ``poisson`` has the broadcast shape of ``threshold_n`` and
-    ``n_p``, ``tail`` and ``scaled`` that of all three (each at least 1-D).
+    sum runs as the Horner recurrence s <- x (s + p_p(m)).  The Poisson
+    tail sums whichever side of N carries less mass: one minus the
+    below-N sum where that is under 0.5, else the upward sum from p_p(N),
+    so a small tail keeps its relative precision.  Every sum is sequential
+    and adds one term at a time, so an element's bits do not depend on the
+    pass size or on the other elements of the call: a scalar call gives
+    the element's bits.  ``poisson`` has the broadcast shape of
+    ``threshold_n`` and ``n_p``, ``tail`` and ``scaled`` that of all three
+    (each at least 1-D).
     """
     big_n = _check_thresholds(threshold_n)
     n_p = np.asarray(n_p, dtype=float)
@@ -352,18 +290,17 @@ _TAIL_STEPS, _TAIL_BLOCK, _TAIL_MAX_STEPS = 4, 4096, 64
 
 
 def _upper_poisson_tail(lam: np.ndarray, first: np.ndarray, start: np.ndarray) -> np.ndarray:
-    """sum_{n>=N} p_p(n) from first = p_p(N), N = start, as :func:`poisson_tail` sums it.
+    """sum_{n>=N} p_p(n) from first = p_p(N), N = start, one term at a time.
 
     The terms follow p(n) = p(n-1) mean / n and are added to the total one
-    at a time, the operations of poisson_tail in its order, so the number of
-    terms per pass (more for fewer elements) does not change a bit.  An
+    at a time in order, so an element's bits do not depend on the number of
+    terms per pass (more for fewer elements) or on the other elements.  An
     element stops after the pass in which a term falls below 1e-18 of its
     total or to zero (a subnormal total makes 1e-18 of it zero); the later
     terms of that pass are below half an ulp of the total and leave it as
     it is.  The tail is the smaller side here, so the median is below N and
     the mean (at most median + ln 2) is too: terms fall from the first step
-    on, faster than geometrically, and never reach poisson_tail's cap of
-    10 mean + 200 steps.
+    on, faster than geometrically, so the walk needs no step cap.
     """
     total = first.copy()
     live = np.flatnonzero(first)  # a zero first term is the whole sum
@@ -453,11 +390,12 @@ def _check_thresholds(threshold_n: ArrayLike) -> np.ndarray:
     return ints
 
 
-
-
 # --- seeded histogram sampling ---
 
 _SEED_MASK = 2**64 - 1
+# Largest Poisson mean the sampler accepts.  Its overflow weights reach past
+# the mean, so their walk grows with it: about 0.1 s at this bound.
+_MAX_SAMPLED_POISSON_MEAN = 1e5
 
 
 def sample_histogram(
@@ -468,11 +406,12 @@ def sample_histogram(
     Returns ``(values, counts)``: ``counts[i]`` draws equal ``values[i]``,
     values ascending.  One multinomial places the draws in the cells
     0..n_max of the table plus an overflow cell that holds the law's mass
-    beyond n_max; each overflow draw is then resolved from the law itself
-    (:func:`_overflow_counts`), so values may reach past n_max and no count
-    is clamped.  The generator is Philox keyed by (seed, key): equal
-    arguments give equal histograms, and distinct keys give independent
-    streams.
+    beyond n_max, the sum of the weights of :func:`_overflow_weights`; each
+    overflow draw is then resolved from those weights and the law's
+    geometric part, so values may reach past n_max and no count is
+    clamped.  The generator is Philox keyed by (seed, key): equal arguments
+    give equal histograms, and distinct keys give independent streams.
+    Poisson means above 1e5 are refused.
     """
     # numpy.random is not loaded by `import numpy`; importing it here keeps
     # its cost out of the analysis commands.
@@ -485,16 +424,24 @@ def sample_histogram(
     n_p, x = _law(pmf)
     if x == 1.0:
         raise ValueError(f"thermal mean {pmf.params.n_th_mean!r} too large to sample: x rounds to 1")
+    if n_p > _MAX_SAMPLED_POISSON_MEAN:
+        raise ValueError(
+            f"signal mean {n_p!r} too large to sample: the sampler takes Poisson means "
+            f"up to {_MAX_SAMPLED_POISSON_MEAN:g}"
+        )
     rng = Generator(Philox(SeedSequence(int(seed) & _SEED_MASK, spawn_key=(int(key),))))
     m = pmf.n_max
-    # Mass beyond the table by the threshold identity (positive terms): the
-    # draws whose Poisson part is <= m, then those whose Poisson part is > m.
-    short = x * pmf.probs[m] / (1.0 - x)
-    cells = _multinomial(rng, int(draws), np.append(pmf.probs, short + poisson_tail(m + 1, n_p)))
+    weights, overflow_mass = _overflow_weights(pmf)
+    cells = _multinomial(rng, int(draws), np.append(pmf.probs, overflow_mass))
     values, counts = np.arange(m + 1), cells[:-1]
     if cells[-1]:
-        beyond = np.unique(_overflow_counts(rng, int(cells[-1]), n_p, x, m, short), return_counts=True)
-        values, counts = np.append(values, beyond[0]), np.append(counts, beyond[1])
+        # each overflow draw is a base from the weights plus a geometric draw
+        k = int(cells[-1])
+        drawn = np.repeat(np.arange(m + 1, m + 1 + len(weights)), _multinomial(rng, k, np.asarray(weights)))
+        if x > 0.0:
+            drawn += rng.geometric(1.0 - x, size=k) - 1
+        beyond, beyond_counts = np.unique(drawn, return_counts=True)
+        values, counts = np.append(values, beyond), np.append(counts, beyond_counts)
     return values, counts
 
 
@@ -505,6 +452,32 @@ def _law(pmf: PhotonPmf) -> tuple[float, float]:
     if pmf.kind is SourceKind.POISSON:
         return pmf.params.n_p_mean, 0.0
     return pmf.params.n_p_mean, pmf.params.x
+
+
+def _overflow_weights(pmf: PhotonPmf) -> tuple[list[float], float]:
+    """Weights of the bases m+1, m+2, ... of draws beyond m = n_max, and their sum.
+
+    With P the Poisson part, a draw exceeds m with weight pois(P) for
+    P > m and pois(P) x^(m+1-P) for P <= m (the geometric part must make up
+    the difference); by the threshold identity the latter sum to
+    short = x p(m) / (1 - x), from the table's last cell.  Given P, the
+    count is max(P, m+1) plus a fresh geometric draw, since geometric draws
+    are memoryless.  So the base m+1 has weight short + pois(m+1), and the
+    base b > m+1 has pois(b).  Poisson cells are tabulated until they fall
+    below 2^-60 of the running total, far below the precision of the
+    weights themselves; that total is the mass beyond the table.
+    """
+    n_p, x = _law(pmf)
+    m = pmf.n_max
+    weights = [x * pmf.probs[m] / (1.0 - x) + poisson_pmf(m + 1, n_p)]
+    total = weights[0]
+    for base in itertools.count(m + 2):
+        term = poisson_pmf(base, n_p)
+        if base > n_p and term <= total * 2.0**-60:
+            break
+        weights.append(term)
+        total += term
+    return weights, total
 
 
 def _multinomial(rng, draws: int, weights: np.ndarray) -> np.ndarray:
@@ -520,29 +493,3 @@ def _multinomial(rng, draws: int, weights: np.ndarray) -> np.ndarray:
     counts[order] = rng.multinomial(draws, weights[order] / weights.sum())
     return counts
 
-
-def _overflow_counts(rng, k: int, n_p: float, x: float, m: int, short: float) -> np.ndarray:
-    """Photon counts of k draws of Poisson(n_p) + Geometric(x) that exceed m.
-
-    With P the Poisson part, a draw exceeds m with weight pois(P) for
-    P > m and pois(P) x^(m+1-P) for P <= m (the geometric part must make up
-    the difference); ``short`` is the sum of the latter.  Given P, the count
-    is max(P, m+1) plus a fresh geometric draw, since geometric draws are
-    memoryless.  So a base is drawn from the cells m+1, m+2, ... with
-    weights short + pois(m+1), pois(m+2), ..., and a geometric draw added.
-    Poisson cells are tabulated until they fall below 2^-60 of the total,
-    far below the precision of the weights themselves.
-    """
-    weights = [short + poisson_pmf(m + 1, n_p)]
-    total = weights[0]
-    for base in itertools.count(m + 2):
-        term = poisson_pmf(base, n_p)
-        if base > n_p and term <= total * 2.0**-60:
-            break
-        weights.append(term)
-        total += term
-    cells = _multinomial(rng, k, np.asarray(weights))
-    counts = np.repeat(np.arange(m + 1, m + 1 + len(weights)), cells)
-    if x > 0.0:
-        counts += rng.geometric(1.0 - x, size=k) - 1
-    return counts

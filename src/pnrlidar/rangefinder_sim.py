@@ -30,7 +30,7 @@ from typing import Sequence
 import numpy as np
 
 from .photon_stats import PhotonPmf, SourceKind, SourceParams, build_pmf, sample_histogram
-from .snr_analysis import ZeroNoiseError, classical_snr, quantum_snr
+from .snr_analysis import ZeroNoiseError, snr_report
 
 __all__ = [
     "DegenerateNoiseError",
@@ -255,8 +255,8 @@ def expected_result(config: SimConfig) -> ExpectedResult:
     intensity = np.ones(config.num_bins)
     threshold = {n: np.ones(config.num_bins) for n in config.thresholds}
     for b, signal_mean in config.targets:
-        params = SourceParams(signal_mean, config.noise_mean)
-        intensity[b] = classical_snr(params)
+        report = snr_report(SourceParams(signal_mean, config.noise_mean), config.thresholds)
+        intensity[b] = report.classical
         for n in config.thresholds:
-            threshold[n][b] = quantum_snr(params, n)
+            threshold[n][b] = report.quantum[n]
     return ExpectedResult(config, intensity, threshold)

@@ -55,7 +55,6 @@ __all__ = [
     "find_optimum",
     "find_optima",
     "find_boundary",
-    "boundary_knee",
     "log_grid",
 ]
 
@@ -394,29 +393,3 @@ def find_boundary(
         int(threshold_n), tuple(points), tuple(ratios), ratio_tol, tuple(no_crossing), tuple(multiple)
     )
 
-
-def boundary_knee(curve: BoundaryCurve) -> float:
-    """Noise mean at the curve's corner, where d(n_p)/d(n_th) reaches -1.
-
-    Both axes carry the same units (mean photons), so the point of unit
-    descent is the natural elbow of the advantage boundary: to its left the
-    admissible signal shrinks faster than the noise grows, to its right
-    slower.  Slopes come from central differences over the curve's grid,
-    with linear interpolation between the bracketing points.
-    """
-    pts = curve.points
-    if len(pts) < 3:
-        raise ValueError("need at least 3 boundary points to locate a knee")
-    slopes = []
-    for i in range(1, len(pts) - 1):
-        (t_lo, p_lo), (t_hi, p_hi) = pts[i - 1], pts[i + 1]
-        slopes.append((pts[i][0], (p_hi - p_lo) / (t_hi - t_lo)))
-    if slopes[0][1] >= -1.0:
-        return slopes[0][0]
-    for (t_a, s_a), (t_b, s_b) in zip(slopes, slopes[1:]):
-        if s_b >= -1.0:
-            return t_a + (-1.0 - s_a) * (t_b - t_a) / (s_b - s_a)
-    raise SearchError(
-        f"boundary slope never reaches -1 on the grid for N={curve.threshold_n}; "
-        "extend the noise grid to the right"
-    )

@@ -277,6 +277,15 @@ class TestSimulateCommand:
                        "--seed", "77", "--output", str(b)) == 0
         assert a.read_bytes() != b.read_bytes()
 
+    def test_signal_too_wide_to_sample_fails(self, tmp_path, capsys):
+        path = tmp_path / "wide.cfg"
+        path.write_text("num_bins = 4\ntargets = 1:1e12\nrepetitions = 10\nseed = 1\n")
+        assert run_cli("simulate", "--config", str(path)) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("pnrlidar: error: signal mean 1000000000000.0 too large to sample")
+        assert "Traceback" not in captured.err
+        assert captured.out == ""
+
     def test_missing_config_fails(self, capsys):
         assert run_cli("simulate", "--config", "/nonexistent.cfg") == 1
         assert "not found" in capsys.readouterr().err

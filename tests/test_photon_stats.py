@@ -11,16 +11,15 @@ from pnrlidar.photon_stats import (
     SourceKind,
     SourceParams,
     build_pmf,
-    incomplete_gamma_ratio,
     mixed_pmf,
     mixed_tail,
     mixed_tail_terms,
     poisson_pmf,
-    poisson_tail,
     sample_histogram,
     thermal_pmf,
     thermal_tail,
 )
+from pnrlidar.photon_stats import _overflow_weights
 
 MEAN_GRID = (0.0, 0.5, 1.0, 3.0, 10.0)
 
@@ -75,40 +74,6 @@ class TestPoissonPmf:
     def test_domain_error(self):
         with pytest.raises(ValueError):
             poisson_pmf(1, -0.5)
-
-
-class TestIncompleteGammaRatio:
-    def test_zero_argument_is_one(self):
-        for k in (1, 2, 5, 17):
-            assert incomplete_gamma_ratio(0.0, k) == 1.0
-
-    def test_large_argument_vanishes(self):
-        assert incomplete_gamma_ratio(1e4, 3) == 0.0
-
-    def test_finite_sum_value(self):
-        assert incomplete_gamma_ratio(1.0, 2) == pytest.approx(2.0 * math.exp(-1.0), rel=1e-15)
-
-    def test_monotone_in_y_and_k(self):
-        ys = [0.0, 0.25, 0.5, 1.0, 2.0, 4.0, 8.0, 16.0]
-        for k in (1, 2, 5, 10):
-            vals = [incomplete_gamma_ratio(y, k) for y in ys]
-            assert all(a >= b for a, b in zip(vals, vals[1:]))
-            assert all(a > b for a, b in zip(vals[1:], vals[2:]))  # strict once y > 0
-        for y in (0.5, 2.0, 9.0):
-            vals = [incomplete_gamma_ratio(y, k) for k in range(1, 12)]
-            assert all(a < b for a, b in zip(vals, vals[1:]))
-
-    def test_log_space_branch_consistent(self):
-        # y just above the cutoff vs the same sum assembled from pmf terms
-        y = 720.0
-        expected = math.fsum(poisson_pmf(m, y) for m in range(6))
-        assert incomplete_gamma_ratio(y, 6) == pytest.approx(expected, rel=1e-12)
-
-    def test_domain_errors(self):
-        with pytest.raises(ValueError):
-            incomplete_gamma_ratio(-1.0, 2)
-        with pytest.raises(ValueError):
-            incomplete_gamma_ratio(1.0, 0)
 
 
 class TestMixedPmf:
@@ -244,10 +209,10 @@ class TestTails:
 
     def test_poisson_tail_sides(self):
         # deep tail keeps relative precision; saturated tail does not underflow
-        assert poisson_tail(10, 0.5) == pytest.approx(
+        assert mixed_tail_terms(10, 0.5, 0.0)[1][0] == pytest.approx(
             math.fsum(poisson_pmf(n, 0.5) for n in range(10, 40)), rel=1e-12
         )
-        assert poisson_tail(5, 10000.0) == 1.0
+        assert mixed_tail_terms(5, 10000.0, 0.0)[1][0] == 1.0
 
     def test_threshold_domain(self):
         with pytest.raises(ValueError):
@@ -284,12 +249,6 @@ class TestMixedTailTerms:
             tail = mixed_tail_terms(big_n, grid, params.x)[0]
             assert [mixed_tail(big_n, SourceParams(n_p, n_th)) for n_p in grid] == tail.tolist()
 
-    def test_poisson_part_matches_poisson_tail(self):
-        for big_n in (1, 3, 12, 40):
-            poisson = mixed_tail_terms(big_n, self.SIGNAL, 0.5)[1]
-            expected = [poisson_tail(big_n, n_p) for n_p in self.SIGNAL]
-            np.testing.assert_allclose(poisson, expected, rtol=1e-13, atol=0.0)
-
     def test_threshold_axis_matches_per_threshold_calls(self):
         # unsorted and repeated thresholds, including the log-space terms
         # above N = 30; every output equals the one-threshold call bit for bit
@@ -306,7 +265,7 @@ class TestMixedTailTerms:
     def test_subnormal_poisson_tail_ends(self):
         # p_p(2) is subnormal and the next term is 0: the upward sum stops
         poisson = mixed_tail_terms([2, 3, 2], 1e-160, 0.5)[1]
-        assert poisson.tolist() == [poisson_tail(2, 1e-160), poisson_tail(3, 1e-160), poisson_tail(2, 1e-160)]
+        assert poisson.tolist() == [poisson_pmf(2, 1e-160), 0.0, poisson_pmf(2, 1e-160)]
         assert poisson[0] > 0.0
 
     def test_domain(self):
@@ -423,6 +382,25 @@ class TestSampling:
             assert abs(hist[big_n:].sum() / reps - p) < 5.0 * sigma, big_n
             checked += 1
         assert checked >= 4
+
+    @pytest.mark.parametrize("kind", list(SourceKind))
+    def test_overflow_mass_matches_total_probability(self, kind):
+        # P(count > m) by total probability over the Poisson part P: P > m,
+        # or P = k <= m and the geometric part reaches m + 1 - k.  Includes
+        # tables that end below the mean.
+        for n_p in (0.0, 0.3, 3.0, 40.0, 700.0):
+            for n_th in (0.0, 0.5, 4.0, 40.0):
+                params = SourceParams(n_p, n_th)
+                for n_max in (0, 4, 30, 100):
+                    pmf = build_pmf(kind, params, n_max=n_max)
+                    k = np.arange(n_max + 1)
+                    mean = 0.0 if kind is SourceKind.THERMAL else n_p
+                    x = 0.0 if kind is SourceKind.POISSON else params.x
+                    oracle = stats.poisson.sf(n_max, mean) + math.fsum(
+                        stats.poisson.pmf(k, mean) * x ** (n_max + 1 - k)
+                    )
+                    mass = _overflow_weights(pmf)[1]
+                    np.testing.assert_allclose(mass, oracle, rtol=1e-12, atol=0.0, err_msg=str(pmf.params))
 
     def test_negative_seed_is_reproducible(self):
         pmf = build_pmf(SourceKind.MIXED, SourceParams(1.0, 1.0))

@@ -15,7 +15,7 @@ from pnrlidar.rangefinder_sim import (
     normalize,
     run_simulation,
 )
-from pnrlidar.snr_analysis import ZeroNoiseError, quantum_snr
+from pnrlidar.snr_analysis import ZeroNoiseError, classical_snr, quantum_snr
 
 
 def four_target_config(repetitions=2000, seed=1234):
@@ -155,6 +155,12 @@ class TestRunSimulation:
         with pytest.raises(ValueError, match="too large to sample"):
             run_simulation(config)
 
+    def test_signal_too_wide_to_sample_is_refused(self):
+        # refused before the sampler walks its overflow weights out to the mean
+        config = SimConfig(repetitions=10, seed=1, num_bins=4, noise_mean=1.0, targets=((1, 1e12),))
+        with pytest.raises(ValueError, match=r"signal mean 1000000000000\.0 too large to sample.* up to 100000$"):
+            run_simulation(config)
+
     def test_raw_frequencies_match_theory_at_high_sampling(self):
         # 10^8 repetitions cost no more than 10^3: the sampler draws histograms
         reps = 10**8
@@ -243,6 +249,17 @@ class TestExpectedResult:
         assert expected.intensity[20] == pytest.approx(2.0)
         assert expected.intensity[0] == 1.0
         assert expected.threshold[2][0] == 1.0
+
+    def test_every_target_and_threshold_is_the_scalar_value(self):
+        targets = tuple((b, 0.05 * 1.6**b) for b in range(20))
+        config = SimConfig(repetitions=10, seed=0, num_bins=25, noise_mean=2.5,
+                           targets=targets, thresholds=(7, 1, 2, 30, 5, 3))
+        expected = expected_result(config)
+        for b, signal_mean in targets:
+            params = SourceParams(signal_mean, 2.5)
+            assert expected.intensity[b] == classical_snr(params)
+            for n in config.thresholds:
+                assert expected.threshold[n][b] == quantum_snr(params, n)
 
     def test_zero_noise_rejected(self):
         config = SimConfig(repetitions=10, seed=0, num_bins=4, noise_mean=0.0,

@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import stats
 
-from pnrlidar.photon_stats import SourceParams, mixed_pmf, poisson_tail, thermal_pmf
+from pnrlidar.photon_stats import SourceParams, mixed_pmf, thermal_pmf
 from pnrlidar.snr_analysis import (
     BOUNDARY_ABS_TOL,
     BOUNDARY_RATIO_TOL,
@@ -16,7 +17,6 @@ from pnrlidar.snr_analysis import (
     OPTIMUM_RELATIVE_TOL,
     SearchError,
     ZeroNoiseError,
-    boundary_knee,
     classical_snr,
     find_boundary,
     find_optima,
@@ -167,7 +167,7 @@ class TestDerivative:
 def threshold_gap(params, big_n):
     """quantum_snr(N+1) - quantum_snr(N) by the threshold-step identity."""
     x = params.x
-    return (1.0 - x) / x ** (big_n + 1) * poisson_tail(big_n + 1, params.n_p_mean)
+    return (1.0 - x) / x ** (big_n + 1) * stats.poisson.sf(big_n, params.n_p_mean)
 
 
 class TestThresholdGap:
@@ -275,17 +275,6 @@ class TestFindBoundary:
     def test_zero_noise_grid_rejected(self):
         with pytest.raises(ZeroNoiseError):
             find_boundary(2, [0.0, 1.0])
-
-    def test_knee_tracks_threshold(self):
-        grid = log_grid(0.3, 30.0, 40)
-        for big_n in (2, 4):
-            knee = boundary_knee(find_boundary(big_n, grid, scan_range=(1e-4, 1e6)))
-            assert big_n / 2.0 <= knee <= 2.0 * big_n
-
-    def test_knee_needs_enough_points(self):
-        curve = find_boundary(2, [1.0, 2.0])
-        with pytest.raises(ValueError):
-            boundary_knee(curve)
 
 
 def per_level_boundary(threshold_n, n_th_grid):
