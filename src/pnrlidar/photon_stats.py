@@ -181,21 +181,25 @@ def mixed_tail(threshold_n: int, params: SourceParams) -> float:
 
 def mixed_tail_terms(
     threshold_n: ArrayLike, n_p: ArrayLike, x: ArrayLike
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Mixed-light tail P(n >= N) over arrays, with the parts SNR needs.
 
     ``threshold_n`` (integers N >= 1), ``n_p`` (signal means) and ``x``
     (thermal ratios n_th / (n_th + 1)) broadcast together.  Returns
-    ``(tail, poisson, scaled)``:
+    ``(tail, poisson, scaled, last, head)``:
 
         poisson = P_poisson(n >= N),
         tail    = poisson + sum_{m<N} p_p(m) x^(N-m),   at most 1,
         scaled  = sum_{m<N} p_p(m) x^(-m),
+        last    = p_p(N - 1),
+        head    = sum_{m<N-1} p_p(m) x^(-m),            scaled without its last term,
 
     the threshold identity in positive terms.  So the tail over the thermal
     tail x^N is poisson / x^N + scaled (exactly 1 at n_p == 0), and
-    (1/x - 1) scaled is its derivative in n_p.  ``scaled`` is meaningless
-    at x == 0 and overflows where x^(1-N) does.
+    (1/x - 1) scaled is its derivative in n_p; ``last`` is the derivative
+    of ``poisson`` in n_p, and (1/x - 1) head - last x^(1-N) that of
+    ``scaled``.  ``scaled`` and ``head`` are meaningless at x == 0 and
+    overflow where x^(1-N) does.
 
     One walk over the term index m = 0, 1, ..., max(N) serves every
     threshold.  It computes the Poisson term p_p(m) of each point in the
@@ -207,9 +211,9 @@ def mixed_tail_terms(
     so a small tail keeps its relative precision.  Every sum is sequential
     and adds one term at a time, so an element's bits do not depend on the
     pass size or on the other elements of the call: a scalar call gives
-    the element's bits.  ``poisson`` has the broadcast shape of
-    ``threshold_n`` and ``n_p``, ``tail`` and ``scaled`` that of all three
-    (each at least 1-D).
+    the element's bits.  ``poisson`` and ``last`` have the broadcast shape
+    of ``threshold_n`` and ``n_p``, ``tail``, ``scaled`` and ``head`` that
+    of all three (each at least 1-D).
     """
     big_n = _check_thresholds(threshold_n)
     n_p = np.asarray(n_p, dtype=float)
@@ -226,8 +230,8 @@ def mixed_tail_terms(
     wanted = set(big_n.ravel().tolist())
     top = max(wanted, default=1)
     x = np.atleast_1d(x)
-    mass, first = np.empty(point_shape), np.empty(point_shape)
-    identity, scaled = np.empty(shape), np.empty(shape)
+    mass, first, last = np.empty(point_shape), np.empty(point_shape), np.empty(point_shape)
+    identity, scaled, head = np.empty(shape), np.empty(shape), np.zeros(shape)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         for m, p in enumerate(_poisson_walk(np.atleast_1d(n_p), top)):
             if m in wanted:
@@ -246,17 +250,21 @@ def mixed_tail_terms(
                 run_identity *= x
             if m + 1 in wanted:
                 at = big_n == m + 1
+                np.copyto(last, p, where=at)
                 np.copyto(mass, below, where=at)
                 np.copyto(scaled, run_scaled, where=at)
                 np.copyto(identity, run_identity, where=at)
-        mass = np.minimum(mass, 1.0)
-        poisson = 1.0 - mass
+            if m + 2 in wanted:
+                np.copyto(head, run_scaled, where=big_n == m + 2)
+        np.minimum(mass, 1.0, out=mass)
         upper = mass >= 0.5
+        poisson = np.subtract(1.0, mass, out=mass)
         if upper.any():
             lam = np.broadcast_to(n_p, point_shape)[upper]
             start = np.broadcast_to(big_n, point_shape)[upper]
-            poisson[upper] = _upper_poisson_tail(lam, first[upper], start)
-    return np.minimum(poisson + identity, 1.0), poisson, scaled
+            first = first[upper]  # the whole array would add to the pass's allocation peak
+            poisson[upper] = _upper_poisson_tail(lam, first, start)
+    return np.minimum(poisson + identity, 1.0), poisson, scaled, last, head
 
 
 def _poisson_walk(n_p: np.ndarray, top: int) -> Iterator[np.ndarray]:

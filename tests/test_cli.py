@@ -181,6 +181,12 @@ class TestOptimumBoundaryCommands:
         best = find_optimum(1.0, 2)
         assert lines[1] == f"2,1,{best.best_n_p_mean!r},{best.best_ratio!r}"
 
+    def test_optimum_at_high_noise_is_the_root(self, capsys):
+        # mpmath's root of d(ratio)/dn_p at 50 digits is 0.019867105654750736
+        assert run_cli("optimum", "--n-th", "100", "--thresholds", "2") == 0
+        row = capsys.readouterr().out.strip().splitlines()[1]
+        assert float(row.split(",")[2]) == pytest.approx(0.019867105654750736, rel=1e-12, abs=0.0)
+
     def test_optimum_without_maximum_is_an_error(self, capsys):
         assert run_cli("optimum", "--n-th", "1", "--thresholds", "3,1") == 1
         captured = capsys.readouterr()

@@ -232,7 +232,7 @@ class TestMixedTailTerms:
         # over the Poisson count: stats.poisson and stats.nbinom(1, p).
         x = 1.0 - self.P_NOISE[:, None]
         for big_n in range(1, 51):
-            tail, poisson, scaled = mixed_tail_terms(big_n, self.SIGNAL, x)
+            tail, poisson, scaled, _, head = mixed_tail_terms(big_n, self.SIGNAL, x)
             m = np.arange(big_n)[:, None, None]
             pmf = stats.poisson.pmf(m, self.SIGNAL)
             oracle = stats.poisson.sf(big_n - 1, self.SIGNAL)
@@ -240,6 +240,7 @@ class TestMixedTailTerms:
             np.testing.assert_allclose(poisson, oracle, rtol=1e-12, atol=0.0)
             np.testing.assert_allclose(tail, oracle + (pmf * geometric).sum(axis=0), rtol=1e-12, atol=0.0)
             np.testing.assert_allclose(scaled, (pmf * x**-m).sum(axis=0), rtol=1e-12, atol=0.0)
+            np.testing.assert_allclose(head, (pmf * x**-m)[:-1].sum(axis=0), rtol=1e-12, atol=0.0)
 
     @pytest.mark.parametrize("n_th", [0.0, 1e-3, 1.0, 40.0])
     def test_scalar_wrapper_is_array_element(self, n_th):
@@ -257,10 +258,21 @@ class TestMixedTailTerms:
         x = 1.0 - self.P_NOISE[:, None]
         signal = np.array([0.0, *self.SIGNAL.tolist()])
         arrays = mixed_tail_terms(big_n, signal, x)
-        assert [a.shape for a in arrays] == [(53, 13, 42), (53, 1, 42), (53, 13, 42)]
+        assert [a.shape for a in arrays] == [(53, 13, 42), (53, 1, 42), (53, 13, 42), (53, 1, 42), (53, 13, 42)]
         for i, n in enumerate(big_n.ravel().tolist()):
             for array, single in zip(arrays, mixed_tail_terms(n, signal, x)):
                 assert array[i].tolist() == np.broadcast_to(single, array[i].shape).tolist()
+
+    def test_last_term_is_the_poisson_pmf_below_threshold(self):
+        # last = p_p(N - 1), in both regimes of poisson_pmf, and each
+        # element of a threshold-axis call is the one-threshold value
+        signal = np.array([0.0, *self.SIGNAL.tolist()])
+        big_n = np.random.default_rng(1).permutation(np.arange(1, 51))
+        last = mixed_tail_terms(big_n[:, None], signal, 0.5)[3]
+        for i, n in enumerate(big_n.tolist()):
+            pmf = [poisson_pmf(n - 1, n_p) for n_p in signal.tolist()]
+            np.testing.assert_allclose(last[i], pmf, rtol=1e-13, atol=0.0)
+            assert last[i].tolist() == mixed_tail_terms(n, signal, 0.5)[3].tolist()
 
     def test_subnormal_poisson_tail_ends(self):
         # p_p(2) is subnormal and the next term is 0: the upward sum stops

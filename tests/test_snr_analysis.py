@@ -2,9 +2,10 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
@@ -14,6 +15,8 @@ from pnrlidar.snr_analysis import (
     BOUNDARY_RATIO_TOL,
     BOUNDARY_SCAN_POINTS,
     BOUNDARY_SCAN_RANGE,
+    OPTIMUM_BRACKET,
+    OPTIMUM_BRACKET_POINTS,
     OPTIMUM_RELATIVE_TOL,
     SearchError,
     ZeroNoiseError,
@@ -28,10 +31,36 @@ from pnrlidar.snr_analysis import (
     snr_report,
     sweep_ratio,
 )
-from pnrlidar.snr_analysis import _snr_arrays
+from pnrlidar.snr_analysis import _snr_arrays, _snr_terms
 
 SIGNAL_GRID = (0.0, 0.5, 1.0, 3.0, 10.0)
 NOISE_GRID = (0.2, 1.0, 5.0)
+
+
+def rise_terms_mp(n_p, n_th, big_n, digits):
+    """The two positive terms of rise, n_p u S and T / x^N, in mpmath (oracle).
+
+    T = P_poisson(n >= N) is the regularized lower incomplete gamma
+    function, so it keeps its digits where T is tiny.
+    """
+    with mpmath.workdps(digits):
+        n_p, n_th = mpmath.mpf(n_p), mpmath.mpf(n_th)
+        x = n_th / (n_th + 1)
+        scaled = mpmath.fsum(
+            mpmath.exp(-n_p) * n_p**m / mpmath.factorial(m) / x**m for m in range(big_n)
+        )
+        return n_p * scaled / n_th, mpmath.gammainc(big_n, 0, n_p, regularized=True) / x**big_n
+
+
+def optimum_mp(n_th, big_n, lo, hi, digits=50):
+    """mpmath's root of rise in [lo, hi], a bracket it checks (oracle)."""
+    def relative_rise(n_p):
+        gain, loss = rise_terms_mp(n_p, n_th, big_n, digits)
+        return (gain - loss) / (gain + loss)
+
+    with mpmath.workdps(digits):
+        assert relative_rise(lo) > 0 > relative_rise(hi)
+        return mpmath.findroot(relative_rise, (mpmath.mpf(lo), mpmath.mpf(hi)), solver="anderson")
 
 
 def central_diff(f, a, h=1e-5):
@@ -163,6 +192,20 @@ class TestDerivative:
         with pytest.raises(ZeroNoiseError):
             quantum_snr_derivative(SourceParams(1.0, 0.0), 2)
 
+    @pytest.mark.parametrize("n_th", [1e-25, 1e-3, 1.0, 100.0, 1e4])
+    def test_rise_slope_matches_mpmath(self, n_th):
+        # d(rise)/dn_p against mpmath's derivatives of rise's two terms, on
+        # the scale of those terms: the slope itself is 0 where rise peaks
+        grid = [1e-3, 0.1, 1.0, 3.0, 30.0]
+        for big_n in (1, 2, 5, 12):
+            slopes = _snr_terms(np.array(grid), n_th, big_n)[4]
+            for n_p, slope in zip(grid, slopes.tolist()):
+                with mpmath.workdps(40):
+                    h = mpmath.mpf(n_p) * mpmath.mpf("1e-15")
+                    ahead, behind = (rise_terms_mp(n_p + d, n_th, big_n, 40) for d in (h, -h))
+                    gain, loss = ((a - b) / (2 * h) for a, b in zip(ahead, behind))
+                    assert abs(slope - (gain - loss)) <= 1e-12 * (abs(gain) + abs(loss))
+
 
 def threshold_gap(params, big_n):
     """quantum_snr(N+1) - quantum_snr(N) by the threshold-step identity."""
@@ -252,6 +295,19 @@ class TestFindOptimum:
     def test_zero_noise_rejected(self):
         with pytest.raises(ZeroNoiseError):
             find_optimum(0.0, 3)
+
+    # (3000, 50) and (1e4, 30) converge slowest: a search that stops after
+    # a Newton step of relative_tol, not its square, is 2e-12 off there.
+    # At n_th = 1e-25 a slope of rise built from S and p_p(N-1) is all
+    # rounding, and Newton stops 5e-4 off.
+    @pytest.mark.parametrize("n_th, big_n", [
+        *((n_th, big_n) for n_th in (1.0, 100.0, 1000.0) for big_n in (2, 5, 20)),
+        (1e4, 5), (1e4, 20), (3000.0, 50), (1e4, 30), (1e-25, 2), (1e-25, 5),
+    ])
+    def test_matches_mpmath_root(self, n_th, big_n):
+        best = find_optimum(n_th, big_n).best_n_p_mean
+        root = optimum_mp(n_th, big_n, best * 0.99, best * 1.01)
+        assert abs(float(best / root - 1)) <= 1e-12
 
 
 class TestFindBoundary:
@@ -445,6 +501,22 @@ class TestProperties:
     def test_monotone_in_threshold(self, n_p, n_th, big_n):
         params = SourceParams(n_p, n_th)
         assert quantum_snr(params, big_n + 1) >= quantum_snr(params, big_n)
+
+    @PROPERTY_SETTINGS
+    @given(
+        st.integers(2, 50),
+        st.floats(math.log(0.05), math.log(3000.0)).map(math.exp),
+        st.floats(*map(math.log, OPTIMUM_BRACKET)).map(math.exp),
+    )
+    def test_rise_brackets_one_root(self, big_n, n_th, n_p):
+        # the optimum scan sees at most one sign change of rise, and rise
+        # has mpmath's sign wherever its terms differ by more than rounding
+        scan = np.array(log_grid(*OPTIMUM_BRACKET, OPTIMUM_BRACKET_POINTS))
+        rise = _snr_terms(scan, n_th, big_n)[3]
+        assert np.count_nonzero((rise[1:] > 0.0) != (rise[:-1] > 0.0)) <= 1
+        gain, loss = rise_terms_mp(n_p, n_th, big_n, 40)
+        assume(abs(gain - loss) > 1e-10 * (gain + loss))
+        assert (_snr_terms(n_p, n_th, big_n)[3][0] > 0.0) == (gain > loss)
 
     @PROPERTY_SETTINGS
     @given(st.floats(0.0, 0.99), st.floats(1e-3, 1.0), noise, st.integers(2, 8))
