@@ -186,10 +186,13 @@ def _cmd_sweep(args) -> int:
     ratios = sweep_ratio(args.n_th, args.thresholds, grid).tolist()
 
     def rows(fmt):
-        # Each grid value, threshold and ratio is formatted once.
+        # Each grid value and threshold is formatted once.  In CSV the ratios,
+        # all floats, take repr in one pass with _fmt's rule for a trailing ".0".
         grid_text = [fmt(v) for v in grid]
         for n, values in zip(args.thresholds, ratios):
-            yield from zip(grid_text, repeat(fmt(n)), map(fmt, values))
+            if fmt is _fmt:
+                values = [t[:-2] if t.endswith(".0") else t for t in map(repr, values)]
+            yield from zip(grid_text, repeat(fmt(n)), values)
 
     manifest = _manifest("sweep", {
         "n_th_mean": args.n_th, "thresholds": list(args.thresholds),

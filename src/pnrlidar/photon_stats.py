@@ -201,19 +201,25 @@ def mixed_tail_terms(
     ``scaled``.  ``scaled`` and ``head`` are meaningless at x == 0 and
     overflow where x^(1-N) does.
 
-    One walk over the term index m = 0, 1, ..., max(N) serves every
-    threshold.  It computes the Poisson term p_p(m) of each point in the
-    regimes of :func:`poisson_pmf`, keeps running sums over m per point (not
-    per threshold), and each element reads them at m = N - 1; the identity
-    sum runs as the Horner recurrence s <- x (s + p_p(m)).  The Poisson
-    tail sums whichever side of N carries less mass: one minus the
-    below-N sum where that is under 0.5, else the upward sum from p_p(N),
-    so a small tail keeps its relative precision.  Every sum is sequential
-    and adds one term at a time, so an element's bits do not depend on the
-    pass size or on the other elements of the call: a scalar call gives
-    the element's bits.  ``poisson`` and ``last`` have the broadcast shape
-    of ``threshold_n`` and ``n_p``, ``tail``, ``scaled`` and ``head`` that
-    of all three (each at least 1-D).
+    The elements of the broadcast are put in order of N (a stable sort,
+    skipped when they are in order already), so that at step m of the walk
+    over the term index m = 0, 1, ..., max(N) the elements with N > m are a
+    suffix and those with N == m + 1 a segment at its front.  Each step
+    runs on that suffix only, as views, so an element costs the N + 1 steps
+    of its own threshold.  It computes the Poisson term p_p(m) of each
+    element in the regimes of :func:`poisson_pmf` and adds it to the
+    element's running sums in place; the sums are final when the element
+    leaves the suffix, and p_p(N - 1), p_p(N) and ``head`` are taken by
+    slice from the segment that leaves.  The identity sum runs as the
+    Horner recurrence s <- x (s + p_p(m)).  The Poisson tail sums whichever
+    side of N carries less mass: one minus the below-N sum where that is
+    under 0.5, else the upward sum from p_p(N), so a small tail keeps its
+    relative precision.  Every sum is sequential and adds one term at a
+    time, so an element's bits do not depend on the pass size or on the
+    other elements of the call: a scalar call gives the element's bits.
+    ``poisson`` and ``last`` have the broadcast shape of ``threshold_n`` and
+    ``n_p``, ``tail``, ``scaled`` and ``head`` that of all three (each at
+    least 1-D); an axis of ``x`` alone repeats the Poisson walk along it.
     """
     big_n = _check_thresholds(threshold_n)
     n_p = np.asarray(n_p, dtype=float)
@@ -227,73 +233,116 @@ def mixed_tail_terms(
 
     point_shape = np.broadcast_shapes(big_n.shape, n_p.shape, (1,))
     shape = np.broadcast_shapes(point_shape, x.shape)
-    wanted = set(big_n.ravel().tolist())
-    top = max(wanted, default=1)
-    x = np.atleast_1d(x)
-    mass, first, last = np.empty(point_shape), np.empty(point_shape), np.empty(point_shape)
-    identity, scaled, head = np.empty(shape), np.empty(shape), np.zeros(shape)
+    order = None
+
+    def in_order(a: np.ndarray) -> np.ndarray:
+        flat = np.empty(shape, a.dtype)
+        flat[...] = a
+        return flat.ravel() if order is None else flat.ravel()[order]
+
+    flat_n = in_order(big_n)
+    if big_n.size > 1 and (flat_n[1:] < flat_n[:-1]).any():
+        order = np.argsort(flat_n, kind="stable")
+        flat_n = flat_n[order]
+    lam = in_order(n_p)
+    x = x.reshape(1) if x.size == 1 else in_order(x)  # one x serves every suffix as it is
+    top = int(flat_n.max(initial=1))
+    # at[k] is the first element with N >= k: N == k is the segment at[k]:at[k+1]
+    at = np.searchsorted(flat_n, np.arange(top + 3)).tolist()
+    size = flat_n.size
+    first, last, head = np.empty(size), np.empty(size), np.zeros(size)
+    mass, scaled, identity = np.empty(size), np.empty(size), np.empty(size)
+    exponent = np.empty(x.size)
+    on = None
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        for m, p in enumerate(_poisson_walk(np.atleast_1d(n_p), top)):
-            if m in wanted:
-                np.copyto(first, p, where=big_n == m)
+        for m, p in enumerate(_poisson_walk(lam, at[: top + 1])):
+            # p covers the elements with N >= m; those with N == m leave here
+            leaving = at[m + 1] - at[m]
+            if leaving:
+                first[at[m] : at[m + 1]] = p[:leaving]
+                p = p[leaving:]
             if m == top:
                 break
+            if on != at[m + 1]:
+                on = at[m + 1]
+                run_mass, run_scaled, run_identity = mass[on:], scaled[on:], identity[on:]
+                xs = x if x.size == 1 else x[on:]
+                powers = exponent[: xs.size]
             # x^-m with an exponent array: numpy evaluates a scalar exponent
             # -1 as a reciprocal, rounded differently from its power loop.
-            term = p * np.power(x, np.full(x.shape, -float(m)))
+            powers.fill(-float(m))
+            term = p * np.power(xs, powers)
             if m == 0:
-                below, run_scaled, run_identity = p.copy(), term, x * p
+                run_mass[...], run_scaled[...] = p, term
+                np.multiply(xs, p, out=run_identity)
             else:
-                below += p
+                run_mass += p
                 run_scaled += term
                 run_identity += p
-                run_identity *= x
-            if m + 1 in wanted:
-                at = big_n == m + 1
-                np.copyto(last, p, where=at)
-                np.copyto(mass, below, where=at)
-                np.copyto(scaled, run_scaled, where=at)
-                np.copyto(identity, run_identity, where=at)
-            if m + 2 in wanted:
-                np.copyto(head, run_scaled, where=big_n == m + 2)
+                run_identity *= xs
+            # N == m + 1 takes p_p(N - 1); N == m + 2 the sum without its last term
+            end, after = at[m + 2], at[m + 3]
+            if end > on:
+                last[on:end] = p[: end - on]
+            if after > end:
+                head[end:after] = scaled[end:after]
         np.minimum(mass, 1.0, out=mass)
         upper = mass >= 0.5
         poisson = np.subtract(1.0, mass, out=mass)
         if upper.any():
-            lam = np.broadcast_to(n_p, point_shape)[upper]
-            start = np.broadcast_to(big_n, point_shape)[upper]
-            first = first[upper]  # the whole array would add to the pass's allocation peak
-            poisson[upper] = _upper_poisson_tail(lam, first, start)
-    return np.minimum(poisson + identity, 1.0), poisson, scaled, last, head
+            poisson[upper] = _upper_poisson_tail(lam[upper], first[upper], flat_n[upper])
+        tail = np.minimum(poisson + identity, 1.0)
+
+    outputs = []
+    for a in (tail, poisson, scaled, last, head):
+        if order is not None:
+            a, walked = np.empty(size), a
+            a[order] = walked
+        outputs.append(a.reshape(shape))
+    if shape != point_shape:
+        # poisson and last do not depend on x: one value per (N, n_p) point
+        padded = (1,) * (len(shape) - len(point_shape)) + point_shape
+        point = tuple(slice(None) if k == n else slice(0, 1) for k, n in zip(padded, shape))
+        outputs[1], outputs[3] = (outputs[i][point].reshape(point_shape) for i in (1, 3))
+    return tuple(outputs)
 
 
-def _poisson_walk(n_p: np.ndarray, top: int) -> Iterator[np.ndarray]:
-    """p_p(m) of each mean for m = 0, 1, ..., top, one array per m.
+def _poisson_walk(n_p: np.ndarray, starts: list[int]) -> Iterator[np.ndarray]:
+    """p_p(m) for m = 0, 1, ..., len(starts) - 1, over the means n_p[starts[m]:].
 
     The regimes of :func:`poisson_pmf`: the recurrence p(m) = p(m-1) mean / m
     while mean and m are at most _RECURRENCE_CUTOFF, log space beyond.
+    ``starts`` must not decrease: each step walks the suffix the last one
+    left, in place, and yields a view that the next step overwrites.
     """
-    large = n_p > _RECURRENCE_CUTOFF
-    large_mean = n_p[large]
-    log_large = np.log(large_mean)
-    log_mean = None
-    for m in range(top + 1):
+    large = (n_p > _RECURRENCE_CUTOFF).nonzero()[0]
+    if large.size:
+        large_from = np.searchsorted(large, starts).tolist()
+        large_mean = n_p[large]
+        log_large = np.log(large_mean)
+    # the recurrence of a large mean is never read: its cell holds the log-space term
+    recurrence = np.exp(-n_p)
+    log_mean = start = None
+    for m, s in enumerate(starts):
+        if s != start:
+            start, live, walking = s, n_p[s:], recurrence[s:]
         if m > _RECURRENCE_CUTOFF:
             if log_mean is None:
-                log_mean = np.log(n_p)
-            yield np.exp(m * log_mean - n_p - math.lgamma(m + 1.0))
+                log_mean, log_start = np.log(live), start
+            yield np.exp(m * log_mean[start - log_start :] - live - math.lgamma(m + 1.0))
             continue
-        recurrence = np.exp(-n_p) if m == 0 else recurrence * (n_p / m)
-        if not large_mean.size:
-            yield recurrence
-            continue
-        p = recurrence.copy()
-        p[large] = np.exp(m * log_large - large_mean - math.lgamma(m + 1.0))
-        yield p
+        if m:
+            walking *= live / m
+        if large.size:
+            k = large_from[m]
+            recurrence[large[k:]] = np.exp(m * log_large[k:] - large_mean[k:] - math.lgamma(m + 1.0))
+        yield walking
 
 
-# Upward-tail terms per pass: at least _TAIL_STEPS, more while the block
-# (points x terms) stays within _TAIL_BLOCK elements, at most _TAIL_MAX_STEPS.
+# Upward-tail terms per pass.  While more than _TAIL_BLOCK // _TAIL_STEPS
+# elements are live, a pass steps _TAIL_STEPS terms one at a time over them;
+# fewer elements take a (elements x terms) block of at most _TAIL_BLOCK
+# entries and _TAIL_MAX_STEPS terms.
 _TAIL_STEPS, _TAIL_BLOCK, _TAIL_MAX_STEPS = 4, 4096, 64
 
 
@@ -302,30 +351,44 @@ def _upper_poisson_tail(lam: np.ndarray, first: np.ndarray, start: np.ndarray) -
 
     The terms follow p(n) = p(n-1) mean / n and are added to the total one
     at a time in order, so an element's bits do not depend on the number of
-    terms per pass (more for fewer elements) or on the other elements.  An
-    element stops after the pass in which a term falls below 1e-18 of its
-    total or to zero (a subnormal total makes 1e-18 of it zero); the later
-    terms of that pass are below half an ulp of the total and leave it as
-    it is.  The tail is the smaller side here, so the median is below N and
-    the mean (at most median + ln 2) is too: terms fall from the first step
-    on, faster than geometrically, so the walk needs no step cap.
+    terms per pass or on the other elements.  Many live elements step the
+    terms with in-place vector operations (count += 1, term *= mean / count,
+    total += term); few take a block pass, whose cumprod and cumsum
+    accumulate the same products and sums, with more terms per pass the
+    fewer the elements.  An element stops after the pass in which a term
+    falls below 1e-18 of its total or to zero (a subnormal total makes
+    1e-18 of it zero); the later terms of that pass are below half an ulp
+    of the total and leave it as it is.  The tail is the smaller side here,
+    so the median is below N and the mean (at most median + ln 2) is too:
+    terms fall from the first step on, faster than geometrically, so the
+    walk needs no step cap.
     """
     total = first.copy()
-    live = np.flatnonzero(first)  # a zero first term is the whole sum
-    lam, term, count = lam[live, None], first[live], start[live].astype(float)
+    live = first.nonzero()[0]  # a zero first term is the whole sum
+    lam, term, count = lam[live], first[live], start[live].astype(float)
+    partial = term.copy()
     while live.size:
-        steps = min(max(_TAIL_STEPS, _TAIL_BLOCK // live.size), _TAIL_MAX_STEPS)
-        block = count[:, None] + np.arange(1.0, steps + 1)
-        np.divide(lam, block, out=block)
-        block[:, 0] *= term
-        np.cumprod(block, axis=1, out=block)
-        term = block[:, -1].copy()
-        block[:, 0] += total[live]
-        np.cumsum(block, axis=1, out=block)
-        total[live] = block[:, -1]
-        count += steps
-        going = (term > 0.0) & (term >= 1e-18 * total[live])
-        live, lam, term, count = live[going], lam[going], term[going], count[going]
+        if live.size > _TAIL_BLOCK // _TAIL_STEPS:
+            ratio = np.empty(live.size)
+            for _ in range(_TAIL_STEPS):
+                count += 1.0
+                np.divide(lam, count, out=ratio)
+                term *= ratio
+                partial += term
+        else:
+            steps = min(_TAIL_BLOCK // live.size, _TAIL_MAX_STEPS)
+            block = count[:, None] + np.arange(1.0, steps + 1)
+            np.divide(lam[:, None], block, out=block)
+            block[:, 0] *= term
+            np.cumprod(block, axis=1, out=block)
+            term = block[:, -1].copy()
+            block[:, 0] += partial
+            np.cumsum(block, axis=1, out=block)
+            partial = block[:, -1].copy()
+            count += steps
+        going = (term > 0.0) & (term >= 1e-18 * partial)
+        total[live[~going]] = partial[~going]
+        live, lam, term, count, partial = (a[going] for a in (live, lam, term, count, partial))
     return np.minimum(total, 1.0)
 
 
@@ -421,26 +484,27 @@ def sample_histogram(
     give equal histograms, and distinct keys give independent streams.
     Poisson means above 1e5 are refused.
     """
-    # numpy.random is not loaded by `import numpy`; importing it here keeps
-    # its cost out of the analysis commands.
-    from numpy.random import Generator, Philox, SeedSequence
-
     if draws != int(draws) or draws < 0:
         raise ValueError(f"draws must be a nonnegative integer, got {draws!r}")
     if key != int(key) or key < 0:
         raise ValueError(f"key must be a nonnegative integer, got {key!r}")
-    n_p, x = _law(pmf)
-    if x == 1.0:
-        raise ValueError(f"thermal mean {pmf.params.n_th_mean!r} too large to sample: x rounds to 1")
-    if n_p > _MAX_SAMPLED_POISSON_MEAN:
-        raise ValueError(
-            f"signal mean {n_p!r} too large to sample: the sampler takes Poisson means "
-            f"up to {_MAX_SAMPLED_POISSON_MEAN:g}"
-        )
-    rng = Generator(Philox(SeedSequence(int(seed) & _SEED_MASK, spawn_key=(int(key),))))
+    return _sample_histogram(pmf, _overflow_weights(pmf), int(draws), seed, int(key))
+
+
+def _sample_histogram(
+    pmf: PhotonPmf, overflow: tuple[list[float], float], draws: int, seed: int, key: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`sample_histogram` given the table's :func:`_overflow_weights`, so a
+    caller that samples one table many times tabulates them once."""
+    # numpy.random is not loaded by `import numpy`; importing it here keeps
+    # its cost out of the analysis commands.
+    from numpy.random import Generator, Philox, SeedSequence
+
+    x = _law(pmf)[1]
+    rng = Generator(Philox(SeedSequence(int(seed) & _SEED_MASK, spawn_key=(key,))))
     m = pmf.n_max
-    weights, overflow_mass = _overflow_weights(pmf)
-    cells = _multinomial(rng, int(draws), np.append(pmf.probs, overflow_mass))
+    weights, overflow_mass = overflow
+    cells = _multinomial(rng, draws, np.append(pmf.probs, overflow_mass))
     values, counts = np.arange(m + 1), cells[:-1]
     if cells[-1]:
         # each overflow draw is a base from the weights plus a geometric draw
@@ -473,9 +537,18 @@ def _overflow_weights(pmf: PhotonPmf) -> tuple[list[float], float]:
     are memoryless.  So the base m+1 has weight short + pois(m+1), and the
     base b > m+1 has pois(b).  Poisson cells are tabulated until they fall
     below 2^-60 of the running total, far below the precision of the
-    weights themselves; that total is the mass beyond the table.
+    weights themselves; that total is the mass beyond the table.  Laws the
+    sampler cannot draw from are refused: x rounding to 1, or a Poisson
+    mean above 1e5.
     """
     n_p, x = _law(pmf)
+    if x == 1.0:
+        raise ValueError(f"thermal mean {pmf.params.n_th_mean!r} too large to sample: x rounds to 1")
+    if n_p > _MAX_SAMPLED_POISSON_MEAN:
+        raise ValueError(
+            f"signal mean {n_p!r} too large to sample: the sampler takes Poisson means "
+            f"up to {_MAX_SAMPLED_POISSON_MEAN:g}"
+        )
     m = pmf.n_max
     weights = [x * pmf.probs[m] / (1.0 - x) + poisson_pmf(m + 1, n_p)]
     total = weights[0]

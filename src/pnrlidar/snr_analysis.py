@@ -131,37 +131,23 @@ def _check_params(params: SourceParams) -> SourceParams:
 def _snr_arrays(
     n_p: ArrayLike, n_th: ArrayLike, threshold_n: ArrayLike
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(quantum_snr, snr_ratio, quantum_snr_derivative): the first three of :func:`_snr_terms`."""
-    return _snr_terms(n_p, n_th, threshold_n)[:3]
-
-
-def _snr_terms(
-    n_p: ArrayLike, n_th: ArrayLike, threshold_n: ArrayLike
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """(quantum_snr, snr_ratio, quantum_snr_derivative, rise, rise_slope) over broadcast arrays.
+    """(quantum_snr, snr_ratio, quantum_snr_derivative) over broadcast arrays.
 
     One call of :func:`mixed_tail_terms`; ``threshold_n`` broadcasts with
     ``n_p`` and ``n_th``.  With u = 1/n_th, T = P_poisson(n >= N) and S the
     kernel's ``scaled`` sum, the quantum SNR is assembled as T / x^N + S,
-    which is exactly 1 at n_p == 0, and its derivative is u S.  The ratio's
-    derivative is u rise / (1 + n_p u)^2, so it has the sign of
-
-        rise = n_p u S - T / x^N,
-
-    a difference of positive terms that cancel only at the ratio's maximum.
-    Its derivative (1 + n_p u) (u S - p_p(N-1) / x^N) is assembled as
-
-        rise_slope = (1 + n_p u) (u H - p_p(N-1) x^(1-N)),
-
-    with H the kernel's ``head`` (S without its last term): the first form
-    subtracts two terms of size x^-N to leave one of size x^(1-N), which
-    loses all its digits once the noise is below about 1e-16.
+    which is exactly 1 at n_p == 0, and its derivative is u S.
 
     A value that double precision cannot hold is refused with a ValueError
     naming n_th and N of the first such element in input order (C order of
     the broadcast): x^N below the smallest normal double (tiny noise at a
     deep threshold), or an SNR or derivative that overflows.
     """
+    return _snr_parts(n_p, n_th, threshold_n)[:3]
+
+
+def _snr_parts(n_p: ArrayLike, n_th: ArrayLike, threshold_n: ArrayLike) -> tuple:
+    """The three arrays of :func:`_snr_arrays`, then the pieces ``rise`` is made of."""
     n_th = np.asarray(n_th, dtype=float)
     if not ((n_th > 0.0) & (n_th < math.inf)).all():
         if (n_th == 0.0).any():
@@ -183,8 +169,6 @@ def _snr_terms(
         # u S with u = 1/n_th, not (1/x - 1) S: 1/x - 1 loses log10(n_th)
         # digits to cancellation.
         slope = scaled / n_th
-        rise = n_p * slope - poisson_part
-        rise_slope = classical * (head / n_th - last * x / x_n)
     underflow = np.broadcast_to(x_n < sys.float_info.min, ratio.shape)
     failed = underflow | ~(np.isfinite(quantum) & np.isfinite(classical) & np.isfinite(slope))
     if failed.any():
@@ -197,6 +181,34 @@ def _snr_terms(
                 "x^N underflows, so the SNR is not representable"
             )
         raise ValueError(f"SNR at n_th = {n_th_at!r}, threshold N = {n_at} overflows double precision")
+    return quantum, ratio, slope, (n_th, x, x_n, classical, poisson_part, last, head)
+
+
+def _snr_terms(
+    n_p: ArrayLike, n_th: ArrayLike, threshold_n: ArrayLike
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """(quantum_snr, snr_ratio, quantum_snr_derivative, rise, rise_slope) over broadcast arrays.
+
+    :func:`_snr_arrays`, with the refusals of its one kernel call, plus
+    what the optimum search reads.  The ratio's derivative is
+    u rise / (1 + n_p u)^2, so it has the sign of
+
+        rise = n_p u S - T / x^N,
+
+    a difference of positive terms that cancel only at the ratio's maximum.
+    Its derivative (1 + n_p u) (u S - p_p(N-1) / x^N) is assembled as
+
+        rise_slope = (1 + n_p u) (u H - p_p(N-1) x^(1-N)),
+
+    with H the kernel's ``head`` (S without its last term): the first form
+    subtracts two terms of size x^-N to leave one of size x^(1-N), which
+    loses all its digits once the noise is below about 1e-16.
+    """
+    quantum, ratio, slope, parts = _snr_parts(n_p, n_th, threshold_n)
+    n_th, x, x_n, classical, poisson_part, last, head = parts
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        rise = n_p * slope - poisson_part
+        rise_slope = classical * (head / n_th - last * x / x_n)
     return quantum, ratio, slope, rise, rise_slope
 
 
@@ -276,7 +288,7 @@ def log_grid(lo: float, hi: float, points: int) -> list[float]:
 def find_optimum(
     n_th_mean: float,
     threshold_n: int,
-    bracket: tuple[float, float] = OPTIMUM_BRACKET,
+    bracket: tuple[float, float] | None = None,
     bracket_points: int = OPTIMUM_BRACKET_POINTS,
     relative_tol: float = OPTIMUM_RELATIVE_TOL,
 ) -> OptimumPoint:
@@ -290,7 +302,7 @@ def find_optimum(
 def find_optima(
     n_th_mean: float,
     thresholds: Sequence[int],
-    bracket: tuple[float, float] = OPTIMUM_BRACKET,
+    bracket: tuple[float, float] | None = None,
     bracket_points: int = OPTIMUM_BRACKET_POINTS,
     relative_tol: float = OPTIMUM_RELATIVE_TOL,
 ) -> list[OptimumPoint]:
@@ -301,9 +313,11 @@ def find_optima(
     ``bracket`` brackets each threshold's root by its first cell where rise
     turns from positive to not positive; a threshold without one has no
     interior maximum: SearchError, for the first such threshold in input
-    order.  From the secant of rise across that cell, Newton steps in
-    log(n_p) refine the root, bisecting instead where a step would leave
-    the bracket.  The point reached by the first step of at most
+    order.  The default bracket is OPTIMUM_BRACKET, its lower end lowered
+    to 0.1 / n_th above n_th = 100, where N = 2's optimum nears 2 / n_th.
+    From the secant of rise across that cell, Newton steps in log(n_p)
+    refine the root, bisecting instead where a step would leave the
+    bracket.  The point reached by the first step of at most
     ``relative_tol`` squared is returned with its ratio: quadratic
     convergence leaves it exact to rounding, where stopping after a step of
     ``relative_tol`` would leave errors up to 7e-12 (n_th = 3000, N = 50).
@@ -313,6 +327,9 @@ def find_optima(
     """
     if n_th_mean <= 0.0:
         raise ZeroNoiseError("n_th_mean must be > 0 for SNR analysis")
+    if bracket is None:
+        low = 0.1 / n_th_mean if math.isfinite(n_th_mean) else math.inf
+        bracket = (min(OPTIMUM_BRACKET[0], low), OPTIMUM_BRACKET[1])
     big_n = np.asarray(thresholds)
     grid = np.array(log_grid(*bracket, bracket_points))
     rise = _snr_terms(grid, n_th_mean, big_n[:, None])[3]

@@ -8,6 +8,7 @@ import pytest
 
 from pnrlidar.cli import ConfigError, bundled_config_path, load_sim_config, main, parse_sim_config
 from pnrlidar.snr_analysis import find_boundary, find_optimum, log_grid
+from test_snr_analysis import optimum_mp
 
 
 def run_cli(*argv):
@@ -186,6 +187,16 @@ class TestOptimumBoundaryCommands:
         assert run_cli("optimum", "--n-th", "100", "--thresholds", "2") == 0
         row = capsys.readouterr().out.strip().splitlines()[1]
         assert float(row.split(",")[2]) == pytest.approx(0.019867105654750736, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("argv", [("--n-th", "2000"), ("--n-th", "1e4", "--thresholds", "2")])
+    def test_optimum_bracket_follows_the_noise(self, capsys, argv):
+        # N = 2's optimum nears 2 / n_th, below a fixed bracket's 1e-3 end
+        assert run_cli("optimum", *argv) == 0
+        for row in capsys.readouterr().out.strip().splitlines()[1:]:
+            big_n, n_th, best, _ = row.split(",")
+            best = float(best)
+            root = optimum_mp(float(n_th), int(big_n), best * 0.99, best * 1.01)
+            assert abs(float(best / root - 1)) <= 1e-12
 
     def test_optimum_without_maximum_is_an_error(self, capsys):
         assert run_cli("optimum", "--n-th", "1", "--thresholds", "3,1") == 1

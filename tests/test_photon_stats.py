@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from pnrlidar.photon_stats import (
@@ -19,7 +21,7 @@ from pnrlidar.photon_stats import (
     thermal_pmf,
     thermal_tail,
 )
-from pnrlidar.photon_stats import _overflow_weights
+from pnrlidar.photon_stats import _TAIL_BLOCK, _TAIL_STEPS, _overflow_weights
 
 MEAN_GRID = (0.0, 0.5, 1.0, 3.0, 10.0)
 
@@ -273,6 +275,41 @@ class TestMixedTailTerms:
             pmf = [poisson_pmf(n - 1, n_p) for n_p in signal.tolist()]
             np.testing.assert_allclose(last[i], pmf, rtol=1e-13, atol=0.0)
             assert last[i].tolist() == mixed_tail_terms(n, signal, 0.5)[3].tolist()
+
+    def test_stepped_upper_tail_matches_one_element_calls(self):
+        # more than twice the elements that switch the upper tail from
+        # stepped passes to block passes: the call steps, one-element calls
+        # take blocks, and every output agrees bit for bit
+        big_n = np.arange(2, 21)[:, None]
+        signal = np.array([1e-160, *np.geomspace(0.01, 100.0, 200).tolist(), 1e-160])
+        arrays = mixed_tail_terms(big_n, signal, 0.5)
+        assert np.count_nonzero(stats.poisson.cdf(big_n - 1, signal) >= 0.5) > 2 * (_TAIL_BLOCK // _TAIL_STEPS)
+        for i, n in enumerate(big_n.ravel().tolist()):
+            singles = [mixed_tail_terms(n, n_p, 0.5) for n_p in signal.tolist()]
+            for array, single in zip(arrays, zip(*singles)):
+                assert array[i].tolist() == np.concatenate(single).tolist()
+
+    @settings(max_examples=60)
+    @given(st.data())
+    def test_any_broadcast_matches_one_threshold_calls(self, data):
+        # unsorted and repeated thresholds; signal means on their own axis or
+        # one per threshold; thermal ratios on an axis the others lack
+        k = data.draw(st.integers(1, 6))
+        big_n = np.array(data.draw(st.lists(st.integers(1, 45), min_size=k, max_size=k)))[:, None, None]
+        means = st.floats(0.0, 300.0) | st.sampled_from([0.0, 1e-160, 30.0, 31.0])
+        if data.draw(st.booleans()):
+            signal = np.array(data.draw(st.lists(means, min_size=k, max_size=k)))[:, None, None]
+        else:
+            signal = np.array(data.draw(st.lists(means, min_size=1, max_size=5)))[:, None]
+        x = np.array(data.draw(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=3)))
+        arrays = mixed_tail_terms(big_n, signal, x)
+        shape = np.broadcast_shapes(big_n.shape, signal.shape, x.shape)
+        assert [a.shape for a in arrays[1::2]] == [np.broadcast_shapes(big_n.shape, signal.shape)] * 2
+        for at in np.ndindex(shape):
+            args = (a[at] for a in np.broadcast_arrays(big_n, signal, x))
+            single = np.concatenate(mixed_tail_terms(*args))
+            got = np.array([np.broadcast_to(a, shape)[at] for a in arrays])
+            assert got.view(np.int64).tolist() == single.view(np.int64).tolist()
 
     def test_subnormal_poisson_tail_ends(self):
         # p_p(2) is subnormal and the next term is 0: the upward sum stops
