@@ -217,11 +217,17 @@ def _cmd_boundary(args) -> int:
     rows = []
     skipped = []
     multiple = []
+    sides = []  # each threshold's no_crossing sides, for the error of an empty table
     for n in args.thresholds:
         curve = find_boundary(n, grid)
         rows.extend((n, n_th, n_p, ratio) for (n_th, n_p), ratio in zip(curve.points, curve.ratios))
         skipped.extend({"threshold_n": n, "n_th_mean": t, "side": side} for t, side in curve.no_crossing)
         multiple.extend({"threshold_n": n, "n_th_mean": t} for t in curve.multiple_crossings)
+        sides.append(f"N = {n} {'/'.join(dict.fromkeys(side for _, side in curve.no_crossing))}")
+    if not rows:
+        raise ValueError(
+            f"no threshold has a ratio == 1 crossing on the noise grid (no_crossing: {', '.join(sides)})"
+        )
     manifest = _manifest("boundary", {
         "thresholds": list(args.thresholds), "nth_min": args.nth_min,
         "nth_max": args.nth_max, "nth_points": args.nth_points,
@@ -344,7 +350,6 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--output", type=str, default=None, help="output file (default: stdout)")
     common.add_argument("--format", choices=("csv", "structured"), default=None,
                         help="csv for tables (default), structured for one JSON document")
-    common.add_argument("--seed", type=int, default=None, help="seed override where applicable")
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
     p = sub.add_parser("pmf", parents=[common], help="photon-number PMF table")
@@ -384,6 +389,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", parents=[common], help="time-binned Monte Carlo rangefinder")
     p.add_argument("--config", required=True, help="config file path or bundled name")
+    p.add_argument("--seed", type=int, default=None, help="seed override")
     p.add_argument("--repetitions", type=int, default=None, help="repetitions override")
     p.set_defaults(func=_cmd_simulate)
     return parser

@@ -17,7 +17,7 @@ detection slot.
 Also provided: tail probabilities above a photon-number threshold, truncated
 PMF construction, and a seeded sampler that draws the photon-count histogram
 of many independent repetitions at once: one multinomial over a PMF table,
-from a generator keyed by (seed, key).
+from a generator keyed by (seed, key), for each of a sequence of keys.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterator
+from typing import Iterable, Iterator
 
 import numpy as np
 from numpy.typing import ArrayLike
@@ -159,7 +159,7 @@ def _mixed_terms(params: SourceParams) -> Iterator[float]:
 
 def thermal_tail(threshold_n: int, n_th_mean: float) -> float:
     """Probability that a thermal draw is >= threshold_n: exactly x^N."""
-    threshold_n = _check_threshold(threshold_n)
+    threshold_n = int(_check_thresholds(threshold_n))
     n_th_mean = _check_mean(n_th_mean, "n_th_mean")
     x = n_th_mean / (n_th_mean + 1.0)
     return x**threshold_n
@@ -217,9 +217,7 @@ def mixed_tail_terms(
     relative precision.  Every sum is sequential and adds one term at a
     time, so an element's bits do not depend on the pass size or on the
     other elements of the call: a scalar call gives the element's bits.
-    ``poisson`` and ``last`` have the broadcast shape of ``threshold_n`` and
-    ``n_p``, ``tail``, ``scaled`` and ``head`` that of all three (each at
-    least 1-D); an axis of ``x`` alone repeats the Poisson walk along it.
+    Every array has the broadcast shape of the three inputs, at least 1-D.
     """
     big_n = _check_thresholds(threshold_n)
     n_p = np.asarray(n_p, dtype=float)
@@ -231,8 +229,7 @@ def mixed_tail_terms(
         bad = x[~((x >= 0.0) & (x <= 1.0))]
         raise ValueError(f"thermal ratio x must be in [0, 1], got {float(bad[0])!r}")
 
-    point_shape = np.broadcast_shapes(big_n.shape, n_p.shape, (1,))
-    shape = np.broadcast_shapes(point_shape, x.shape)
+    shape = np.broadcast_shapes(big_n.shape, n_p.shape, x.shape, (1,))
     order = None
 
     def in_order(a: np.ndarray) -> np.ndarray:
@@ -299,11 +296,6 @@ def mixed_tail_terms(
             a, walked = np.empty(size), a
             a[order] = walked
         outputs.append(a.reshape(shape))
-    if shape != point_shape:
-        # poisson and last do not depend on x: one value per (N, n_p) point
-        padded = (1,) * (len(shape) - len(point_shape)) + point_shape
-        point = tuple(slice(None) if k == n else slice(0, 1) for k, n in zip(padded, shape))
-        outputs[1], outputs[3] = (outputs[i][point].reshape(point_shape) for i in (1, 3))
     return tuple(outputs)
 
 
@@ -445,12 +437,6 @@ def _check_count(n: int) -> int:
     return int(n)
 
 
-def _check_threshold(threshold_n: int) -> int:
-    if threshold_n != int(threshold_n) or threshold_n < 1:
-        raise ValueError(f"threshold must be a positive integer, got {threshold_n!r}")
-    return int(threshold_n)
-
-
 def _check_thresholds(threshold_n: ArrayLike) -> np.ndarray:
     values = np.asarray(threshold_n)
     with np.errstate(invalid="ignore"):
@@ -470,51 +456,48 @@ _MAX_SAMPLED_POISSON_MEAN = 1e5
 
 
 def sample_histogram(
-    pmf: PhotonPmf, draws: int, seed: int, key: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Photon-count histogram of ``draws`` independent draws from pmf's law.
+    pmf: PhotonPmf, draws: int, seed: int, keys: Iterable[int]
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Photon-count histograms of ``draws`` independent draws from pmf's law, one per key.
 
-    Returns ``(values, counts)``: ``counts[i]`` draws equal ``values[i]``,
-    values ascending.  One multinomial places the draws in the cells
-    0..n_max of the table plus an overflow cell that holds the law's mass
-    beyond n_max, the sum of the weights of :func:`_overflow_weights`; each
-    overflow draw is then resolved from those weights and the law's
-    geometric part, so values may reach past n_max and no count is
-    clamped.  The generator is Philox keyed by (seed, key): equal arguments
-    give equal histograms, and distinct keys give independent streams.
-    Poisson means above 1e5 are refused.
+    Yields ``(values, counts)`` for each key in order: ``counts[i]`` draws
+    equal ``values[i]``, values ascending.  One multinomial places the
+    draws in the cells 0..n_max of the table plus an overflow cell that
+    holds the law's mass beyond n_max, the sum of the weights of
+    :func:`_overflow_weights`; each overflow draw is then resolved from
+    those weights and the law's geometric part, so values may reach past
+    n_max and no count is clamped.  The arguments are checked and the
+    weights tabulated once, when the first histogram is taken, and each
+    histogram is drawn as it is taken, so a caller that folds them in holds
+    one at a time.  Each key's generator is Philox keyed by (seed, key):
+    equal arguments give equal histograms, and distinct keys give
+    independent streams.  Poisson means above 1e5 are refused.
     """
-    if draws != int(draws) or draws < 0:
-        raise ValueError(f"draws must be a nonnegative integer, got {draws!r}")
-    if key != int(key) or key < 0:
-        raise ValueError(f"key must be a nonnegative integer, got {key!r}")
-    return _sample_histogram(pmf, _overflow_weights(pmf), int(draws), seed, int(key))
-
-
-def _sample_histogram(
-    pmf: PhotonPmf, overflow: tuple[list[float], float], draws: int, seed: int, key: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`sample_histogram` given the table's :func:`_overflow_weights`, so a
-    caller that samples one table many times tabulates them once."""
     # numpy.random is not loaded by `import numpy`; importing it here keeps
     # its cost out of the analysis commands.
     from numpy.random import Generator, Philox, SeedSequence
 
-    x = _law(pmf)[1]
-    rng = Generator(Philox(SeedSequence(int(seed) & _SEED_MASK, spawn_key=(key,))))
-    m = pmf.n_max
-    weights, overflow_mass = overflow
-    cells = _multinomial(rng, draws, np.append(pmf.probs, overflow_mass))
-    values, counts = np.arange(m + 1), cells[:-1]
-    if cells[-1]:
-        # each overflow draw is a base from the weights plus a geometric draw
-        k = int(cells[-1])
-        drawn = np.repeat(np.arange(m + 1, m + 1 + len(weights)), _multinomial(rng, k, np.asarray(weights)))
-        if x > 0.0:
-            drawn += rng.geometric(1.0 - x, size=k) - 1
-        beyond, beyond_counts = np.unique(drawn, return_counts=True)
-        values, counts = np.append(values, beyond), np.append(counts, beyond_counts)
-    return values, counts
+    if draws != int(draws) or draws < 0:
+        raise ValueError(f"draws must be a nonnegative integer, got {draws!r}")
+    draws, seed = int(draws), int(seed) & _SEED_MASK
+    weights, overflow_mass = _overflow_weights(pmf)
+    x, m = _law(pmf)[1], pmf.n_max
+    cell_weights, weights = np.append(pmf.probs, overflow_mass), np.asarray(weights)
+    for key in keys:
+        if key != int(key) or key < 0:
+            raise ValueError(f"key must be a nonnegative integer, got {key!r}")
+        rng = Generator(Philox(SeedSequence(seed, spawn_key=(int(key),))))
+        cells = _multinomial(rng, draws, cell_weights)
+        values, counts = np.arange(m + 1), cells[:-1]
+        if cells[-1]:
+            # each overflow draw is a base from the weights plus a geometric draw
+            k = int(cells[-1])
+            drawn = np.repeat(np.arange(m + 1, m + 1 + len(weights)), _multinomial(rng, k, weights))
+            if x > 0.0:
+                drawn += rng.geometric(1.0 - x, size=k) - 1
+            beyond, beyond_counts = np.unique(drawn, return_counts=True)
+            values, counts = np.append(values, beyond), np.append(counts, beyond_counts)
+        yield values, counts
 
 
 def _law(pmf: PhotonPmf) -> tuple[float, float]:

@@ -29,7 +29,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .photon_stats import PhotonPmf, SourceKind, SourceParams, _overflow_weights, _sample_histogram, build_pmf
+from .photon_stats import PhotonPmf, SourceKind, SourceParams, build_pmf, sample_histogram
 from .snr_analysis import ZeroNoiseError, snr_report
 
 __all__ = [
@@ -142,42 +142,38 @@ class ExpectedResult:
 _TABLE_CAP = 2**14
 
 
-def _count_table(params: SourceParams) -> tuple[PhotonPmf, tuple[list[float], float]]:
-    """A bin's PMF table with its overflow weights, as the sampler takes them."""
+def _count_table(params: SourceParams) -> PhotonPmf:
+    """A bin's PMF table for the sampler."""
     # Any n_max gives exact draws, since the sampler resolves the mass beyond
     # the table from the law.  This one leaves about 1e-13 of it there, or,
     # for laws wider than the cap, leaves the sampler O(draws) work instead
     # of an O(width) table.
     n_p, n_th = params.n_p_mean, params.n_th_mean
     n_max = min(int(n_p + 8.0 * math.sqrt(n_p) + 30.0 * n_th) + 30, _TABLE_CAP)
-    table = build_pmf(SourceKind.MIXED, params, n_max=n_max)
-    return table, _overflow_weights(table)
+    return build_pmf(SourceKind.MIXED, params, n_max=n_max)
 
 
 def run_simulation(config: SimConfig) -> SimResult:
     """Draw each bin's count histogram, accumulate both channels, normalize."""
-    target_map = config.target_map
-    noise_table = None  # one table serves every noise bin
-
     intensity_raw = np.zeros(config.num_bins, dtype=np.int64)
     # Sums of squared counts pass the int64 range for wide noise (about 2e19
     # at noise_mean = 1e8 and 1000 repetitions); float64 holds them.
     intensity_sq_raw = np.zeros(config.num_bins)
     threshold_raw = {n: np.zeros(config.num_bins, dtype=np.int64) for n in config.thresholds}
 
-    for b in range(config.num_bins):
-        if b in target_map:
-            table = _count_table(SourceParams(target_map[b], config.noise_mean))
-        else:
-            noise_table = noise_table or _count_table(SourceParams(0.0, config.noise_mean))
-            table = noise_table
-        values, counts = _sample_histogram(*table, config.repetitions, config.seed, b)
-        intensity_raw[b] = values @ counts
-        intensity_sq_raw[b] = np.square(values, dtype=float) @ counts
-        for n in config.thresholds:
-            threshold_raw[n][b] = counts[values >= n].sum()
-
+    # One sampler call serves every noise bin, and one each target bin; each
+    # histogram is folded in as it is drawn.
     noise_bins = config.noise_bins
+    sources = [(noise_bins, SourceParams(0.0, config.noise_mean))]
+    sources += [((b,), SourceParams(mean, config.noise_mean)) for b, mean in config.targets]
+    for bins, params in sources:
+        histograms = sample_histogram(_count_table(params), config.repetitions, config.seed, bins)
+        for b, (values, counts) in zip(bins, histograms):
+            intensity_raw[b] = values @ counts
+            intensity_sq_raw[b] = np.square(values, dtype=float) @ counts
+            for n in config.thresholds:
+                threshold_raw[n][b] = counts[values >= n].sum()
+
     intensity_norm = normalize(intensity_raw, noise_bins)
     threshold_norm = {n: normalize(raw, noise_bins) for n, raw in threshold_raw.items()}
     return SimResult(

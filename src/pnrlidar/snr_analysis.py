@@ -107,17 +107,17 @@ class BoundaryCurve:
 
     ``points`` holds (n_th_mean, n_p_mean) pairs, one per grid noise level
     with a crossing; the region below each point has ratio > 1, and
-    ``ratios`` holds the SNR ratio at each point (within ``tolerance`` of 1).  Noise
-    levels without a crossing are listed in ``no_crossing`` with the scanned
-    ratio's sign ("above" if the ratio stayed above 1 everywhere, "below"
-    otherwise).  ``multiple_crossings`` flags noise levels where the scan
-    saw more than one sign change; the largest-n_p crossing is the one kept.
+    ``ratios`` holds the SNR ratio at each point (within BOUNDARY_RATIO_TOL
+    of 1).  Noise levels without a crossing are listed in ``no_crossing``
+    with the scanned ratio's sign ("above" if the ratio stayed above 1
+    everywhere, "below" otherwise).  ``multiple_crossings`` flags noise
+    levels where the scan saw more than one sign change; the largest-n_p
+    crossing is the one kept.
     """
 
     threshold_n: int
     points: tuple[tuple[float, float], ...]
     ratios: tuple[float, ...] = ()
-    tolerance: float = BOUNDARY_RATIO_TOL
     no_crossing: tuple[tuple[float, str], ...] = ()
     multiple_crossings: tuple[float, ...] = ()
 
@@ -128,26 +128,33 @@ def _check_params(params: SourceParams) -> SourceParams:
     return params
 
 
-def _snr_arrays(
+def _snr_terms(
     n_p: ArrayLike, n_th: ArrayLike, threshold_n: ArrayLike
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(quantum_snr, snr_ratio, quantum_snr_derivative) over broadcast arrays.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """(quantum_snr, snr_ratio, quantum_snr_derivative, rise, rise_slope) over broadcast arrays.
 
     One call of :func:`mixed_tail_terms`; ``threshold_n`` broadcasts with
     ``n_p`` and ``n_th``.  With u = 1/n_th, T = P_poisson(n >= N) and S the
     kernel's ``scaled`` sum, the quantum SNR is assembled as T / x^N + S,
-    which is exactly 1 at n_p == 0, and its derivative is u S.
+    which is exactly 1 at n_p == 0, and its derivative is u S.  The
+    ratio's derivative is u rise / (1 + n_p u)^2, so it has the sign of
+
+        rise = n_p u S - T / x^N,
+
+    a difference of positive terms that cancel only at the ratio's maximum.
+    Its derivative (1 + n_p u) (u S - p_p(N-1) / x^N) is assembled as
+
+        rise_slope = (1 + n_p u) (u H - p_p(N-1) x^(1-N)),
+
+    with H the kernel's ``head`` (S without its last term): the first form
+    subtracts two terms of size x^-N to leave one of size x^(1-N), which
+    loses all its digits once the noise is below about 1e-16.
 
     A value that double precision cannot hold is refused with a ValueError
     naming n_th and N of the first such element in input order (C order of
     the broadcast): x^N below the smallest normal double (tiny noise at a
     deep threshold), or an SNR or derivative that overflows.
     """
-    return _snr_parts(n_p, n_th, threshold_n)[:3]
-
-
-def _snr_parts(n_p: ArrayLike, n_th: ArrayLike, threshold_n: ArrayLike) -> tuple:
-    """The three arrays of :func:`_snr_arrays`, then the pieces ``rise`` is made of."""
     n_th = np.asarray(n_th, dtype=float)
     if not ((n_th > 0.0) & (n_th < math.inf)).all():
         if (n_th == 0.0).any():
@@ -169,6 +176,8 @@ def _snr_parts(n_p: ArrayLike, n_th: ArrayLike, threshold_n: ArrayLike) -> tuple
         # u S with u = 1/n_th, not (1/x - 1) S: 1/x - 1 loses log10(n_th)
         # digits to cancellation.
         slope = scaled / n_th
+        rise = n_p * slope - poisson_part
+        rise_slope = classical * (head / n_th - last * x / x_n)
     underflow = np.broadcast_to(x_n < sys.float_info.min, ratio.shape)
     failed = underflow | ~(np.isfinite(quantum) & np.isfinite(classical) & np.isfinite(slope))
     if failed.any():
@@ -181,34 +190,6 @@ def _snr_parts(n_p: ArrayLike, n_th: ArrayLike, threshold_n: ArrayLike) -> tuple
                 "x^N underflows, so the SNR is not representable"
             )
         raise ValueError(f"SNR at n_th = {n_th_at!r}, threshold N = {n_at} overflows double precision")
-    return quantum, ratio, slope, (n_th, x, x_n, classical, poisson_part, last, head)
-
-
-def _snr_terms(
-    n_p: ArrayLike, n_th: ArrayLike, threshold_n: ArrayLike
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """(quantum_snr, snr_ratio, quantum_snr_derivative, rise, rise_slope) over broadcast arrays.
-
-    :func:`_snr_arrays`, with the refusals of its one kernel call, plus
-    what the optimum search reads.  The ratio's derivative is
-    u rise / (1 + n_p u)^2, so it has the sign of
-
-        rise = n_p u S - T / x^N,
-
-    a difference of positive terms that cancel only at the ratio's maximum.
-    Its derivative (1 + n_p u) (u S - p_p(N-1) / x^N) is assembled as
-
-        rise_slope = (1 + n_p u) (u H - p_p(N-1) x^(1-N)),
-
-    with H the kernel's ``head`` (S without its last term): the first form
-    subtracts two terms of size x^-N to leave one of size x^(1-N), which
-    loses all its digits once the noise is below about 1e-16.
-    """
-    quantum, ratio, slope, parts = _snr_parts(n_p, n_th, threshold_n)
-    n_th, x, x_n, classical, poisson_part, last, head = parts
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        rise = n_p * slope - poisson_part
-        rise_slope = classical * (head / n_th - last * x / x_n)
     return quantum, ratio, slope, rise, rise_slope
 
 
@@ -227,19 +208,19 @@ def quantum_snr(params: SourceParams, threshold_n: int) -> float:
     Built from the positive terms of the threshold identity, so the value
     is exactly 1 at n_p == 0 and free of cancellation for deep thresholds.
     """
-    return float(_snr_arrays(params.n_p_mean, params.n_th_mean, threshold_n)[0][0])
+    return float(_snr_terms(params.n_p_mean, params.n_th_mean, threshold_n)[0][0])
 
 
 def snr_ratio(params: SourceParams, threshold_n: int) -> float:
     """quantum_snr / classical_snr; > 1 where thresholding wins."""
-    return float(_snr_arrays(params.n_p_mean, params.n_th_mean, threshold_n)[1][0])
+    return float(_snr_terms(params.n_p_mean, params.n_th_mean, threshold_n)[1][0])
 
 
 def snr_report(params: SourceParams, thresholds: Sequence[int]) -> SnrReport:
     """Evaluate classical and quantum SNR at each threshold."""
     classical = classical_snr(params)
     big_n = np.asarray(thresholds)
-    values = _snr_arrays(params.n_p_mean, params.n_th_mean, big_n)[0]
+    values = _snr_terms(params.n_p_mean, params.n_th_mean, big_n)[0]
     quantum = {int(n): q for n, q in zip(big_n.tolist(), values.tolist())}
     ratio = {n: q / classical for n, q in quantum.items()}
     return SnrReport(params, classical, quantum, ratio)
@@ -254,7 +235,7 @@ def quantum_snr_derivative(params: SourceParams, threshold_n: int) -> float:
     :func:`find_optima` reads: it is the u S of ``rise`` = n_p u S - T / x^N
     (see ``_snr_terms``), whose root is the optimum.
     """
-    return float(_snr_arrays(params.n_p_mean, params.n_th_mean, threshold_n)[2][0])
+    return float(_snr_terms(params.n_p_mean, params.n_th_mean, threshold_n)[2][0])
 
 
 def sweep_ratio(
@@ -270,7 +251,7 @@ def sweep_ratio(
         raise ValueError("n_p_grid must be nonempty")
     if any(b <= a for a, b in zip(grid, grid[1:])):
         raise ValueError("n_p_grid must be strictly increasing")
-    return _snr_arrays(np.array(grid), n_th_mean, np.asarray(thresholds)[:, None])[1]
+    return _snr_terms(np.array(grid), n_th_mean, np.asarray(thresholds)[:, None])[1]
 
 
 def log_grid(lo: float, hi: float, points: int) -> list[float]:
@@ -285,53 +266,40 @@ def log_grid(lo: float, hi: float, points: int) -> list[float]:
     return [lo, *inner, hi]
 
 
-def find_optimum(
-    n_th_mean: float,
-    threshold_n: int,
-    bracket: tuple[float, float] | None = None,
-    bracket_points: int = OPTIMUM_BRACKET_POINTS,
-    relative_tol: float = OPTIMUM_RELATIVE_TOL,
-) -> OptimumPoint:
+def find_optimum(n_th_mean: float, threshold_n: int) -> OptimumPoint:
     """Signal mean maximizing the SNR ratio at fixed noise and threshold.
 
     The search of :func:`find_optima` for one threshold.
     """
-    return find_optima(n_th_mean, [threshold_n], bracket, bracket_points, relative_tol)[0]
+    return find_optima(n_th_mean, [threshold_n])[0]
 
 
-def find_optima(
-    n_th_mean: float,
-    thresholds: Sequence[int],
-    bracket: tuple[float, float] | None = None,
-    bracket_points: int = OPTIMUM_BRACKET_POINTS,
-    relative_tol: float = OPTIMUM_RELATIVE_TOL,
-) -> list[OptimumPoint]:
+def find_optima(n_th_mean: float, thresholds: Sequence[int]) -> list[OptimumPoint]:
     """Signal mean maximizing the SNR ratio at fixed noise, per threshold.
 
     The maximum is the root of ``rise`` (see ``_snr_terms``), which has the
-    sign of d(ratio)/d(n_p).  One log-spaced scan of ``bracket_points`` over
-    ``bracket`` brackets each threshold's root by its first cell where rise
-    turns from positive to not positive; a threshold without one has no
-    interior maximum: SearchError, for the first such threshold in input
-    order.  The default bracket is OPTIMUM_BRACKET, its lower end lowered
-    to 0.1 / n_th above n_th = 100, where N = 2's optimum nears 2 / n_th.
+    sign of d(ratio)/d(n_p).  One log-spaced scan of OPTIMUM_BRACKET_POINTS
+    over the bracket brackets each threshold's root by its first cell where
+    rise turns from positive to not positive; a threshold without one has
+    no interior maximum: SearchError, for the first such threshold in input
+    order.  The bracket is OPTIMUM_BRACKET, its lower end lowered to
+    0.1 / n_th above n_th = 100, where N = 2's optimum nears 2 / n_th.
     From the secant of rise across that cell, Newton steps in log(n_p)
     refine the root, bisecting instead where a step would leave the
     bracket.  The point reached by the first step of at most
-    ``relative_tol`` squared is returned with its ratio: quadratic
+    OPTIMUM_RELATIVE_TOL squared is returned with its ratio: quadratic
     convergence leaves it exact to rounding, where stopping after a step of
-    ``relative_tol`` would leave errors up to 7e-12 (n_th = 3000, N = 50).
+    OPTIMUM_RELATIVE_TOL would leave errors up to 7e-12 (n_th = 3000, N = 50).
     A point that neither a step nor bisection can move is returned as it is.  The thresholds are searched in
     lockstep, one array call per step; a threshold's search gives the same
     bits as it does alone.  Results follow the input order.
     """
     if n_th_mean <= 0.0:
         raise ZeroNoiseError("n_th_mean must be > 0 for SNR analysis")
-    if bracket is None:
-        low = 0.1 / n_th_mean if math.isfinite(n_th_mean) else math.inf
-        bracket = (min(OPTIMUM_BRACKET[0], low), OPTIMUM_BRACKET[1])
+    low = 0.1 / n_th_mean if math.isfinite(n_th_mean) else math.inf
+    bracket = (min(OPTIMUM_BRACKET[0], low), OPTIMUM_BRACKET[1])
     big_n = np.asarray(thresholds)
-    grid = np.array(log_grid(*bracket, bracket_points))
+    grid = np.array(log_grid(*bracket, OPTIMUM_BRACKET_POINTS))
     rise = _snr_terms(grid, n_th_mean, big_n[:, None])[3]
     peak = (rise[:, :-1] > 0.0) & (rise[:, 1:] <= 0.0)
     found = peak.any(axis=1)
@@ -352,7 +320,7 @@ def find_optima(
         following = np.where(inside, newton, np.sqrt(lo) * np.sqrt(hi))
         done = settled | (newton == n_p) | (following <= lo) | (following >= hi)
         best_n_p[live[done]], best_ratio[live[done]] = n_p[done], ratio[done]
-        settled = inside & (np.abs(step) <= relative_tol**2)
+        settled = inside & (np.abs(step) <= OPTIMUM_RELATIVE_TOL**2)
         live, n_p, lo, hi, settled = (a[~done] for a in (live, following, lo, hi, settled))
     return [
         OptimumPoint(int(n), float(n_th_mean), p, r)
@@ -360,23 +328,17 @@ def find_optima(
     ]
 
 
-def find_boundary(
-    threshold_n: int,
-    n_th_grid: Sequence[float],
-    scan_range: tuple[float, float] = BOUNDARY_SCAN_RANGE,
-    scan_points: int = BOUNDARY_SCAN_POINTS,
-    abs_tol: float = BOUNDARY_ABS_TOL,
-    ratio_tol: float = BOUNDARY_RATIO_TOL,
-) -> BoundaryCurve:
+def find_boundary(threshold_n: int, n_th_grid: Sequence[float]) -> BoundaryCurve:
     """Map the ratio == 1 boundary over a grid of noise means.
 
-    Each noise level's scan, a log grid on the signal axis, is one array
-    call.  At each noise level the largest-n_p sign change of (ratio - 1)
-    bounds the advantage region from above, matching a region that sits
-    below the curve.  Those crossings are bisected in lockstep over the
+    Each noise level's scan, a log grid of BOUNDARY_SCAN_POINTS over
+    BOUNDARY_SCAN_RANGE on the signal axis, is one array call.  At each
+    noise level the largest-n_p sign change of (ratio - 1) bounds the
+    advantage region from above, matching a region that sits below the
+    curve.  Those crossings are bisected in lockstep over the
     noise levels, one array call per step; each level stops once its
-    bracket is within ``abs_tol`` and |ratio - 1| <= ``ratio_tol`` at the
-    midpoint, whose ratio is kept with the point, and is reported as
+    bracket is within BOUNDARY_ABS_TOL and |ratio - 1| <= BOUNDARY_RATIO_TOL
+    at the midpoint, whose ratio is kept with the point, and is reported as
     "unresolved" if its bracket collapses or 300 steps pass first.  Levels
     with no sign change are reported rather than guessed, and levels with
     several crossings are flagged.
@@ -384,11 +346,11 @@ def find_boundary(
     levels = np.asarray(n_th_grid, dtype=float)
     if (levels <= 0.0).any():
         raise ZeroNoiseError("n_th grid values must be > 0")
-    scan = np.array(log_grid(scan_range[0], scan_range[1], scan_points))
+    scan = np.array(log_grid(*BOUNDARY_SCAN_RANGE, BOUNDARY_SCAN_POINTS))
     side: dict[int, str] = {}  # noise levels without a sign change
     crossing, cell, f_lo, multiple = [], [], [], []
     for i, n_th in enumerate(levels.tolist()):
-        excess = _snr_arrays(scan, n_th, threshold_n)[1] - 1.0
+        excess = _snr_terms(scan, n_th, threshold_n)[1] - 1.0
         changes = np.flatnonzero((excess[1:] > 0.0) != (excess[:-1] > 0.0))
         if not changes.size:
             side[i] = "above" if excess[scan.size // 2] > 0.0 else "below"
@@ -408,9 +370,9 @@ def find_boundary(
         if not live.size:
             break
         mid = 0.5 * (lo[live] + hi[live])
-        ratio = _snr_arrays(mid, noise[live], threshold_n)[1]
+        ratio = _snr_terms(mid, noise[live], threshold_n)[1]
         f_mid = ratio - 1.0
-        found = (hi[live] - lo[live] <= abs_tol) & (np.abs(f_mid) <= ratio_tol)
+        found = (hi[live] - lo[live] <= BOUNDARY_ABS_TOL) & (np.abs(f_mid) <= BOUNDARY_RATIO_TOL)
         roots[live[found]] = mid[found]
         root_ratios[live[found]] = ratio[found]
         same = (f_lo[live] < 0.0) == (f_mid < 0.0)
@@ -430,7 +392,5 @@ def find_boundary(
         else:
             points.append((n_th, root_of[i][0]))
             ratios.append(root_of[i][1])
-    return BoundaryCurve(
-        int(threshold_n), tuple(points), tuple(ratios), ratio_tol, tuple(no_crossing), tuple(multiple)
-    )
+    return BoundaryCurve(int(threshold_n), tuple(points), tuple(ratios), tuple(no_crossing), tuple(multiple))
 

@@ -215,6 +215,25 @@ class TestOptimumBoundaryCommands:
             assert abs(float(line.split(",")[3]) - 1.0) <= 1e-5
 
 
+class TestSeedOption:
+    @pytest.mark.parametrize("argv", [
+        ("pmf", "--kind", "thermal", "--n-th", "1"),
+        ("snr", "--n-p", "1", "--n-th", "1"),
+        ("sweep", "--n-th", "1"),
+        ("optimum", "--n-th", "1"),
+        ("boundary",),
+    ])
+    def test_analysis_commands_refuse_a_seed(self, capsys, argv):
+        # only simulate draws random numbers; a seed elsewhere would be ignored
+        with pytest.raises(SystemExit) as exit_info:
+            run_cli(*argv, "--seed", "3")
+        assert exit_info.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("usage: ")
+        assert "error: unrecognized arguments: --seed 3" in captured.err
+
+
 class TestTinyNoiseRefused:
     # x^N underflows double precision, so no SNR can be printed
     @pytest.mark.parametrize("argv", [
@@ -247,6 +266,21 @@ class TestBoundaryManifest:
             multiple += [{"threshold_n": n, "n_th_mean": t} for t in curve.multiple_crossings]
         assert params["no_crossing"] == no_crossing and no_crossing
         assert params["multiple_crossings"] == multiple and multiple
+
+    @pytest.mark.parametrize("fmt", ["csv", "structured"])
+    def test_no_crossing_anywhere_is_an_error(self, tmp_path, capsys, fmt):
+        # N = 1's ratio stays below 1 on the whole default grid: no table,
+        # no output file, and an error line naming the threshold's side
+        out = tmp_path / "b.csv"
+        assert run_cli("boundary", "--thresholds", "1", "--format", fmt) == 1
+        assert run_cli("boundary", "--thresholds", "1", "--format", fmt, "--output", str(out)) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == 2 * (
+            "pnrlidar: error: no threshold has a ratio == 1 crossing on the noise grid "
+            "(no_crossing: N = 1 below)\n"
+        )
+        assert not list(tmp_path.iterdir())
 
 
 class TestSimulateCommand:

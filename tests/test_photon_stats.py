@@ -222,6 +222,14 @@ class TestTails:
         with pytest.raises(ValueError):
             mixed_tail(0, SourceParams(1.0, 1.0))
 
+    @pytest.mark.parametrize("big_n", [0, -3, 2.5, math.nan])
+    def test_threshold_refusals_share_one_message(self, big_n):
+        message = f"threshold must be a positive integer, got {big_n!r}"
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            thermal_tail(big_n, 1.0)
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            mixed_tail(big_n, SourceParams(1.0, 1.0))
+
 
 class TestMixedTailTerms:
     # x is taken as 1 - p, so the kernel and the oracle see the same law: p
@@ -239,7 +247,7 @@ class TestMixedTailTerms:
             pmf = stats.poisson.pmf(m, self.SIGNAL)
             oracle = stats.poisson.sf(big_n - 1, self.SIGNAL)
             geometric = stats.nbinom.sf(big_n - 1 - m, 1, self.P_NOISE[:, None])
-            np.testing.assert_allclose(poisson, oracle, rtol=1e-12, atol=0.0)
+            np.testing.assert_allclose(poisson, np.broadcast_to(oracle, poisson.shape), rtol=1e-12, atol=0.0)
             np.testing.assert_allclose(tail, oracle + (pmf * geometric).sum(axis=0), rtol=1e-12, atol=0.0)
             np.testing.assert_allclose(scaled, (pmf * x**-m).sum(axis=0), rtol=1e-12, atol=0.0)
             np.testing.assert_allclose(head, (pmf * x**-m)[:-1].sum(axis=0), rtol=1e-12, atol=0.0)
@@ -260,7 +268,7 @@ class TestMixedTailTerms:
         x = 1.0 - self.P_NOISE[:, None]
         signal = np.array([0.0, *self.SIGNAL.tolist()])
         arrays = mixed_tail_terms(big_n, signal, x)
-        assert [a.shape for a in arrays] == [(53, 13, 42), (53, 1, 42), (53, 13, 42), (53, 1, 42), (53, 13, 42)]
+        assert [a.shape for a in arrays] == [(53, 13, 42)] * 5
         for i, n in enumerate(big_n.ravel().tolist()):
             for array, single in zip(arrays, mixed_tail_terms(n, signal, x)):
                 assert array[i].tolist() == np.broadcast_to(single, array[i].shape).tolist()
@@ -304,7 +312,7 @@ class TestMixedTailTerms:
         x = np.array(data.draw(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=3)))
         arrays = mixed_tail_terms(big_n, signal, x)
         shape = np.broadcast_shapes(big_n.shape, signal.shape, x.shape)
-        assert [a.shape for a in arrays[1::2]] == [np.broadcast_shapes(big_n.shape, signal.shape)] * 2
+        assert [a.shape for a in arrays] == [shape] * 5
         for at in np.ndindex(shape):
             args = (a[at] for a in np.broadcast_arrays(big_n, signal, x))
             single = np.concatenate(mixed_tail_terms(*args))
@@ -354,7 +362,7 @@ def oracle_pmf(kind, params, width):
 
 def sampled(pmf, draws, seed, key):
     """sample_histogram as a dense array: out[n] draws equal n."""
-    values, counts = sample_histogram(pmf, draws, seed, key)
+    values, counts = next(sample_histogram(pmf, draws, seed, [key]))
     assert np.all(np.diff(values) > 0)
     out = np.zeros(values[-1] + 1, dtype=np.int64)
     out[values] = counts

@@ -31,7 +31,7 @@ from pnrlidar.snr_analysis import (
     snr_report,
     sweep_ratio,
 )
-from pnrlidar.snr_analysis import _snr_arrays, _snr_terms
+from pnrlidar.snr_analysis import _snr_terms
 
 SIGNAL_GRID = (0.0, 0.5, 1.0, 3.0, 10.0)
 NOISE_GRID = (0.2, 1.0, 5.0)
@@ -297,7 +297,7 @@ class TestFindOptimum:
             find_optimum(0.0, 3)
 
     # (3000, 50) and (1e4, 30) converge slowest: a search that stops after
-    # a Newton step of relative_tol, not its square, is 2e-12 off there.
+    # a Newton step of OPTIMUM_RELATIVE_TOL, not its square, is 2e-12 off there.
     # At n_th = 1e-25 a slope of rise built from S and p_p(N-1) is all
     # rounding, and Newton stops 5e-4 off.
     @pytest.mark.parametrize("n_th, big_n", [
@@ -341,7 +341,7 @@ def per_level_boundary(threshold_n, n_th_grid):
         def excess(n_p):
             return snr_ratio(SourceParams(n_p, n_th), threshold_n) - 1.0
 
-        values = _snr_arrays(scan, n_th, threshold_n)[1] - 1.0
+        values = _snr_terms(scan, n_th, threshold_n)[1] - 1.0
         changes = np.flatnonzero((values[:-1] > 0.0) != (values[1:] > 0.0))
         if not changes.size:
             no_crossing.append((n_th, "above" if values[scan.size // 2] > 0.0 else "below"))
@@ -374,7 +374,7 @@ class TestArrayKernel:
     def test_scalar_wrappers_are_array_elements(self, n_th):
         grid = [0.0, *log_grid(1e-3, 1e3, 41)]
         for big_n in (1, 2, 7, 20):
-            quantum, ratio, slope = _snr_arrays(np.array(grid), n_th, big_n)
+            quantum, ratio, slope = _snr_terms(np.array(grid), n_th, big_n)[:3]
             params = [SourceParams(n_p, n_th) for n_p in grid]
             assert [quantum_snr(p, big_n) for p in params] == quantum.tolist()
             assert [snr_ratio(p, big_n) for p in params] == ratio.tolist()
@@ -385,9 +385,9 @@ class TestArrayKernel:
     def test_nested_scans_match_dense_scan(self, big_n, n_th):
         opt = find_optimum(n_th, big_n)
         dense = np.geomspace(1e-3, 1e3, 100_000)
-        i = int(np.argmax(_snr_arrays(dense, n_th, big_n)[1]))
+        i = int(np.argmax(_snr_terms(dense, n_th, big_n)[1]))
         dense = np.geomspace(dense[i - 1], dense[i + 1], 100_000)
-        best = dense[np.argmax(_snr_arrays(dense, n_th, big_n)[1])]
+        best = dense[np.argmax(_snr_terms(dense, n_th, big_n)[1])]
         assert abs(math.log(opt.best_n_p_mean / best)) <= OPTIMUM_RELATIVE_TOL
         assert opt.best_ratio == snr_ratio(SourceParams(opt.best_n_p_mean, n_th), big_n)
 
@@ -409,9 +409,9 @@ class TestArrayKernel:
         # above N = 30; every output equals the one-threshold call bit for bit
         big_n = np.concatenate([np.random.default_rng(0).permutation(np.arange(1, 51)), [7, 31, 1]])
         grid = np.array([0.0, *log_grid(1e-3, 1e3, 41)])
-        arrays = _snr_arrays(grid, n_th, big_n[:, None])
+        arrays = _snr_terms(grid, n_th, big_n[:, None])
         for i, n in enumerate(big_n.tolist()):
-            for array, single in zip(arrays, _snr_arrays(grid, n_th, n)):
+            for array, single in zip(arrays, _snr_terms(grid, n_th, n)):
                 assert array[i].tolist() == single.tolist()
 
     def test_noise_axis_matches_scalar_calls(self):
@@ -420,7 +420,7 @@ class TestArrayKernel:
         # still equals its one-point call
         levels = log_grid(0.05, 50.0, 300)
         thresholds = [1, 2, 3, 40]
-        arrays = _snr_arrays(2.0, np.array(levels)[:, None], thresholds)
+        arrays = _snr_terms(2.0, np.array(levels)[:, None], thresholds)
         params = [SourceParams(2.0, n_th) for n_th in levels]
         for j, big_n in enumerate(thresholds):
             for array, scalar in zip(arrays, (quantum_snr, snr_ratio, quantum_snr_derivative)):
@@ -449,8 +449,8 @@ class TestArrayKernel:
         (lambda: find_optima(1e-100, [2, 5, 3, 7]), "n_th = 1e-100 is too small for threshold N = 5:"),
         (lambda: find_optima(1e-100, [7, 5]), "n_th = 1e-100 is too small for threshold N = 7:"),
         (lambda: sweep_ratio(1e-100, [3, 2, 6, 5], [0.5, 1.0]), "threshold N = 6:"),
-        (lambda: _snr_arrays(1.0, [1.0, 1e-120, 1e-200], 3), "n_th = 1e-120 is too small"),
-        (lambda: _snr_arrays(1.0, np.array([1.0, 1e-200])[:, None], [1, 3, 2]),
+        (lambda: _snr_terms(1.0, [1.0, 1e-120, 1e-200], 3), "n_th = 1e-120 is too small"),
+        (lambda: _snr_terms(1.0, np.array([1.0, 1e-200])[:, None], [1, 3, 2]),
          "n_th = 1e-200 is too small for threshold N = 3:"),
     ])
     def test_tiny_noise_names_the_first_failing_element(self, call, first):
