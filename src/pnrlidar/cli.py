@@ -40,19 +40,15 @@ def _fmt(value):
     return str(value)
 
 
-def _same(value):
-    return value
-
-
 def _rows(rows):
-    """A table's row source: rows with each value passed through ``fmt``."""
-    return lambda fmt: ([fmt(v) for v in row] for row in rows)
+    """A table's source: its rows of values, or with ``text`` one CSV line per row."""
+    return lambda text: (",".join(map(_fmt, row)) + "\n" for row in rows) if text else iter(rows)
 
 
-def _write_csv(stream, columns, text_rows) -> None:
+def _write_csv(stream, columns, text) -> None:
     # Every field is a number or a column name, so none needs quoting.
     stream.write(",".join(columns) + "\n")
-    stream.writelines(",".join(row) + "\n" for row in text_rows)
+    stream.writelines(text)
 
 
 def _manifest(subcommand: str, parameters: dict, seed=None) -> dict:
@@ -76,13 +72,14 @@ def _emit(
     """Write CSV table(s) or one structured JSON document, plus the manifest.
 
     ``tables`` maps a suffix ("" for the primary file) to (columns, source),
-    where ``source(fmt)`` yields the rows with each value passed through
-    ``fmt``: ``_fmt`` for CSV text, the value itself for JSON.  Structured
-    mode folds everything into a single JSON document.
+    where ``source(False)`` yields the rows of values, for JSON, and
+    ``source(True)`` the CSV text in pieces of whole lines, each value as
+    ``_fmt`` writes it.  Structured mode folds everything into a single
+    JSON document.
     """
     if (args.format or default_format) == "structured":
         payload = data if data is not None else {
-            name or "table": {"columns": cols, "rows": list(source(_same))}
+            name or "table": {"columns": cols, "rows": list(source(False))}
             for name, (cols, source) in tables.items()
         }
         text = json.dumps({"manifest": manifest, "data": payload}, indent=2) + "\n"
@@ -96,13 +93,13 @@ def _emit(
     if args.output is None:
         for name in sorted(tables):
             cols, source = tables[name]
-            _write_csv(sys.stdout, cols, source(_fmt))
+            _write_csv(sys.stdout, cols, source(True))
         return 0
     out = Path(args.output)
     for name, (cols, source) in tables.items():
         path = out if not name else out.with_name(out.stem + f"_{name}" + out.suffix)
         with path.open("w", newline="") as fh:
-            _write_csv(fh, cols, source(_fmt))
+            _write_csv(fh, cols, source(True))
     _write_manifest(args.output, manifest)
     return 0
 
@@ -185,14 +182,19 @@ def _cmd_sweep(args) -> int:
     grid = _grid(args)
     ratios = sweep_ratio(args.n_th, args.thresholds, grid).tolist()
 
-    def rows(fmt):
-        # Each grid value and threshold is formatted once.  In CSV the ratios,
-        # all floats, take repr in one pass with _fmt's rule for a trailing ".0".
-        grid_text = [fmt(v) for v in grid]
+    def rows(text):
+        if not text:
+            for n, values in zip(args.thresholds, ratios):
+                yield from zip(grid, repeat(n), values)
+            return
+        # One text block per threshold, each grid value formatted once.  The
+        # ratios end the lines, and repr puts ".0" only at the end of an
+        # integral float, so _fmt's rule is one replace over the block.
+        grid_text = [_fmt(v) + "," for v in grid]
         for n, values in zip(args.thresholds, ratios):
-            if fmt is _fmt:
-                values = [t[:-2] if t.endswith(".0") else t for t in map(repr, values)]
-            yield from zip(grid_text, repeat(fmt(n)), values)
+            middle = f"{n},"
+            block = "\n".join([g + middle + r for g, r in zip(grid_text, map(repr, values))])
+            yield (block + "\n").replace(".0\n", "\n")
 
     manifest = _manifest("sweep", {
         "n_th_mean": args.n_th, "thresholds": list(args.thresholds),

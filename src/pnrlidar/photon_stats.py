@@ -48,6 +48,8 @@ __all__ = [
 
 # Direct-recurrence regime bound for Poisson terms.
 _RECURRENCE_CUTOFF = 30
+# Table cells (rows x columns) per block of mixed_tail_terms' walk.
+_TABLE_BLOCK = 24576
 
 
 class PmfTruncationError(RuntimeError):
@@ -201,141 +203,132 @@ def mixed_tail_terms(
     ``scaled``.  ``scaled`` and ``head`` are meaningless at x == 0 and
     overflow where x^(1-N) does.
 
-    The elements of the broadcast are put in order of N (a stable sort,
-    skipped when they are in order already), so that at step m of the walk
-    over the term index m = 0, 1, ..., max(N) the elements with N > m are a
-    suffix and those with N == m + 1 a segment at its front.  Each step
-    runs on that suffix only, as views, so an element costs the N + 1 steps
-    of its own threshold.  It computes the Poisson term p_p(m) of each
-    element in the regimes of :func:`poisson_pmf` and adds it to the
-    element's running sums in place; the sums are final when the element
-    leaves the suffix, and p_p(N - 1), p_p(N) and ``head`` are taken by
-    slice from the segment that leaves.  The identity sum runs as the
-    Horner recurrence s <- x (s + p_p(m)).  The Poisson tail sums whichever
-    side of N carries less mass: one minus the below-N sum where that is
-    under 0.5, else the upward sum from p_p(N), so a small tail keeps its
-    relative precision.  Every sum is sequential and adds one term at a
-    time, so an element's bits do not depend on the pass size or on the
-    other elements of the call: a scalar call gives the element's bits.
-    Every array has the broadcast shape of the three inputs, at least 1-D.
+    The terms sit in a table whose columns are the elements of the
+    broadcast of ``n_p`` and ``x`` and whose rows are m = 0, 1, ..., max(N):
+    p_p(m), in the regimes of :func:`poisson_pmf`, and the running mass,
+    scaled and identity sums, the last by the Horner recurrence
+    s <- x (s + p_p(m)).  An element with threshold N reads rows N - 2 to N
+    of its own column, so thresholds on one grid share its terms.  The rows
+    are walked in blocks of _TABLE_BLOCK cells, each starting from the last
+    two rows of the one before, so memory stays in proportion to the
+    elements.  The Poisson tail sums whichever side of N carries less mass:
+    one minus the below-N sum where that is under 0.5, else the upward sum
+    from p_p(N), so a small tail keeps its relative precision.  Every sum
+    is sequential and adds one term at a time, so an element's bits do not
+    depend on the block size or on the other elements of the call: a
+    scalar call gives the element's bits.  Every array has the broadcast
+    shape of the three inputs, at least 1-D.
     """
     big_n = _check_thresholds(threshold_n)
     n_p = np.asarray(n_p, dtype=float)
     x = np.asarray(x, dtype=float)
-    if not ((n_p >= 0.0) & (n_p < math.inf)).all():
+    if not (n_p.min(initial=0.0) >= 0.0 and n_p.max(initial=0.0) < math.inf):
         bad = n_p[~((n_p >= 0.0) & (n_p < math.inf))]
         raise ValueError(f"n_p_mean must be finite and >= 0, got {float(bad[0])!r}")
-    if not ((x >= 0.0) & (x <= 1.0)).all():
+    if not (x.min(initial=0.0) >= 0.0 and x.max(initial=0.0) <= 1.0):
         bad = x[~((x >= 0.0) & (x <= 1.0))]
         raise ValueError(f"thermal ratio x must be in [0, 1], got {float(bad[0])!r}")
 
-    shape = np.broadcast_shapes(big_n.shape, n_p.shape, x.shape, (1,))
-    order = None
-
-    def in_order(a: np.ndarray) -> np.ndarray:
-        flat = np.empty(shape, a.dtype)
-        flat[...] = a
-        return flat.ravel() if order is None else flat.ravel()[order]
-
-    flat_n = in_order(big_n)
-    if big_n.size > 1 and (flat_n[1:] < flat_n[:-1]).any():
-        order = np.argsort(flat_n, kind="stable")
-        flat_n = flat_n[order]
-    lam = in_order(n_p)
-    x = x.reshape(1) if x.size == 1 else in_order(x)  # one x serves every suffix as it is
-    top = int(flat_n.max(initial=1))
-    # at[k] is the first element with N >= k: N == k is the segment at[k]:at[k+1]
-    at = np.searchsorted(flat_n, np.arange(top + 3)).tolist()
-    size = flat_n.size
-    first, last, head = np.empty(size), np.empty(size), np.zeros(size)
-    mass, scaled, identity = np.empty(size), np.empty(size), np.empty(size)
-    exponent = np.empty(x.size)
-    on = None
+    columns = np.broadcast(n_p, x).shape
+    shape = np.broadcast(big_n, n_p, x).shape or (1,)
+    lam = _spread(n_p, columns)
+    x = x.reshape(1) if x.size == 1 else _spread(x, columns)
+    n = _spread(big_n, shape)
+    column = _spread(np.arange(lam.size).reshape(columns), shape)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        for m, p in enumerate(_poisson_walk(lam, at[: top + 1])):
-            # p covers the elements with N >= m; those with N == m leave here
-            leaving = at[m + 1] - at[m]
-            if leaving:
-                first[at[m] : at[m + 1]] = p[:leaving]
-                p = p[leaving:]
-            if m == top:
-                break
-            if on != at[m + 1]:
-                on = at[m + 1]
-                run_mass, run_scaled, run_identity = mass[on:], scaled[on:], identity[on:]
-                xs = x if x.size == 1 else x[on:]
-                powers = exponent[: xs.size]
-            # x^-m with an exponent array: numpy evaluates a scalar exponent
-            # -1 as a reciprocal, rounded differently from its power loop.
-            powers.fill(-float(m))
-            term = p * np.power(xs, powers)
-            if m == 0:
-                run_mass[...], run_scaled[...] = p, term
-                np.multiply(xs, p, out=run_identity)
-            else:
-                run_mass += p
-                run_scaled += term
-                run_identity += p
-                run_identity *= xs
-            # N == m + 1 takes p_p(N - 1); N == m + 2 the sum without its last term
-            end, after = at[m + 2], at[m + 3]
-            if end > on:
-                last[on:end] = p[: end - on]
-            if after > end:
-                head[end:after] = scaled[end:after]
+        first, last, mass, scaled, head, identity = _table_reads(n, column, lam, x)
         np.minimum(mass, 1.0, out=mass)
         upper = mass >= 0.5
         poisson = np.subtract(1.0, mass, out=mass)
         if upper.any():
-            poisson[upper] = _upper_poisson_tail(lam[upper], first[upper], flat_n[upper])
+            poisson[upper] = _upper_poisson_tail(lam[column[upper]], first[upper], n[upper])
         tail = np.minimum(poisson + identity, 1.0)
-
-    outputs = []
-    for a in (tail, poisson, scaled, last, head):
-        if order is not None:
-            a, walked = np.empty(size), a
-            a[order] = walked
-        outputs.append(a.reshape(shape))
-    return tuple(outputs)
+    return tuple(a.reshape(shape) for a in (tail, poisson, scaled, last, head))
 
 
-def _poisson_walk(n_p: np.ndarray, starts: list[int]) -> Iterator[np.ndarray]:
-    """p_p(m) for m = 0, 1, ..., len(starts) - 1, over the means n_p[starts[m]:].
+def _table_reads(n: np.ndarray, column: np.ndarray, lam: np.ndarray, x: np.ndarray) -> list[np.ndarray]:
+    """(p_p(N), p_p(N - 1), mass, scaled, head, identity) of element i, at N = n[i].
 
-    The regimes of :func:`poisson_pmf`: the recurrence p(m) = p(m-1) mean / m
-    while mean and m are at most _RECURRENCE_CUTOFF, log space beyond.
-    ``starts`` must not decrease: each step walks the suffix the last one
-    left, in place, and yields a view that the next step overwrites.
+    Element i reads column column[i].  Rows 2, 3, ... of a table block hold
+    m = start, start + 1, ..., rows 0 and 1 the two before; a row's planes
+    are p_p(m) and the mass, scaled and identity sums through m.
     """
-    large = (n_p > _RECURRENCE_CUTOFF).nonzero()[0]
-    if large.size:
-        large_from = np.searchsorted(large, starts).tolist()
-        large_mean = n_p[large]
-        log_large = np.log(large_mean)
-    # the recurrence of a large mean is never read: its cell holds the log-space term
-    recurrence = np.exp(-n_p)
-    log_mean = start = None
-    for m, s in enumerate(starts):
-        if s != start:
-            start, live, walking = s, n_p[s:], recurrence[s:]
-        if m > _RECURRENCE_CUTOFF:
-            if log_mean is None:
-                log_mean, log_start = np.log(live), start
-            yield np.exp(m * log_mean[start - log_start :] - live - math.lgamma(m + 1.0))
+    width = lam.size
+    top = int(n.max(initial=1))
+    rows = max(1, min(top + 1, _TABLE_BLOCK // max(width, 1) - 2))
+    blocks = -(-(top + 1) // rows)
+    table = np.zeros((rows + 2, 4, width))
+    at = n * (4 * width) + column
+    large = lam > _RECURRENCE_CUTOFF
+    if top > _RECURRENCE_CUTOFF or large.any():
+        log_lam = np.log(lam)
+        log_gamma = np.array([math.lgamma(v + 1.0) for v in range(top + 1)])[:, None]
+    owner = n // rows if blocks > 1 else None
+    if owner is not None:
+        reads = [np.empty(n.size) for _ in range(6)]
+    for block in range(blocks):
+        start = block * rows
+        count = min(rows, top + 1 - start)
+        if block:
+            table[:2] = table[rows:]
+        m = np.arange(start, start + count, dtype=float)[:, None]
+        cells = table[2 : 2 + count]
+        p = cells[:, 0]
+        recurring = max(0, min(count, _RECURRENCE_CUTOFF + 1 - start))
+        if recurring:
+            # p(m) = p(m - 1) mean / m, from e^-mean or the row before the block
+            np.divide(lam, m[:recurring], out=p[:recurring])
+            p[0] = p[0] * table[1, 0] if start else np.exp(-lam)
+            if 32 * recurring > width:
+                np.multiply.accumulate(p[:recurring], axis=0, out=p[:recurring])
+            else:  # numpy accumulates column by column, slowly for a short wide table
+                for row in range(1, recurring):
+                    p[row] *= p[row - 1]
+        if count > recurring or large.any():
+            # log p(m) = m log(mean) - mean - log(m!) where mean or m exceeds the cutoff
+            logged = True if not recurring else large if recurring == count else (m > _RECURRENCE_CUTOFF) | large
+            log_p = np.multiply(m, log_lam)
+            log_p -= lam
+            log_p -= log_gamma[start : start + count]
+            # exp is 0 below -745.14 but slow to underflow there: those cells keep a set 0
+            np.copyto(p, 0.0, where=logged)
+            np.exp(log_p, out=p, where=(log_p >= -746.0) & logged)
+        # x^-m from base and exponent arrays of one shape: numpy takes a broadcast
+        # exponent -1 as a reciprocal, rounded differently from its power loop.
+        cells[:, 1::2] = p[:, None]
+        np.multiply(p, np.power(np.full((count, x.size), x), np.full((count, x.size), -m)), out=cells[:, 2])
+        for row in range(2, 2 + min(count, top - start)):  # no threshold reads row max(N)'s sums
+            sums = table[row, 1:]
+            np.add(table[row - 1, 1:], sums, out=sums)
+            np.multiply(sums[2], x, out=sums[2])
+        # p_p(N), p_p(N - 1), the sums through row N - 1 and the scaled sum
+        # through row N - 2, at these shifts (in planes of width) from p_p(N - 2)
+        reading = slice(None) if owner is None else (owner == block).nonzero()[0]
+        if owner is not None and not reading.size:
             continue
-        if m:
-            walking *= live / m
-        if large.size:
-            k = large_from[m]
-            recurrence[large[k:]] = np.exp(m * log_large[k:] - large_mean[k:] - math.lgamma(m + 1.0))
-        yield walking
+        here = at[reading] - 4 * start * width if start else at[reading]
+        values = [table.ravel()[shift * width :].take(here) for shift in (8, 4, 5, 6, 2, 7)]
+        if owner is None:
+            return values
+        for read, value in zip(reads, values):
+            read[reading] = value
+    return reads
 
 
-# Upward-tail terms per pass.  While more than _TAIL_BLOCK // _TAIL_STEPS
-# elements are live, a pass steps _TAIL_STEPS terms one at a time over them;
-# fewer elements take a (elements x terms) block of at most _TAIL_BLOCK
-# entries and _TAIL_MAX_STEPS terms.
-_TAIL_STEPS, _TAIL_BLOCK, _TAIL_MAX_STEPS = 4, 4096, 64
+def _spread(a: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
+    """``a`` broadcast to ``shape``, as a flat array in C order."""
+    if a.shape == shape:
+        return a.ravel()
+    spread = np.empty(shape, a.dtype)
+    spread[...] = a
+    return spread.ravel()
+
+
+# Upward-tail terms per pass.  While more than _TAIL_STEPPED elements are
+# live, a pass steps _TAIL_STEPS terms one at a time over them; fewer
+# elements take a (elements x terms) block of at most _TAIL_BLOCK entries
+# and _TAIL_MAX_STEPS terms.
+_TAIL_STEPPED, _TAIL_STEPS, _TAIL_BLOCK, _TAIL_MAX_STEPS = 256, 4, 4096, 64
 
 
 def _upper_poisson_tail(lam: np.ndarray, first: np.ndarray, start: np.ndarray) -> np.ndarray:
@@ -360,7 +353,7 @@ def _upper_poisson_tail(lam: np.ndarray, first: np.ndarray, start: np.ndarray) -
     lam, term, count = lam[live], first[live], start[live].astype(float)
     partial = term.copy()
     while live.size:
-        if live.size > _TAIL_BLOCK // _TAIL_STEPS:
+        if live.size > _TAIL_STEPPED:
             ratio = np.empty(live.size)
             for _ in range(_TAIL_STEPS):
                 count += 1.0
@@ -439,9 +432,13 @@ def _check_count(n: int) -> int:
 
 def _check_thresholds(threshold_n: ArrayLike) -> np.ndarray:
     values = np.asarray(threshold_n)
-    with np.errstate(invalid="ignore"):
-        ints = values.astype(np.int64)
-    bad = (ints != values) | (ints < 1)
+    if values.dtype.kind in "iu":
+        ints = values.astype(np.int64, copy=False)
+        bad = ints < 1
+    else:
+        with np.errstate(invalid="ignore"):
+            ints = values.astype(np.int64)
+        bad = (ints != values) | (ints < 1)
     if bad.any():
         raise ValueError(f"threshold must be a positive integer, got {values[bad].ravel()[0].item()!r}")
     return ints

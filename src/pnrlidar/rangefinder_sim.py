@@ -87,10 +87,6 @@ class SimConfig:
             raise ValueError("thresholds must be >= 1")
 
     @property
-    def target_map(self) -> dict[int, float]:
-        return dict(self.targets)
-
-    @property
     def noise_bins(self) -> tuple[int, ...]:
         occupied = {b for b, _ in self.targets}
         return tuple(b for b in range(self.num_bins) if b not in occupied)

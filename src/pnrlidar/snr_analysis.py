@@ -23,9 +23,11 @@ which has the sign of d(ratio)/d(n_p): one scan brackets it, and Newton
 steps on rise and its analytic slope refine it.
 
 Every value comes from one array evaluation over whole grids
-(:func:`pnrlidar.photon_stats.mixed_tail_terms`), in which the threshold N
-is an array axis like n_p and n_th: a sweep over every threshold is one
-call, and the optimum searches of all thresholds run in lockstep.  The
+(:func:`pnrlidar.photon_stats.mixed_tail_terms`), which tabulates the
+Poisson terms and running sums once per (n_p, n_th) point, with the term
+index as the row, and reads each threshold N from its rows: a sweep over
+every threshold is one call, and the optimum searches of all thresholds
+run in lockstep.  The
 scalar functions evaluate a grid of one point, and give the bits of the
 matching array element.  Zero thermal noise is a domain error
 throughout: the intensity SNR divides by n_th, and the daylight regime this

@@ -1,6 +1,7 @@
 """Distribution-level checks: recurrences vs defining sums, tails, the sampler."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -21,7 +22,7 @@ from pnrlidar.photon_stats import (
     thermal_pmf,
     thermal_tail,
 )
-from pnrlidar.photon_stats import _TAIL_BLOCK, _TAIL_STEPS, _overflow_weights
+from pnrlidar.photon_stats import _TAIL_STEPPED, _overflow_weights
 
 MEAN_GRID = (0.0, 0.5, 1.0, 3.0, 10.0)
 
@@ -291,11 +292,37 @@ class TestMixedTailTerms:
         big_n = np.arange(2, 21)[:, None]
         signal = np.array([1e-160, *np.geomspace(0.01, 100.0, 200).tolist(), 1e-160])
         arrays = mixed_tail_terms(big_n, signal, 0.5)
-        assert np.count_nonzero(stats.poisson.cdf(big_n - 1, signal) >= 0.5) > 2 * (_TAIL_BLOCK // _TAIL_STEPS)
+        assert np.count_nonzero(stats.poisson.cdf(big_n - 1, signal) >= 0.5) > 2 * _TAIL_STEPPED
         for i, n in enumerate(big_n.ravel().tolist()):
             singles = [mixed_tail_terms(n, n_p, 0.5) for n_p in signal.tolist()]
             for array, single in zip(arrays, zip(*singles)):
                 assert array[i].tolist() == np.concatenate(single).tolist()
+
+    @pytest.mark.parametrize("big_n", [2, 3])
+    def test_per_element_thermal_ratios_match_one_element_calls(self, big_n):
+        # the boundary bisection's shape: one threshold, one x per element,
+        # more x values than a vector register holds; x^-1 from a broadcast
+        # exponent would round differently from numpy's power loop
+        n_th = np.geomspace(0.2, 40.0, 64)
+        x = n_th / (n_th + 1.0)
+        signal = np.geomspace(1e-3, 60.0, 64)
+        arrays = mixed_tail_terms(big_n, signal, x)
+        for i in range(signal.size):
+            single = np.concatenate(mixed_tail_terms(big_n, signal[i], x[i]))
+            got = np.array([a[i] for a in arrays])
+            assert got.view(np.int64).tolist() == single.view(np.int64).tolist()
+
+    def test_deep_threshold_memory_is_bounded(self):
+        # the table is walked in blocks of rows, so a deep threshold on a wide
+        # grid holds a few blocks, not (N + 1) x 2000 table entries (95 MB)
+        signal = np.geomspace(0.01, 100.0, 2000)
+        tracemalloc.start()
+        try:
+            mixed_tail_terms(2000, signal, 0.5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2e6
 
     @settings(max_examples=60)
     @given(st.data())

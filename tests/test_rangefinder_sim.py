@@ -166,7 +166,7 @@ class TestRunSimulation:
         reps = 10**8
         config = four_target_config(repetitions=reps, seed=7)
         result = run_simulation(config)
-        targets = config.target_map
+        targets = dict(config.targets)
         z = []
         for b in range(config.num_bins):
             params = SourceParams(targets.get(b, 0.0), config.noise_mean)
