@@ -50,6 +50,14 @@ __all__ = [
 _RECURRENCE_CUTOFF = 30
 # Table cells (rows x columns) per block of mixed_tail_terms' walk.
 _TABLE_BLOCK = 24576
+# The Poisson recurrence runs down a block's rows by np.multiply.accumulate,
+# or by a loop over the rows where a row is at least _ROW_LOOP_ASPECT times
+# as wide as the block is deep.  numpy accumulates column by column: on a
+# Xeon core with numpy 2.4 a 3 x 300 recurrence took 6.3 us that way and
+# 1.9 us by rows, a 31 x 2000 one 237 us against 41, but a 21 x 19 one
+# 2.5 us against 17; accumulating every table made boundary_map, whose
+# scans are a few rows over 300 columns, about 20% slower.
+_ROW_LOOP_ASPECT = 32
 
 
 class PmfTruncationError(RuntimeError):
@@ -249,27 +257,23 @@ def mixed_tail_terms(
 def _table_reads(n: np.ndarray, column: np.ndarray, lam: np.ndarray, x: np.ndarray) -> list[np.ndarray]:
     """(p_p(N), p_p(N - 1), mass, scaled, head, identity) of element i, at N = n[i].
 
-    Element i reads column column[i].  Rows 2, 3, ... of a table block hold
-    m = start, start + 1, ..., rows 0 and 1 the two before; a row's planes
-    are p_p(m) and the mass, scaled and identity sums through m.
+    Element i reads column column[i], in the block that holds its row N.
+    Rows 2, 3, ... of a table block hold m = start, start + 1, ..., rows 0
+    and 1 the two before; a row's planes are p_p(m) and the mass, scaled
+    and identity sums through m.
     """
     width = lam.size
     top = int(n.max(initial=1))
     rows = max(1, min(top + 1, _TABLE_BLOCK // max(width, 1) - 2))
-    blocks = -(-(top + 1) // rows)
     table = np.zeros((rows + 2, 4, width))
+    owner = n // rows
     at = n * (4 * width) + column
     large = lam > _RECURRENCE_CUTOFF
-    if top > _RECURRENCE_CUTOFF or large.any():
-        log_lam = np.log(lam)
-        log_gamma = np.array([math.lgamma(v + 1.0) for v in range(top + 1)])[:, None]
-    owner = n // rows if blocks > 1 else None
-    if owner is not None:
-        reads = [np.empty(n.size) for _ in range(6)]
-    for block in range(blocks):
-        start = block * rows
+    log_lam = np.log(lam)
+    reads = [np.empty(n.size) for _ in range(6)]
+    for start in range(0, top + 1, rows):
         count = min(rows, top + 1 - start)
-        if block:
+        if start:
             table[:2] = table[rows:]
         m = np.arange(start, start + count, dtype=float)[:, None]
         cells = table[2 : 2 + count]
@@ -279,9 +283,9 @@ def _table_reads(n: np.ndarray, column: np.ndarray, lam: np.ndarray, x: np.ndarr
             # p(m) = p(m - 1) mean / m, from e^-mean or the row before the block
             np.divide(lam, m[:recurring], out=p[:recurring])
             p[0] = p[0] * table[1, 0] if start else np.exp(-lam)
-            if 32 * recurring > width:
+            if _ROW_LOOP_ASPECT * recurring > width:
                 np.multiply.accumulate(p[:recurring], axis=0, out=p[:recurring])
-            else:  # numpy accumulates column by column, slowly for a short wide table
+            else:
                 for row in range(1, recurring):
                     p[row] *= p[row - 1]
         if count > recurring or large.any():
@@ -289,7 +293,7 @@ def _table_reads(n: np.ndarray, column: np.ndarray, lam: np.ndarray, x: np.ndarr
             logged = True if not recurring else large if recurring == count else (m > _RECURRENCE_CUTOFF) | large
             log_p = np.multiply(m, log_lam)
             log_p -= lam
-            log_p -= log_gamma[start : start + count]
+            log_p -= np.array([math.lgamma(v + 1.0) for v in range(start, start + count)])[:, None]
             # exp is 0 below -745.14 but slow to underflow there: those cells keep a set 0
             np.copyto(p, 0.0, where=logged)
             np.exp(log_p, out=p, where=(log_p >= -746.0) & logged)
@@ -303,15 +307,10 @@ def _table_reads(n: np.ndarray, column: np.ndarray, lam: np.ndarray, x: np.ndarr
             np.multiply(sums[2], x, out=sums[2])
         # p_p(N), p_p(N - 1), the sums through row N - 1 and the scaled sum
         # through row N - 2, at these shifts (in planes of width) from p_p(N - 2)
-        reading = slice(None) if owner is None else (owner == block).nonzero()[0]
-        if owner is not None and not reading.size:
-            continue
-        here = at[reading] - 4 * start * width if start else at[reading]
-        values = [table.ravel()[shift * width :].take(here) for shift in (8, 4, 5, 6, 2, 7)]
-        if owner is None:
-            return values
-        for read, value in zip(reads, values):
-            read[reading] = value
+        reading = (owner == start // rows).nonzero()[0]
+        here = at[reading] - 4 * start * width
+        for read, shift in zip(reads, (8, 4, 5, 6, 2, 7)):
+            read[reading] = table.ravel()[shift * width :].take(here)
     return reads
 
 
@@ -432,13 +431,9 @@ def _check_count(n: int) -> int:
 
 def _check_thresholds(threshold_n: ArrayLike) -> np.ndarray:
     values = np.asarray(threshold_n)
-    if values.dtype.kind in "iu":
-        ints = values.astype(np.int64, copy=False)
-        bad = ints < 1
-    else:
-        with np.errstate(invalid="ignore"):
-            ints = values.astype(np.int64)
-        bad = (ints != values) | (ints < 1)
+    with np.errstate(invalid="ignore"):
+        ints = values.astype(np.int64)
+    bad = (ints != values) | (ints < 1)
     if bad.any():
         raise ValueError(f"threshold must be a positive integer, got {values[bad].ravel()[0].item()!r}")
     return ints

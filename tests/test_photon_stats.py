@@ -1,7 +1,9 @@
 """Distribution-level checks: recurrences vs defining sums, tails, the sampler."""
 
+import json
 import math
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -311,6 +313,21 @@ class TestMixedTailTerms:
             single = np.concatenate(mixed_tail_terms(big_n, signal[i], x[i]))
             got = np.array([a[i] for a in arrays])
             assert got.view(np.int64).tolist() == single.view(np.int64).tolist()
+
+    def test_bits_match_recorded_reference(self):
+        # stored bits, not a second call of the same kernel: a change that
+        # moves an array and its one-element calls alike fails here.  The
+        # cases hold elements whose x^-1 a broadcast exponent rounds
+        # differently, means 0, 1e-160, 30, 31 and e^9, and a table of
+        # several row blocks.  The bits come from numpy's float64 loops: the
+        # file names the numpy version and machine that recorded them.
+        reference = json.loads((Path(__file__).parent / "data" / "mixed_tail_reference.json").read_text())
+        floats = lambda hexes: np.array([float.fromhex(h) for h in hexes])
+        for case in reference["cases"]:
+            arrays = mixed_tail_terms(np.array(case["threshold_n"])[:, None], floats(case["n_p"]), floats(case["x"]))
+            for name, array in zip(("tail", "poisson", "scaled", "last", "head"), arrays):
+                got = array.ravel()[case["elements"]]
+                assert got.view(np.int64).tolist() == floats(case["outputs"][name]).view(np.int64).tolist(), name
 
     def test_deep_threshold_memory_is_bounded(self):
         # the table is walked in blocks of rows, so a deep threshold on a wide
