@@ -14,6 +14,10 @@ so a PMF table to n_max costs O(n_max).  One time bin is treated as one
 mode per repetition, so a single (n_p, n_th) pair fully describes a
 detection slot.
 
+The Poisson terms p_p(m) of every table (the SNR kernel's, :func:`build_pmf`'s
+and the sampler's overflow weights) are rows of one block function,
+``_poisson_rows``; :func:`poisson_pmf` is their scalar reference.
+
 Also provided: tail probabilities above a photon-number threshold, truncated
 PMF construction, and a seeded sampler that draws the photon-count histogram
 of many independent repetitions at once: one multinomial over a PMF table,
@@ -22,6 +26,7 @@ from a generator keyed by (seed, key), for each of a sequence of keys.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -48,7 +53,7 @@ __all__ = [
 
 # Direct-recurrence regime bound for Poisson terms.
 _RECURRENCE_CUTOFF = 30
-# Table cells (rows x columns) per block of mixed_tail_terms' walk.
+# Table cells (rows x columns) per block of a walk down a table's rows.
 _TABLE_BLOCK = 24576
 # The Poisson recurrence runs down a block's rows by np.multiply.accumulate,
 # or by a loop over the rows where a row is at least _ROW_LOOP_ASPECT times
@@ -121,7 +126,9 @@ def poisson_pmf(n: int, n_p_mean: float) -> float:
 
     Uses the recurrence p(n) = p(n-1) * mean / n in the small regime and
     log-space evaluation once mean or n exceeds 30, so large arguments
-    neither overflow nor lose the leading digits.
+    neither overflow nor lose the leading digits.  The scalar reference for
+    the tables' rows, which take the same steps with numpy's exp and log:
+    they agree within 1e-13 relative, not bit for bit.
     """
     n = _check_count(n)
     n_p_mean = _check_mean(n_p_mean, "n_p_mean")
@@ -139,32 +146,11 @@ def mixed_pmf(n: int, params: SourceParams) -> float:
     """Probability of n photons from coherent plus thermal light.
 
     The n-th term of the recurrence p(n) = x p(n-1) + (1-x) p_poisson(n),
-    the same pass that :func:`build_pmf` tabulates.  The x == 0 and
+    read from the table :func:`build_pmf` makes to n.  The x == 0 and
     n_p == 0 limits are the pure Poisson and pure thermal laws.
     """
     n = _check_count(n)
-    return next(itertools.islice(_terms(SourceKind.MIXED, params), n, None))
-
-
-def _terms(kind: SourceKind, params: SourceParams) -> Iterator[float]:
-    """p(0), p(1), ... of one law, each term in O(1)."""
-    if kind is SourceKind.MIXED and params.x == 0.0:
-        kind = SourceKind.POISSON
-    elif kind is SourceKind.MIXED and params.n_p_mean == 0.0:
-        kind = SourceKind.THERMAL
-    if kind is SourceKind.THERMAL:
-        return (thermal_pmf(n, params.n_th_mean) for n in itertools.count())
-    if kind is SourceKind.POISSON:
-        return (poisson_pmf(n, params.n_p_mean) for n in itertools.count())
-    return _mixed_terms(params)
-
-
-def _mixed_terms(params: SourceParams) -> Iterator[float]:
-    x, n_p = params.x, params.n_p_mean
-    q = 0.0
-    for n in itertools.count():
-        q = x * q + (1.0 - x) * poisson_pmf(n, n_p)
-        yield q
+    return build_pmf(SourceKind.MIXED, params, n_max=n).probs[n]
 
 
 def thermal_tail(threshold_n: int, n_th_mean: float) -> float:
@@ -213,10 +199,10 @@ def mixed_tail_terms(
 
     The terms sit in a table whose columns are the elements of the
     broadcast of ``n_p`` and ``x`` and whose rows are m = 0, 1, ..., max(N):
-    p_p(m), in the regimes of :func:`poisson_pmf`, and the running mass,
-    scaled and identity sums, the last by the Horner recurrence
-    s <- x (s + p_p(m)).  An element with threshold N reads rows N - 2 to N
-    of its own column, so thresholds on one grid share its terms.  The rows
+    p_p(m) from ``_poisson_rows``, and the running mass, scaled and identity
+    sums, the last by the Horner recurrence s <- x (s + p_p(m)).  An element
+    with threshold N reads rows N - 2 to N of its own column, so thresholds
+    on one grid share its terms.  The rows
     are walked in blocks of _TABLE_BLOCK cells, each starting from the last
     two rows of the one before, so memory stays in proportion to the
     elements.  The Poisson tail sums whichever side of N carries less mass:
@@ -268,8 +254,6 @@ def _table_reads(n: np.ndarray, column: np.ndarray, lam: np.ndarray, x: np.ndarr
     table = np.zeros((rows + 2, 4, width))
     owner = n // rows
     at = n * (4 * width) + column
-    large = lam > _RECURRENCE_CUTOFF
-    log_lam = np.log(lam)
     reads = [np.empty(n.size) for _ in range(6)]
     for start in range(0, top + 1, rows):
         count = min(rows, top + 1 - start)
@@ -277,26 +261,7 @@ def _table_reads(n: np.ndarray, column: np.ndarray, lam: np.ndarray, x: np.ndarr
             table[:2] = table[rows:]
         m = np.arange(start, start + count, dtype=float)[:, None]
         cells = table[2 : 2 + count]
-        p = cells[:, 0]
-        recurring = max(0, min(count, _RECURRENCE_CUTOFF + 1 - start))
-        if recurring:
-            # p(m) = p(m - 1) mean / m, from e^-mean or the row before the block
-            np.divide(lam, m[:recurring], out=p[:recurring])
-            p[0] = p[0] * table[1, 0] if start else np.exp(-lam)
-            if _ROW_LOOP_ASPECT * recurring > width:
-                np.multiply.accumulate(p[:recurring], axis=0, out=p[:recurring])
-            else:
-                for row in range(1, recurring):
-                    p[row] *= p[row - 1]
-        if count > recurring or large.any():
-            # log p(m) = m log(mean) - mean - log(m!) where mean or m exceeds the cutoff
-            logged = True if not recurring else large if recurring == count else (m > _RECURRENCE_CUTOFF) | large
-            log_p = np.multiply(m, log_lam)
-            log_p -= lam
-            log_p -= np.array([math.lgamma(v + 1.0) for v in range(start, start + count)])[:, None]
-            # exp is 0 below -745.14 but slow to underflow there: those cells keep a set 0
-            np.copyto(p, 0.0, where=logged)
-            np.exp(log_p, out=p, where=(log_p >= -746.0) & logged)
+        p = _poisson_rows(cells[:, 0], lam, start, table[1, 0])
         # x^-m from base and exponent arrays of one shape: numpy takes a broadcast
         # exponent -1 as a reciprocal, rounded differently from its power loop.
         cells[:, 1::2] = p[:, None]
@@ -312,6 +277,52 @@ def _table_reads(n: np.ndarray, column: np.ndarray, lam: np.ndarray, x: np.ndarr
         for read, shift in zip(reads, (8, 4, 5, 6, 2, 7)):
             read[reading] = table.ravel()[shift * width :].take(here)
     return reads
+
+
+def _poisson_rows(p: np.ndarray, lam: np.ndarray, start: int, before: np.ndarray | None = None) -> np.ndarray:
+    """Fill p (rows x means) with p_p(m) of the means ``lam`` at m = start, start + 1, ...
+
+    In :func:`poisson_pmf`'s regimes: while m and the mean are at most 30,
+    p(m) = p(m - 1) mean / m in order from e^-mean or from ``before`` (row
+    start - 1); elsewhere log space, set to 0 below e^-746.  A cell's bits
+    depend on its mean and row alone.  Run under np.errstate that ignores
+    divide, over and invalid.
+    """
+    count, width = p.shape
+    m = np.arange(start, start + count, dtype=float)[:, None]
+    large = lam > _RECURRENCE_CUTOFF
+    recurring = max(0, min(count, _RECURRENCE_CUTOFF + 1 - start))
+    if recurring:
+        np.divide(lam, m[:recurring], out=p[:recurring])
+        p[0] = p[0] * before if start else np.exp(-lam)
+        if _ROW_LOOP_ASPECT * recurring > width:
+            np.multiply.accumulate(p[:recurring], axis=0, out=p[:recurring])
+        else:
+            for row in range(1, recurring):
+                p[row] *= p[row - 1]
+    if count > recurring or large.any():
+        # log p(m) = m log(mean) - mean - log(m!) where mean or m exceeds the cutoff
+        logged = True if not recurring else large if recurring == count else (m > _RECURRENCE_CUTOFF) | large
+        log_p = np.multiply(m, np.log(lam))
+        log_p -= lam
+        log_p -= np.fromiter(map(math.lgamma, range(start + 1, start + count + 1)), float, count)[:, None]
+        # exp is 0 below -745.14 but slow to underflow there: those cells keep a set 0
+        np.copyto(p, 0.0, where=logged)
+        np.exp(log_p, out=p, where=(log_p >= -746.0) & logged)
+    return p
+
+
+def _poisson_column(n_p: float, start: int, stop: float, rows: int) -> Iterator[list[float]]:
+    """p_p(m) of one mean for m = start .. stop - 1 (stop may be math.inf), in
+    blocks of ``rows`` rows and then twice as many each time, up to _TABLE_BLOCK."""
+    lam, before = np.array([float(n_p)]), None
+    row = 0 if start <= _RECURRENCE_CUTOFF else start  # the recurrence runs from row 0
+    rows = min(rows + start - row, _TABLE_BLOCK, stop - row)
+    while rows > 0:
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            p = _poisson_rows(np.empty((rows, 1)), lam, row, before)
+        yield p[max(start - row, 0) :, 0].tolist()
+        row, before, rows = row + rows, p[-1], min(2 * rows, _TABLE_BLOCK, stop - row - rows)
 
 
 def _spread(a: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -382,39 +393,44 @@ def build_pmf(
     """Tabulate a PMF out to a fixed n_max, or else to the smallest n_max
     whose residual <= tolerance.
 
-    The residual is the mass beyond n_max: x^(n_max+1) for thermal light,
-    1 - sum(probs) (at least 0) otherwise.  Without a fixed n_max the bound
-    is capped at 10 * (n_p + n_th) + 200; hitting the cap raises
+    Every kind runs p(n) = x p(n-1) + (1 - x) p_p(n) in order over blocks of
+    rows of ``_poisson_rows`` (thermal light has n_p = 0, Poisson light
+    x = 0).  The residual is the mass beyond n_max: x^(n_max+1) for thermal
+    light, 1 - sum(probs) (at least 0) otherwise.  Without a fixed n_max the
+    bound is capped at 10 * (n_p + n_th) + 200; hitting the cap raises
     :class:`PmfTruncationError` rather than returning a PMF that silently
     misses mass.
     """
     tolerance = float(tolerance)
     if not 0.0 < tolerance < 1.0:
         raise ValueError(f"tolerance must be in (0, 1), got {tolerance!r}")
+    if n_max is not None and (n_max != int(n_max) or n_max < 0):
+        raise ValueError(f"n_max must be a nonnegative integer, got {n_max!r}")
     kind = SourceKind(kind)
-    terms = _terms(kind, params)
-    if n_max is not None:
-        if n_max != int(n_max) or n_max < 0:
-            raise ValueError(f"n_max must be a nonnegative integer, got {n_max!r}")
-        probs = list(itertools.islice(terms, int(n_max) + 1))
-        return PhotonPmf(kind, params, tuple(probs), int(n_max), _residual(kind, params, probs))
-    cap = int(10.0 * (params.n_p_mean + params.n_th_mean)) + 200
-    probs = []
-    running = 0.0
-    for n, p in zip(range(cap + 1), terms):
-        probs.append(p)
-        running += p
-        # The running sum is within n + 1 ulps of the exact one, so fsum (slow
-        # on long lists of wide range) only runs once it may reach tolerance.
-        if kind is not SourceKind.THERMAL and 1.0 - running > tolerance + (n + 1) * 2.3e-16:
-            continue
-        residual = _residual(kind, params, probs)
-        if residual <= tolerance:
-            return PhotonPmf(kind, params, tuple(probs), n, residual)
-    raise PmfTruncationError(
-        f"residual {_residual(kind, params, probs):.3e} still above tolerance {tolerance:.3e} "
-        f"at the hard cap n_max = {cap}"
-    )
+    n_p, x = _law(kind, params)
+    cap = int(10.0 * (params.n_p_mean + params.n_th_mean)) + 200 if n_max is None else int(n_max)
+    probs, sums, q, w = [], [], 0.0, 1.0 - x
+    for block in _poisson_column(n_p, 0, cap + 1, 64 if n_max is None else cap + 1):
+        start = len(probs)
+        probs += [q := x * q + w * p for p in block]  # q runs on from block to block
+        if n_max is None:
+            # Each block's fsum is within half an ulp of its exact sum, so 1 - fsum(sums)
+            # is within about 5e-16 of the residual: the table's fsum (slow on long
+            # tables) runs only where it may reach tolerance, at most once a block.
+            sums.append(math.fsum(probs[start:]))
+            if kind is not SourceKind.THERMAL and 1.0 - math.fsum(sums) > tolerance + 1e-15:
+                continue
+            if _residual(kind, params, probs) <= tolerance:
+                # the residual only falls as rows are added: keep the first that reaches tolerance
+                reached = lambda n: _residual(kind, params, probs[: n + 1]) <= tolerance
+                del probs[bisect.bisect_left(range(len(probs)), True, lo=start, key=reached) + 1 :]
+                break
+    residual = _residual(kind, params, probs)
+    if n_max is None and residual > tolerance:
+        raise PmfTruncationError(
+            f"residual {residual:.3e} still above tolerance {tolerance:.3e} at the hard cap n_max = {cap}"
+        )
+    return PhotonPmf(kind, params, tuple(probs), len(probs) - 1, residual)
 
 
 def _residual(kind: SourceKind, params: SourceParams, probs: list[float]) -> float:
@@ -473,7 +489,7 @@ def sample_histogram(
         raise ValueError(f"draws must be a nonnegative integer, got {draws!r}")
     draws, seed = int(draws), int(seed) & _SEED_MASK
     weights, overflow_mass = _overflow_weights(pmf)
-    x, m = _law(pmf)[1], pmf.n_max
+    x, m = _law(pmf.kind, pmf.params)[1], pmf.n_max
     cell_weights, weights = np.append(pmf.probs, overflow_mass), np.asarray(weights)
     for key in keys:
         if key != int(key) or key < 0:
@@ -492,13 +508,13 @@ def sample_histogram(
         yield values, counts
 
 
-def _law(pmf: PhotonPmf) -> tuple[float, float]:
-    """(n_p, x) of the Poisson and geometric parts of a PMF's law."""
-    if pmf.kind is SourceKind.THERMAL:
-        return 0.0, pmf.params.x
-    if pmf.kind is SourceKind.POISSON:
-        return pmf.params.n_p_mean, 0.0
-    return pmf.params.n_p_mean, pmf.params.x
+def _law(kind: SourceKind, params: SourceParams) -> tuple[float, float]:
+    """(n_p, x) of the Poisson and geometric parts of a kind's law."""
+    if kind is SourceKind.THERMAL:
+        return 0.0, params.x
+    if kind is SourceKind.POISSON:
+        return params.n_p_mean, 0.0
+    return params.n_p_mean, params.x
 
 
 def _overflow_weights(pmf: PhotonPmf) -> tuple[list[float], float]:
@@ -510,13 +526,14 @@ def _overflow_weights(pmf: PhotonPmf) -> tuple[list[float], float]:
     short = x p(m) / (1 - x), from the table's last cell.  Given P, the
     count is max(P, m+1) plus a fresh geometric draw, since geometric draws
     are memoryless.  So the base m+1 has weight short + pois(m+1), and the
-    base b > m+1 has pois(b).  Poisson cells are tabulated until they fall
+    base b > m+1 has pois(b).  The Poisson cells are rows of
+    ``_poisson_rows`` from m+1 on, read until a cell past the mean falls
     below 2^-60 of the running total, far below the precision of the
-    weights themselves; that total is the mass beyond the table.  Laws the
-    sampler cannot draw from are refused: x rounding to 1, or a Poisson
-    mean above 1e5.
+    weights themselves; that total, summed a cell at a time, is the mass
+    beyond the table.  Laws the sampler cannot draw from are refused: x
+    rounding to 1, or a Poisson mean above 1e5.
     """
-    n_p, x = _law(pmf)
+    n_p, x = _law(pmf.kind, pmf.params)
     if x == 1.0:
         raise ValueError(f"thermal mean {pmf.params.n_th_mean!r} too large to sample: x rounds to 1")
     if n_p > _MAX_SAMPLED_POISSON_MEAN:
@@ -525,10 +542,12 @@ def _overflow_weights(pmf: PhotonPmf) -> tuple[list[float], float]:
             f"up to {_MAX_SAMPLED_POISSON_MEAN:g}"
         )
     m = pmf.n_max
-    weights = [x * pmf.probs[m] / (1.0 - x) + poisson_pmf(m + 1, n_p)]
+    # the walk ends about 9 standard deviations past the mean: one block to there
+    rows = max(int(n_p + 10.0 * math.sqrt(n_p)) - m, 16)
+    terms = itertools.chain.from_iterable(_poisson_column(n_p, m + 1, math.inf, rows))
+    weights = [x * pmf.probs[m] / (1.0 - x) + next(terms)]
     total = weights[0]
-    for base in itertools.count(m + 2):
-        term = poisson_pmf(base, n_p)
+    for base, term in zip(itertools.count(m + 2), terms):
         if base > n_p and term <= total * 2.0**-60:
             break
         weights.append(term)

@@ -198,7 +198,12 @@ def normalize(raw: np.ndarray, noise_bins: Sequence[int]) -> np.ndarray:
 
 
 def estimate_ratio(result: SimResult, bin_index: int, threshold_n: int) -> RatioEstimate:
-    """Threshold/intensity quotient at a bin, with standard errors."""
+    """Threshold/intensity quotient at a bin, with standard errors.
+
+    Raises ValueError where a standard error would be 0 (one repetition, or
+    every p-hat or count it depends on constant over the repetitions): there
+    the plug-in variance says nothing of the error's size.
+    """
     config = result.config
     if not 0 <= bin_index < config.num_bins:
         raise ValueError(f"bin {bin_index} out of range 0..{config.num_bins - 1}")
@@ -219,6 +224,13 @@ def estimate_ratio(result: SimResult, bin_index: int, threshold_n: int) -> Ratio
         var *= reps / (reps - 1)
     intensity_se = _normalized_se(mean_count, var / reps, bin_index, result.noise_bins)
 
+    for channel, se in (("intensity", intensity_se), ("threshold", threshold_se)):
+        if se == 0.0:
+            raise ValueError(
+                f"cannot estimate the {channel} standard error at bin {bin_index}, threshold {threshold_n}: "
+                f"every count it depends on is the same in all repetitions (R = {reps}), so its plug-in "
+                f"variance is 0; raise repetitions"
+            )
     return RatioEstimate(
         bin_index,
         int(threshold_n),

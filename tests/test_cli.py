@@ -337,6 +337,16 @@ class TestSimulateCommand:
         assert "Traceback" not in captured.err
         assert captured.out == ""
 
+    def test_zero_standard_error_is_an_error(self, capsys):
+        # one repetition leaves every plug-in variance at 0: no error bar to print
+        assert run_cli("simulate", "--config", "paper_fig4", "--repetitions", "1", "--seed", "3") == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith(
+            "pnrlidar: error: cannot estimate the intensity standard error at bin 10, threshold 2:"
+        )
+        assert "Traceback" not in captured.err
+        assert captured.out == ""
+
     def test_missing_config_fails(self, capsys):
         assert run_cli("simulate", "--config", "/nonexistent.cfg") == 1
         assert "not found" in capsys.readouterr().err

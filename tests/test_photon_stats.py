@@ -1,7 +1,10 @@
 """Distribution-level checks: recurrences vs defining sums, tails, the sampler."""
 
+import functools
+import itertools
 import json
 import math
+import operator
 import tracemalloc
 from pathlib import Path
 
@@ -24,7 +27,7 @@ from pnrlidar.photon_stats import (
     thermal_pmf,
     thermal_tail,
 )
-from pnrlidar.photon_stats import _TAIL_STEPPED, _overflow_weights
+from pnrlidar.photon_stats import _TAIL_STEPPED, _overflow_weights, _poisson_rows
 
 MEAN_GRID = (0.0, 0.5, 1.0, 3.0, 10.0)
 
@@ -79,6 +82,35 @@ class TestPoissonPmf:
     def test_domain_error(self):
         with pytest.raises(ValueError):
             poisson_pmf(1, -0.5)
+
+
+class TestPoissonRows:
+    # poisson_pmf is the scalar reference: the rows take np.exp and np.log
+    # where it takes math.exp and math.log, so they agree to about an ulp.
+    MEANS = np.array([0.0, 1e-160, 1.0, 30.0, 31.0, 500.0, 3e4])
+
+    def rows(self, start, count, before=None):
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            return _poisson_rows(np.empty((count, self.MEANS.size)), self.MEANS, start, before)
+
+    def assert_scalar_rows(self, p, start):
+        want = [[poisson_pmf(start + i, mean) for mean in self.MEANS.tolist()] for i in range(len(p))]
+        np.testing.assert_allclose(p, want, rtol=1e-13, atol=0.0)  # a 0 of poisson_pmf is an exact 0
+
+    def test_rows_match_the_scalar_reference(self):
+        self.assert_scalar_rows(self.rows(0, 40), 0)
+        for start in (480, 29_990):
+            self.assert_scalar_rows(self.rows(start, 40), start)
+
+    def test_blocks_continue_the_recurrence(self):
+        # rows 29..32 cross the switch to log space; each block after the
+        # first starts from the row before it, and the bits do not move
+        whole, blocks, start = self.rows(0, 40), [], 0
+        for count in (29, 4, 7):
+            blocks.append(self.rows(start, count, blocks[-1][-1] if blocks else None))
+            start += count
+        self.assert_scalar_rows(blocks[1], 29)
+        assert np.concatenate(blocks).view(np.int64).tolist() == whole.view(np.int64).tolist()
 
 
 class TestMixedPmf:
@@ -172,6 +204,18 @@ class TestBuildPmf:
         # n_th = 10 needs ~362 terms for 1e-15 but the cap allows only 300
         with pytest.raises(PmfTruncationError):
             build_pmf(SourceKind.THERMAL, SourceParams(0.0, 10.0), 1e-15)
+
+    def test_tolerance_walk_sums_each_block_once(self, monkeypatch):
+        # the terms' sum never comes within 1e-15 of 1; an fsum of the whole
+        # table at each row past the running sum's slack made 8956 calls
+        calls = []
+        monkeypatch.setattr(math, "fsum", lambda values, fsum=math.fsum: calls.append(1) or fsum(values))
+        with pytest.raises(PmfTruncationError) as refusal:
+            build_pmf(SourceKind.POISSON, SourceParams(1000.0, 0.0), 1e-15)
+        assert str(refusal.value) == (
+            "residual 2.508e-13 still above tolerance 1.000e-15 at the hard cap n_max = 10200"
+        )
+        assert len(calls) <= 64
 
 
 class TestTails:
@@ -502,6 +546,39 @@ class TestSampling:
                     )
                     mass = _overflow_weights(pmf)[1]
                     np.testing.assert_allclose(mass, oracle, rtol=1e-12, atol=0.0, err_msg=str(pmf.params))
+
+    @pytest.mark.parametrize("n_p,n_max", [(50.0, 20), (500.0, 700), (3e4, 16383)])
+    def test_overflow_weights_match_the_scalar_walk(self, n_p, n_max):
+        # the walk with poisson_pmf's cells: the geometric share plus pois(m+1),
+        # then pois(b) until a cell past the mean is below 2^-60 of the total
+        pmf = build_pmf(SourceKind.MIXED, SourceParams(n_p, 1.0), n_max=n_max)
+        x = pmf.params.x
+        want = [x * pmf.probs[n_max] / (1.0 - x) + poisson_pmf(n_max + 1, n_p)]
+        running = want[0]
+        for base in itertools.count(n_max + 2):
+            term = poisson_pmf(base, n_p)
+            if base > n_p and term <= running * 2.0**-60:
+                break
+            want.append(term)
+            running += term
+        weights, total = _overflow_weights(pmf)
+        assert len(weights) == len(want)
+        np.testing.assert_allclose(weights, want, rtol=1e-13, atol=0.0)
+        assert total == functools.reduce(operator.add, weights)  # one cell at a time, in order
+
+    def test_tables_match_recorded_reference(self):
+        # stored bits of the sampler's tables and overflow weights: the
+        # rangefinder's fig-4 and strong-target laws and a tolerance-mode
+        # table per kind; a change to the Poisson rows or the recurrence moves them
+        reference = json.loads((Path(__file__).parent / "data" / "sampler_tables_reference.json").read_text())
+        for law in reference["laws"]:
+            pmf = build_pmf(SourceKind(law["kind"]), SourceParams(law["n_p"], law["n_th"]), **law["args"])
+            weights, total = _overflow_weights(pmf)
+            assert pmf.n_max == law["n_max"], law["args"]
+            got = {"residual": pmf.residual.hex(), "probs": [p.hex() for p in pmf.probs],
+                   "weights": [w.hex() for w in weights], "total": total.hex()}
+            for name, value in got.items():
+                assert value == law[name], (law["kind"], law["n_p"], law["n_th"], name)
 
     def test_negative_seed_is_reproducible(self):
         pmf = build_pmf(SourceKind.MIXED, SourceParams(1.0, 1.0))
