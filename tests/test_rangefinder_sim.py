@@ -1,6 +1,8 @@
 """Simulator checks: config validation, determinism, normalization, statistics."""
 
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -81,6 +83,18 @@ class TestRunSimulation:
         without = run_simulation(config)
         keep = [b for b in range(50) if b != 40]
         assert np.array_equal(with_target.intensity_raw[keep], without.intensity_raw[keep])
+
+    def test_bits_match_recorded_reference(self):
+        # stored raw channels: fig 4 at 5 and 200k repetitions, strong targets,
+        # square sums past 2^53 (their rounding follows the order of summation)
+        # and a noise law past the table cap, so every bin draws overflow cells
+        reference = json.loads((Path(__file__).parent / "data" / "simulation_reference.json").read_text())
+        for case in reference["cases"]:
+            config = dict(case["config"], targets=tuple(map(tuple, case["config"]["targets"])))
+            result = run_simulation(SimConfig(**config))
+            assert result.intensity_raw.tolist() == case["intensity_raw"], config
+            assert [float(v).hex() for v in result.intensity_sq_raw] == case["intensity_sq_raw"], config
+            assert {str(n): raw.tolist() for n, raw in result.threshold_raw.items()} == case["threshold_raw"], config
 
     def test_sum_of_squares_does_not_wrap(self):
         # counts near 1e8 square to about 2e19 per bin, past the int64 range;
