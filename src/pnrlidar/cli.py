@@ -244,21 +244,10 @@ def _cmd_simulate(args) -> int:
         config = replace(config, seed=args.seed)
     if args.repetitions is not None:
         config = replace(config, repetitions=args.repetitions)
-    result = run_simulation(config)
-
+    bin_rows, ratio_rows = _simulation_rows(config)
     bin_cols = ["bin", "intensity_norm"] + [f"threshold_{n}_norm" for n in config.thresholds]
-    bin_rows = [
-        tuple([b, float(result.intensity_norm[b])] + [float(result.threshold_norm[n][b]) for n in config.thresholds])
-        for b in range(config.num_bins)
-    ]
     ratio_cols = ["bin", "signal_mean", "threshold_n", "intensity_norm", "threshold_norm",
                   "ratio", "intensity_se", "threshold_se"]
-    ratio_rows = []
-    for b, signal_mean in config.targets:
-        for n in config.thresholds:
-            est = estimate_ratio(result, b, n)
-            ratio_rows.append((b, signal_mean, n, est.intensity_value, est.threshold_value,
-                               est.ratio, est.intensity_se, est.threshold_se))
     manifest = _manifest("simulate", asdict(config), seed=config.seed)
     data = {
         "bins": {"columns": bin_cols, "rows": bin_rows},
@@ -266,6 +255,22 @@ def _cmd_simulate(args) -> int:
     }
     tables = {"": (bin_cols, _rows(bin_rows)), "ratios": (ratio_cols, _rows(ratio_rows))}
     return _emit(args, manifest, tables, data)
+
+
+def _simulation_rows(config: SimConfig) -> tuple[list, list]:
+    """The bin rows and the (target, threshold) ratio rows of one run; the run's
+    arrays are freed before the tables are written."""
+    result = run_simulation(config)
+    bin_rows = list(zip(
+        range(config.num_bins), result.intensity_norm.tolist(), *(result.threshold_norm[n].tolist() for n in config.thresholds)
+    ))
+    ratio_rows = []
+    for b, signal_mean in config.targets:
+        for n in config.thresholds:
+            est = estimate_ratio(result, b, n)
+            ratio_rows.append((b, signal_mean, n, est.intensity_value, est.threshold_value,
+                               est.ratio, est.intensity_se, est.threshold_se))
+    return bin_rows, ratio_rows
 
 
 # --- simulation config files ---

@@ -31,7 +31,7 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterable, Iterator
+from typing import Any, Callable, Iterable, Iterator
 
 import numpy as np
 from numpy.typing import ArrayLike
@@ -63,6 +63,10 @@ _TABLE_BLOCK = 24576
 # 2.5 us against 17; accumulating every table made boundary_map, whose
 # scans are a few rows over 300 columns, about 20% slower.
 _ROW_LOOP_ASPECT = 32
+# log(m!) = lgamma(m + 1) for m below 1024, the rows of the tables the
+# sampler draws from, tabulated once: math.lgamma costs about 150 ns a call,
+# and each block of log-space rows needs one per row.  Deeper rows call it.
+_LOG_FACTORIALS = np.fromiter(map(math.lgamma, range(1, 1025)), float, 1024)
 
 
 class PmfTruncationError(RuntimeError):
@@ -305,7 +309,10 @@ def _poisson_rows(p: np.ndarray, lam: np.ndarray, start: int, before: np.ndarray
         logged = True if not recurring else large if recurring == count else (m > _RECURRENCE_CUTOFF) | large
         log_p = np.multiply(m, np.log(lam))
         log_p -= lam
-        log_p -= np.fromiter(map(math.lgamma, range(start + 1, start + count + 1)), float, count)[:, None]
+        if start + count <= _LOG_FACTORIALS.size:
+            log_p -= _LOG_FACTORIALS[start : start + count, None]
+        else:
+            log_p -= np.fromiter(map(math.lgamma, range(start + 1, start + count + 1)), float, count)[:, None]
         # exp is 0 below -745.14 but slow to underflow there: those cells keep a set 0
         np.copyto(p, 0.0, where=logged)
         np.exp(log_p, out=p, where=(log_p >= -746.0) & logged)
@@ -399,7 +406,9 @@ def build_pmf(
     light, 1 - sum(probs) (at least 0) otherwise.  Without a fixed n_max the
     bound is capped at 10 * (n_p + n_th) + 200; hitting the cap raises
     :class:`PmfTruncationError` rather than returning a PMF that silently
-    misses mass.
+    misses mass.  Where the thermal part alone leaves more than the
+    tolerance beyond the cap, x^(cap+1) > tolerance, the refusal comes
+    before any row is made.
     """
     tolerance = float(tolerance)
     if not 0.0 < tolerance < 1.0:
@@ -409,6 +418,13 @@ def build_pmf(
     kind = SourceKind(kind)
     n_p, x = _law(kind, params)
     cap = int(10.0 * (params.n_p_mean + params.n_th_mean)) + 200 if n_max is None else int(n_max)
+    if n_max is None and x ** (cap + 1) > tolerance:
+        # the thermal mass beyond the cap, x^(cap+1), is all of a thermal
+        # residual there and a lower bound on a mixed one: refuse before tabulating
+        bound = "" if kind is SourceKind.THERMAL else "at least "
+        raise PmfTruncationError(
+            f"residual {bound}{x ** (cap + 1):.3e} still above tolerance {tolerance:.3e} at the hard cap n_max = {cap}"
+        )
     probs, sums, q, w = [], [], 0.0, 1.0 - x
     for block in _poisson_column(n_p, 0, cap + 1, 64 if n_max is None else cap + 1):
         start = len(probs)
@@ -474,10 +490,15 @@ def sample_histogram(
     holds the law's mass beyond n_max, the sum of the weights of
     :func:`_overflow_weights`; each overflow draw is then resolved from
     those weights and the law's geometric part, so values may reach past
-    n_max and no count is clamped.  The arguments are checked and the
-    weights tabulated once, when the first histogram is taken, and each
-    histogram is drawn as it is taken, so a caller that folds them in holds
-    one at a time.  Each key's generator is Philox keyed by (seed, key):
+    n_max and no count is clamped.  Once per call, when the first
+    histogram is taken, the arguments are checked, the overflow weights
+    tabulated, the cell weights sorted and normalised for the multinomial,
+    and the table's support 0..n_max built; a key then costs one generator
+    and one multinomial, and a key with overflow draws also its draws past
+    n_max (the overflow weights are sorted and normalised at the first).
+    Keys without overflow draws all yield that one support array, read-only.
+    Each histogram is drawn as it is taken, so a caller that folds them in
+    holds one at a time.  Each key's generator is Philox keyed by (seed, key):
     equal arguments give equal histograms, and distinct keys give
     independent streams.  Poisson means above 1e5 are refused.
     """
@@ -490,17 +511,20 @@ def sample_histogram(
     draws, seed = int(draws), int(seed) & _SEED_MASK
     weights, overflow_mass = _overflow_weights(pmf)
     x, m = _law(pmf.kind, pmf.params)[1], pmf.n_max
-    cell_weights, weights = np.append(pmf.probs, overflow_mass), np.asarray(weights)
+    draw_cells, draw_bases = _multinomial(np.append(pmf.probs, overflow_mass)), None
+    support = np.arange(m + 1)
+    support.flags.writeable = False
     for key in keys:
         if key != int(key) or key < 0:
             raise ValueError(f"key must be a nonnegative integer, got {key!r}")
         rng = Generator(Philox(SeedSequence(seed, spawn_key=(int(key),))))
-        cells = _multinomial(rng, draws, cell_weights)
-        values, counts = np.arange(m + 1), cells[:-1]
+        cells = draw_cells(rng, draws)
+        values, counts = support, cells[:-1]
         if cells[-1]:
             # each overflow draw is a base from the weights plus a geometric draw
             k = int(cells[-1])
-            drawn = np.repeat(np.arange(m + 1, m + 1 + len(weights)), _multinomial(rng, k, weights))
+            draw_bases = draw_bases or _multinomial(np.asarray(weights))
+            drawn = np.repeat(np.arange(m + 1, m + 1 + len(weights)), draw_bases(rng, k))
             if x > 0.0:
                 drawn += rng.geometric(1.0 - x, size=k) - 1
             beyond, beyond_counts = np.unique(drawn, return_counts=True)
@@ -555,16 +579,16 @@ def _overflow_weights(pmf: PhotonPmf) -> tuple[list[float], float]:
     return weights, total
 
 
-def _multinomial(rng, draws: int, weights: np.ndarray) -> np.ndarray:
-    """Counts per cell of ``draws`` draws with probabilities ``weights / sum``.
+def _multinomial(weights: np.ndarray) -> Callable[[Any, int], np.ndarray]:
+    """A function of (rng, draws): counts per cell of the draws, with probabilities ``weights / sum``.
 
     numpy draws the cells in order, each from what remains of the mass, and
     gives the last cell whatever is left.  Cells go in ascending order of
     weight, so the remaining mass never shrinks to the size of its rounding
-    and the leftover lands on the largest cell.
+    and the leftover lands on the largest cell.  The order and the
+    normalised weights are computed here, once for all the draws.
     """
     order = np.argsort(weights, kind="stable")
-    counts = np.empty(weights.size, dtype=np.int64)
-    counts[order] = rng.multinomial(draws, weights[order] / weights.sum())
-    return counts
+    probs, cells = weights[order] / weights.sum(), np.argsort(order)
+    return lambda rng, draws: rng.multinomial(draws, probs)[cells]
 

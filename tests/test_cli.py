@@ -3,6 +3,7 @@
 import csv
 import json
 import math
+import tracemalloc
 
 import pytest
 
@@ -48,6 +49,32 @@ class TestPmfCommand:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("pnrlidar: error:")
+
+    @pytest.mark.parametrize(
+        "argv,refusal",
+        [
+            (("--kind", "thermal", "--n-th", "1e8"), "residual 4.540e-05 still above tolerance 1.000e-12 "
+             "at the hard cap n_max = 1000000200"),
+            (("--kind", "mixed", "--n-p", "1", "--n-th", "1e8"), "residual at least 4.540e-05 still above "
+             "tolerance 1.000e-12 at the hard cap n_max = 1000000210"),
+            (("--kind", "thermal", "--n-th", "20"), "residual 3.185e-09 still above tolerance 1.000e-12 "
+             "at the hard cap n_max = 400"),
+        ],
+    )
+    def test_unreachable_tolerance_refused_before_tabulating(self, capsys, argv, refusal):
+        # x^(cap+1) > tolerance settles the refusal: at n_th = 1e8, tabulating
+        # to the cap of 1e9 rows first would hold about 32 GB.  The thermal
+        # message is the one the walk to the cap gave.
+        tracemalloc.start()
+        try:
+            assert run_cli("pmf", *argv) == 1
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1e6
+        captured = capsys.readouterr()
+        assert captured.err == f"pnrlidar: error: {refusal}\n"
+        assert captured.out == ""
 
     def test_manifest_carries_residual(self, tmp_path):
         out = tmp_path / "pmf.csv"
@@ -345,6 +372,17 @@ class TestSimulateCommand:
             "pnrlidar: error: cannot estimate the intensity standard error at bin 10, threshold 2:"
         )
         assert "Traceback" not in captured.err
+        assert captured.out == ""
+
+    def test_silent_noise_channel_is_named(self, capsys):
+        # at one repetition no noise bin reaches 5 photons; the intensity and
+        # N = 2 channels have floors of 0.80 and 0.26
+        assert run_cli("simulate", "--config", "paper_fig4", "--repetitions", "1", "--seed", "5") == 1
+        captured = capsys.readouterr()
+        assert captured.err == (
+            "pnrlidar: error: noise-bin average is zero in the N = 5 channel; "
+            "raise noise_mean, repetitions, or lower thresholds\n"
+        )
         assert captured.out == ""
 
     def test_missing_config_fails(self, capsys):

@@ -122,7 +122,7 @@ class TestRunSimulation:
     def test_zero_noise_without_targets_is_degenerate(self):
         config = SimConfig(repetitions=50, seed=3, num_bins=10, noise_mean=0.0,
                            targets=(), thresholds=(2,))
-        with pytest.raises(DegenerateNoiseError):
+        with pytest.raises(DegenerateNoiseError, match="zero in the intensity, N = 2 channels;"):
             run_simulation(config)
 
     def test_convergence_to_analytic_expectations(self):
