@@ -23,7 +23,6 @@ from .snr_analysis import (
     classical_snr,
     find_boundary,
     find_optima,
-    find_optimum,
     log_grid,
     quantum_snr,
     quantum_snr_derivative,

@@ -220,8 +220,7 @@ def _cmd_boundary(args) -> int:
     skipped = []
     multiple = []
     sides = []  # each threshold's no_crossing sides, for the error of an empty table
-    for n in args.thresholds:
-        curve = find_boundary(n, grid)
+    for n, curve in zip(args.thresholds, find_boundary(args.thresholds, grid)):
         rows.extend((n, n_th, n_p, ratio) for (n_th, n_p), ratio in zip(curve.points, curve.ratios))
         skipped.extend({"threshold_n": n, "n_th_mean": t, "side": side} for t, side in curve.no_crossing)
         multiple.extend({"threshold_n": n, "n_th_mean": t} for t in curve.multiple_crossings)

@@ -55,14 +55,6 @@ __all__ = [
 _RECURRENCE_CUTOFF = 30
 # Table cells (rows x columns) per block of a walk down a table's rows.
 _TABLE_BLOCK = 24576
-# The Poisson recurrence runs down a block's rows by np.multiply.accumulate,
-# or by a loop over the rows where a row is at least _ROW_LOOP_ASPECT times
-# as wide as the block is deep.  numpy accumulates column by column: on a
-# Xeon core with numpy 2.4 a 3 x 300 recurrence took 6.3 us that way and
-# 1.9 us by rows, a 31 x 2000 one 237 us against 41, but a 21 x 19 one
-# 2.5 us against 17; accumulating every table made boundary_map, whose
-# scans are a few rows over 300 columns, about 20% slower.
-_ROW_LOOP_ASPECT = 32
 # log(m!) = lgamma(m + 1) for m below 1024, the rows of the tables the
 # sampler draws from, tabulated once: math.lgamma costs about 150 ns a call,
 # and each block of log-space rows needs one per row.  Deeper rows call it.
@@ -292,18 +284,14 @@ def _poisson_rows(p: np.ndarray, lam: np.ndarray, start: int, before: np.ndarray
     depend on its mean and row alone.  Run under np.errstate that ignores
     divide, over and invalid.
     """
-    count, width = p.shape
+    count = len(p)
     m = np.arange(start, start + count, dtype=float)[:, None]
     large = lam > _RECURRENCE_CUTOFF
     recurring = max(0, min(count, _RECURRENCE_CUTOFF + 1 - start))
     if recurring:
         np.divide(lam, m[:recurring], out=p[:recurring])
         p[0] = p[0] * before if start else np.exp(-lam)
-        if _ROW_LOOP_ASPECT * recurring > width:
-            np.multiply.accumulate(p[:recurring], axis=0, out=p[:recurring])
-        else:
-            for row in range(1, recurring):
-                p[row] *= p[row - 1]
+        np.multiply.accumulate(p[:recurring], axis=0, out=p[:recurring])
     if count > recurring or large.any():
         # log p(m) = m log(mean) - mean - log(m!) where mean or m exceeds the cutoff
         logged = True if not recurring else large if recurring == count else (m > _RECURRENCE_CUTOFF) | large

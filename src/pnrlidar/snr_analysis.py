@@ -14,8 +14,9 @@ alone.  SNR_q is monotone increasing in both n_p and N; whether it beats
 SNR_c depends on (n_p, n_th, N).  This module evaluates both closed forms
 and the analytic derivative of SNR_q, and maps the advantage region: ratio
 sweeps over signal grids, the signal mean that maximizes the ratio at fixed
-noise, and the ratio == 1 boundary in the (n_th, n_p) plane (bisection in
-lockstep over the noise levels).  The maximizing signal mean is the root of
+noise, and the ratio == 1 boundary in the (n_th, n_p) plane (a scan and a
+bisection, each in lockstep over thresholds and noise levels).  The
+maximizing signal mean is the root of
 
     rise = n_p S / n_th - P_poisson(n >= N) / x^N,    S = sum_{m<N} p_p(m) x^(-m),
 
@@ -26,10 +27,12 @@ Every value comes from one array evaluation over whole grids
 (:func:`pnrlidar.photon_stats.mixed_tail_terms`), which tabulates the
 Poisson terms and running sums once per (n_p, n_th) point, with the term
 index as the row, and reads each threshold N from its rows: a sweep over
-every threshold is one call, and the optimum searches of all thresholds
-run in lockstep.  The
-scalar functions evaluate a grid of one point, and give the bits of the
-matching array element.  Zero thermal noise is a domain error
+every threshold is one call, the optimum searches of all thresholds run
+in lockstep, and so do the boundary searches of all thresholds and noise
+levels.  The boundary scan takes its noise levels in chunks of at most
+_SCAN_CHUNK elements per call, so its memory does not grow with the noise
+grid.  The scalar functions evaluate a grid of one point, and give the
+bits of the matching array element.  Zero thermal noise is a domain error
 throughout: the intensity SNR divides by n_th, and the daylight regime this
 targets is noise-dominated.  So is noise small enough that x^N underflows
 double precision, where SNR_q cannot be represented.
@@ -59,7 +62,6 @@ __all__ = [
     "snr_report",
     "quantum_snr_derivative",
     "sweep_ratio",
-    "find_optimum",
     "find_optima",
     "find_boundary",
     "log_grid",
@@ -73,6 +75,12 @@ BOUNDARY_ABS_TOL = 1e-6
 BOUNDARY_RATIO_TOL = 1e-5
 BOUNDARY_SCAN_RANGE = (1e-4, 1e4)
 BOUNDARY_SCAN_POINTS = 300
+# Boundary scan elements (thresholds x noise levels x points) per array
+# call: memory stays bounded on long noise grids.  At boundary's defaults
+# (4 x 60 x 300; Xeon core, numpy 2.4, best of 15) one level per call took
+# 28 ms, calls of 25k elements 14.7 ms, and one call of all 72k 17 ms; the
+# traced peak grows with the call, 3.3 MiB at 25k and 9.0 MiB at 100k.
+_SCAN_CHUNK = 25_000
 
 
 class ZeroNoiseError(ValueError):
@@ -268,14 +276,6 @@ def log_grid(lo: float, hi: float, points: int) -> list[float]:
     return [lo, *inner, hi]
 
 
-def find_optimum(n_th_mean: float, threshold_n: int) -> OptimumPoint:
-    """Signal mean maximizing the SNR ratio at fixed noise and threshold.
-
-    The search of :func:`find_optima` for one threshold.
-    """
-    return find_optima(n_th_mean, [threshold_n])[0]
-
-
 def find_optima(n_th_mean: float, thresholds: Sequence[int]) -> list[OptimumPoint]:
     """Signal mean maximizing the SNR ratio at fixed noise, per threshold.
 
@@ -330,49 +330,53 @@ def find_optima(n_th_mean: float, thresholds: Sequence[int]) -> list[OptimumPoin
     ]
 
 
-def find_boundary(threshold_n: int, n_th_grid: Sequence[float]) -> BoundaryCurve:
-    """Map the ratio == 1 boundary over a grid of noise means.
+def find_boundary(thresholds: Sequence[int], n_th_grid: Sequence[float]) -> list[BoundaryCurve]:
+    """Map the ratio == 1 boundary over a grid of noise means, per threshold.
 
-    Each noise level's scan, a log grid of BOUNDARY_SCAN_POINTS over
-    BOUNDARY_SCAN_RANGE on the signal axis, is one array call.  At each
-    noise level the largest-n_p sign change of (ratio - 1) bounds the
-    advantage region from above, matching a region that sits below the
-    curve.  Those crossings are bisected in lockstep over the
-    noise levels, one array call per step; each level stops once its
-    bracket is within BOUNDARY_ABS_TOL and |ratio - 1| <= BOUNDARY_RATIO_TOL
-    at the midpoint, whose ratio is kept with the point, and is reported as
-    "unresolved" if its bracket collapses or 300 steps pass first.  Levels
-    with no sign change are reported rather than guessed, and levels with
-    several crossings are flagged.
+    The search runs in lockstep over thresholds and noise levels.  Each
+    (N, n_th) pair is scanned on a log grid of BOUNDARY_SCAN_POINTS over
+    BOUNDARY_SCAN_RANGE on the signal axis, every threshold and up to
+    _SCAN_CHUNK / (thresholds x points) noise levels in one array call, so
+    memory stays bounded on long noise grids.  At each pair the
+    largest-n_p sign change of (ratio - 1) bounds the advantage region from
+    above, matching a region that sits below the curve.  Every crossing of
+    the grid is bisected in one loop, one array call per step; each stops
+    once its bracket is within BOUNDARY_ABS_TOL and |ratio - 1| <=
+    BOUNDARY_RATIO_TOL at the midpoint, whose ratio is kept with the point,
+    and is reported as "unresolved" if its bracket collapses or 300 steps
+    pass first.  Levels with no sign change are reported rather than
+    guessed, and levels with several crossings are flagged.  Each curve has
+    the bits of a search of its threshold alone, one noise level at a time.
+    Curves follow the input order.
     """
+    big_n = np.asarray(thresholds)
     levels = np.asarray(n_th_grid, dtype=float)
     if (levels <= 0.0).any():
         raise ZeroNoiseError("n_th grid values must be > 0")
     scan = np.array(log_grid(*BOUNDARY_SCAN_RANGE, BOUNDARY_SCAN_POINTS))
-    side: dict[int, str] = {}  # noise levels without a sign change
-    crossing, cell, f_lo, multiple = [], [], [], []
-    for i, n_th in enumerate(levels.tolist()):
-        excess = _snr_terms(scan, n_th, threshold_n)[1] - 1.0
-        changes = np.flatnonzero((excess[1:] > 0.0) != (excess[:-1] > 0.0))
-        if not changes.size:
-            side[i] = "above" if excess[scan.size // 2] > 0.0 else "below"
-            continue
-        if changes.size > 1:
-            multiple.append(n_th)
-        crossing.append(i)
-        cell.append(changes[-1])
-        f_lo.append(excess[changes[-1]])
+    shape = (big_n.size, levels.size)
+    crossings, cell = np.zeros(shape, int), np.zeros(shape, int)
+    f_lo, above = np.zeros(shape), np.zeros(shape, bool)
+    chunk = max(1, _SCAN_CHUNK // (scan.size * max(big_n.size, 1)))
+    for start in range(0, levels.size, chunk):
+        part = slice(start, start + chunk)
+        excess = _snr_terms(scan, levels[part, None], big_n[:, None, None])[1] - 1.0
+        change = (excess[..., 1:] > 0.0) != (excess[..., :-1] > 0.0)
+        crossings[:, part] = change.sum(axis=-1)
+        cell[:, part] = change.shape[-1] - 1 - np.argmax(change[..., ::-1], axis=-1)
+        f_lo[:, part] = np.take_along_axis(excess, cell[:, part, None], axis=-1)[..., 0]
+        above[:, part] = excess[..., scan.size // 2] > 0.0
 
-    # Lockstep bisection over the crossing levels.
-    cell = np.array(cell, dtype=int)
-    lo, hi, f_lo, noise = scan[cell], scan[cell + 1], np.array(f_lo), levels[crossing]
-    roots, root_ratios = np.full(cell.size, np.nan), np.full(cell.size, np.nan)
-    live = np.arange(cell.size)
+    # Lockstep bisection over every crossing, by its flat (threshold, noise level) index.
+    lo, hi, f_lo = scan[cell].ravel(), scan[cell + 1].ravel(), f_lo.ravel()
+    noise, n_of = np.tile(levels, big_n.size), np.repeat(big_n, levels.size)
+    roots, root_ratios = np.full(lo.size, np.nan), np.full(lo.size, np.nan)
+    live = np.flatnonzero(crossings)
     for _ in range(300):
         if not live.size:
             break
         mid = 0.5 * (lo[live] + hi[live])
-        ratio = _snr_terms(mid, noise[live], threshold_n)[1]
+        ratio = _snr_terms(mid, noise[live], n_of[live])[1]
         f_mid = ratio - 1.0
         found = (hi[live] - lo[live] <= BOUNDARY_ABS_TOL) & (np.abs(f_mid) <= BOUNDARY_RATIO_TOL)
         roots[live[found]] = mid[found]
@@ -382,17 +386,15 @@ def find_boundary(threshold_n: int, n_th_grid: Sequence[float]) -> BoundaryCurve
         hi[live[~same]] = mid[~same]
         live = live[~found & (hi[live] != lo[live])]
 
-    points: list[tuple[float, float]] = []
-    ratios: list[float] = []
-    no_crossing: list[tuple[float, str]] = []
-    root_of = dict(zip(crossing, zip(roots.tolist(), root_ratios.tolist())))
-    for i, n_th in enumerate(levels.tolist()):
-        if i in side:
-            no_crossing.append((n_th, side[i]))
-        elif math.isnan(root_of[i][0]):
-            no_crossing.append((n_th, "unresolved"))
-        else:
-            points.append((n_th, root_of[i][0]))
-            ratios.append(root_of[i][1])
-    return BoundaryCurve(int(threshold_n), tuple(points), tuple(ratios), tuple(no_crossing), tuple(multiple))
-
+    roots, root_ratios = roots.reshape(shape), root_ratios.reshape(shape)
+    side = np.where(crossings > 0, "unresolved", np.where(above, "above", "below"))
+    return [
+        BoundaryCurve(
+            int(n),
+            tuple(zip(levels[ok].tolist(), p[ok].tolist())),
+            tuple(r[ok].tolist()),
+            tuple(zip(levels[~ok].tolist(), s[~ok].tolist())),
+            tuple(levels[c > 1].tolist()),
+        )
+        for n, ok, p, r, s, c in zip(big_n.tolist(), ~np.isnan(roots), roots, root_ratios, side, crossings)
+    ]

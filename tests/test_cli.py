@@ -7,8 +7,10 @@ import tracemalloc
 
 import pytest
 
+from pnrlidar import snr_analysis
 from pnrlidar.cli import ConfigError, bundled_config_path, load_sim_config, main, parse_sim_config
-from pnrlidar.snr_analysis import find_boundary, find_optimum, log_grid
+from pnrlidar.photon_stats import mixed_tail_terms
+from pnrlidar.snr_analysis import find_boundary, find_optima, log_grid
 from test_snr_analysis import optimum_mp
 
 
@@ -206,7 +208,7 @@ class TestOptimumBoundaryCommands:
         lines = capsys.readouterr().out.strip().splitlines()[1:]
         assert [line.split(",")[0] for line in lines] == ["5", "2", "5"]
         assert lines[0] == lines[2]
-        best = find_optimum(1.0, 2)
+        best = find_optima(1.0, [2])[0]
         assert lines[1] == f"2,1,{best.best_n_p_mean!r},{best.best_ratio!r}"
 
     def test_optimum_at_high_noise_is_the_root(self, capsys):
@@ -232,6 +234,21 @@ class TestOptimumBoundaryCommands:
         assert captured.err == (
             "pnrlidar: error: no interior ratio maximum for N=1, n_th=1.0 in bracket (0.001, 1000.0)\n"
         )
+
+    def test_boundary_searches_in_lockstep(self, capsys, monkeypatch):
+        # one scan call per chunk of noise levels and one bisection call per
+        # step, over every threshold at once: 3 scan calls and 28 steps here,
+        # where a call per threshold and noise level would make over 240
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return mixed_tail_terms(*args)
+
+        monkeypatch.setattr(snr_analysis, "mixed_tail_terms", counted)
+        assert run_cli("boundary") == 0
+        assert len(capsys.readouterr().out.strip().splitlines()) == 1 + 4 * 60
+        assert len(calls) <= 35
 
     def test_boundary_points_on_contract(self, capsys):
         assert run_cli("boundary", "--thresholds", "3", "--nth-min", "0.5",
@@ -288,7 +305,7 @@ class TestBoundaryManifest:
         grid = log_grid(1000.0, 10000.0, 5)
         no_crossing, multiple = [], []
         for n in (1, 2):
-            curve = find_boundary(n, grid)
+            curve = find_boundary([n], grid)[0]
             no_crossing += [{"threshold_n": n, "n_th_mean": t, "side": side} for t, side in curve.no_crossing]
             multiple += [{"threshold_n": n, "n_th_mean": t} for t in curve.multiple_crossings]
         assert params["no_crossing"] == no_crossing and no_crossing

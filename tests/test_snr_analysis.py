@@ -1,6 +1,9 @@
 """SNR formula checks against independent oracles and qualitative structure."""
 
+import json
 import math
+import tracemalloc
+from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -23,7 +26,6 @@ from pnrlidar.snr_analysis import (
     classical_snr,
     find_boundary,
     find_optima,
-    find_optimum,
     log_grid,
     quantum_snr,
     quantum_snr_derivative,
@@ -261,7 +263,7 @@ class TestSweep:
         assert 0 < rises[0] < len(values) - 1
 
     def test_crosses_unity_from_above_at_boundary(self):
-        curve = find_boundary(5, [1.0])
+        curve = find_boundary([5], [1.0])[0]
         (n_th, n_p), = curve.points
         assert snr_ratio(SourceParams(n_p * 0.9, n_th), 5) > 1.0
         assert snr_ratio(SourceParams(n_p * 1.1, n_th), 5) < 1.0
@@ -276,25 +278,25 @@ class TestSweep:
 class TestFindOptimum:
     def test_optimum_near_threshold(self):
         for big_n in range(2, 9):
-            opt = find_optimum(1.0, big_n)
+            opt = find_optima(1.0, [big_n])[0]
             assert big_n / 2.0 <= opt.best_n_p_mean <= 2.0 * big_n
 
     def test_local_optimality(self):
-        opt = find_optimum(1.0, 4)
+        opt = find_optima(1.0, [4])[0]
         for bump in (0.99, 1.01):
             assert snr_ratio(SourceParams(opt.best_n_p_mean * bump, 1.0), 4) <= opt.best_ratio
 
     def test_dominates_reported_strong_target(self):
-        assert find_optimum(1.0, 5).best_ratio >= 2.86
+        assert find_optima(1.0, [5])[0].best_ratio >= 2.86
 
     def test_single_photon_threshold_has_no_interior_maximum(self):
         # ratio at N = 1 declines from unity for all n_p > 0
         with pytest.raises(SearchError):
-            find_optimum(1.0, 1)
+            find_optima(1.0, [1])
 
     def test_zero_noise_rejected(self):
         with pytest.raises(ZeroNoiseError):
-            find_optimum(0.0, 3)
+            find_optima(0.0, [3])
 
     # (3000, 50) and (1e4, 30) converge slowest: a search that stops after
     # a Newton step of OPTIMUM_RELATIVE_TOL, not its square, is 2e-12 off there.
@@ -305,32 +307,64 @@ class TestFindOptimum:
         (1e4, 5), (1e4, 20), (3000.0, 50), (1e4, 30), (1e-25, 2), (1e-25, 5),
     ])
     def test_matches_mpmath_root(self, n_th, big_n):
-        best = find_optimum(n_th, big_n).best_n_p_mean
+        best = find_optima(n_th, [big_n])[0].best_n_p_mean
         root = optimum_mp(n_th, big_n, best * 0.99, best * 1.01)
         assert abs(float(best / root - 1)) <= 1e-12
 
 
 class TestFindBoundary:
     def test_points_sit_on_unity_ratio(self):
-        curve = find_boundary(3, log_grid(0.5, 8.0, 7))
+        curve = find_boundary([3], log_grid(0.5, 8.0, 7))[0]
         assert len(curve.points) == 7
         for n_th, n_p in curve.points:
             assert abs(snr_ratio(SourceParams(n_p, n_th), 3) - 1.0) <= 1e-5
 
     def test_no_advantage_reported_not_guessed(self):
         # N = 1 never beats intensity detection at n_th = 1
-        curve = find_boundary(1, [1.0])
+        curve = find_boundary([1], [1.0])[0]
         assert curve.points == ()
         assert curve.no_crossing == ((1.0, "below"),)
 
     def test_advantage_region_is_below_curve(self):
-        curve = find_boundary(4, [2.0])
+        curve = find_boundary([4], [2.0])[0]
         (n_th, n_p), = curve.points
         assert snr_ratio(SourceParams(n_p / 2.0, n_th), 4) > 1.0
 
     def test_zero_noise_grid_rejected(self):
         with pytest.raises(ZeroNoiseError):
-            find_boundary(2, [0.0, 1.0])
+            find_boundary([2], [0.0, 1.0])
+
+    def test_bits_match_recorded_reference(self):
+        # stored curves, not a second search of the same kernel: the command's
+        # defaults, N = 2 up to n_th = 5000 (spurious multiple crossings from
+        # ratio - 1 at rounding level), N = 1, 2 at n_th = 1e3..1e4, and
+        # unsorted, repeated thresholds; the file names the numpy version
+        reference = json.loads((Path(__file__).parent / "data" / "boundary_reference.json").read_text())
+        for case in reference["cases"]:
+            grid = log_grid(case["nth_min"], case["nth_max"], case["nth_points"])
+            curves = find_boundary(case["thresholds"], grid)
+            assert [
+                {
+                    "threshold_n": curve.threshold_n,
+                    "points": [[n_th.hex(), n_p.hex()] for n_th, n_p in curve.points],
+                    "ratios": [ratio.hex() for ratio in curve.ratios],
+                    "no_crossing": [[n_th.hex(), side] for n_th, side in curve.no_crossing],
+                    "multiple_crossings": [n_th.hex() for n_th in curve.multiple_crossings],
+                }
+                for curve in curves
+            ] == case["curves"], case["thresholds"]
+
+    def test_scan_memory_is_bounded(self):
+        # the scan runs in chunks of noise levels, so 1000 levels hold about
+        # what 60 do, not a (4 x 1000 x 300) excess array per kernel plane
+        grid = log_grid(0.2, 40.0, 1000)
+        tracemalloc.start()
+        try:
+            find_boundary([2, 3, 4, 5], grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
 
 
 def per_level_boundary(threshold_n, n_th_grid):
@@ -383,7 +417,7 @@ class TestArrayKernel:
     @pytest.mark.parametrize("n_th", [0.5, 2.0])
     @pytest.mark.parametrize("big_n", [2, 5, 10])
     def test_nested_scans_match_dense_scan(self, big_n, n_th):
-        opt = find_optimum(n_th, big_n)
+        opt = find_optima(n_th, [big_n])[0]
         dense = np.geomspace(1e-3, 1e3, 100_000)
         i = int(np.argmax(_snr_terms(dense, n_th, big_n)[1]))
         dense = np.geomspace(dense[i - 1], dense[i + 1], 100_000)
@@ -391,17 +425,22 @@ class TestArrayKernel:
         assert abs(math.log(opt.best_n_p_mean / best)) <= OPTIMUM_RELATIVE_TOL
         assert opt.best_ratio == snr_ratio(SourceParams(opt.best_n_p_mean, n_th), big_n)
 
-    @pytest.mark.parametrize("big_n", [2, 3, 4, 5])
-    def test_lockstep_boundary_matches_per_level_bisection(self, big_n):
-        grid = log_grid(0.2, 40.0, 60)
-        curve = find_boundary(big_n, grid)
-        points, no_crossing, multiple = per_level_boundary(big_n, grid)
-        assert [t for t, _ in curve.points] == [t for t, _ in points]
-        np.testing.assert_allclose(
-            [p for _, p in curve.points], [p for _, p in points], rtol=0.0, atol=BOUNDARY_ABS_TOL
-        )
-        assert curve.no_crossing == tuple(no_crossing)
-        assert curve.multiple_crossings == tuple(multiple)
+    @pytest.mark.parametrize("thresholds, grid", [
+        *(pytest.param([big_n], log_grid(0.2, 40.0, 60), id=str(big_n)) for big_n in (2, 3, 4, 5)),
+        pytest.param([], log_grid(0.2, 40.0, 60), id="no-threshold"),
+        pytest.param([3, 2], [], id="empty-grid"),
+    ])
+    def test_lockstep_boundary_matches_per_level_bisection(self, thresholds, grid):
+        curves = find_boundary(thresholds, grid)
+        assert [curve.threshold_n for curve in curves] == thresholds
+        for curve in curves:
+            points, no_crossing, multiple = per_level_boundary(curve.threshold_n, grid)
+            assert [t for t, _ in curve.points] == [t for t, _ in points]
+            np.testing.assert_allclose(
+                [p for _, p in curve.points], [p for _, p in points], rtol=0.0, atol=BOUNDARY_ABS_TOL
+            )
+            assert curve.no_crossing == tuple(no_crossing)
+            assert curve.multiple_crossings == tuple(multiple)
 
     @pytest.mark.parametrize("n_th", [0.01, 1.0, 100.0])
     def test_threshold_axis_matches_per_threshold_calls(self, n_th):
@@ -437,7 +476,7 @@ class TestArrayKernel:
     @pytest.mark.parametrize("n_th", [0.5, 1.0, 4.0])
     def test_lockstep_optima_equal_single_threshold_searches(self, n_th):
         thresholds = [5, 2, 12, 5, 3]
-        assert find_optima(n_th, thresholds) == [find_optimum(n_th, n) for n in thresholds]
+        assert find_optima(n_th, thresholds) == [find_optima(n_th, [n])[0] for n in thresholds]
 
     @pytest.mark.parametrize("thresholds", [[3, 1], [1, 3], [3, 1, 2]])
     def test_optima_refuse_the_first_threshold_without_maximum(self, thresholds):
@@ -459,7 +498,7 @@ class TestArrayKernel:
 
     @pytest.mark.parametrize("big_n", [2, 5])
     def test_boundary_carries_the_ratio_at_each_point(self, big_n):
-        curve = find_boundary(big_n, log_grid(0.2, 40.0, 12))
+        curve = find_boundary([big_n], log_grid(0.2, 40.0, 12))[0]
         assert len(curve.ratios) == len(curve.points) > 0
         assert list(curve.ratios) == [snr_ratio(SourceParams(n_p, n_th), big_n) for n_th, n_p in curve.points]
 
@@ -469,8 +508,8 @@ class TestArrayKernel:
         lambda: snr_ratio(SourceParams(1.0, 1e-110), 3),
         lambda: quantum_snr_derivative(SourceParams(1.0, 1e-200), 2),
         lambda: sweep_ratio(1e-300, [2], [0.5, 1.0]),
-        lambda: find_optimum(1e-200, 2),
-        lambda: find_boundary(2, [1e-200, 1.0]),
+        lambda: find_optima(1e-200, [2]),
+        lambda: find_boundary([2], [1e-200, 1.0]),
         lambda: snr_ratio(SourceParams(1e10, 1e-300), 1),
     ])
     def test_unrepresentable_snr_refused(self, call):
@@ -521,7 +560,7 @@ class TestProperties:
     @PROPERTY_SETTINGS
     @given(st.floats(0.0, 0.99), st.floats(1e-3, 1.0), noise, st.integers(2, 8))
     def test_ratio_rises_below_the_optimum(self, fraction, step, n_th, big_n):
-        best = find_optimum(n_th, big_n).best_n_p_mean
+        best = find_optima(n_th, [big_n])[0].best_n_p_mean
         low = best * fraction / (1.0 + step)
         high = best * fraction
         assert snr_ratio(SourceParams(high, n_th), big_n) >= snr_ratio(SourceParams(low, n_th), big_n)
