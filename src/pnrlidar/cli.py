@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from dataclasses import asdict, replace
 from datetime import datetime, timezone
@@ -41,8 +42,27 @@ def _fmt(value):
 
 
 def _rows(rows):
-    """A table's source: its rows of values, or with ``text`` one CSV line per row."""
-    return lambda text: (",".join(map(_fmt, row)) + "\n" for row in rows) if text else iter(rows)
+    """A table's source: its rows of values, or with ``text`` its CSV lines as one block.
+
+    Each column is a column of ints or of floats, as its first value is.
+    The block is written as ``_fmt`` writes each value: floats go through
+    float(), since a numpy scalar's repr is "np.float64(...)", and repr puts
+    ".0" only at the end of an integral float, so two replaces over the
+    block drop it.
+    """
+    def source(text):
+        if not text:
+            return iter(rows)
+        if not rows:
+            return []
+        columns = [
+            map(repr, map(float, column)) if isinstance(column[0], float) else map(str, column)
+            for column in zip(*rows)
+        ]
+        block = "\n".join(map(",".join, zip(*columns))) + "\n"
+        return [block.replace(".0,", ",").replace(".0\n", "\n")]
+
+    return source
 
 
 def _write_csv(stream, columns, text) -> None:
@@ -405,6 +425,11 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
+    except BrokenPipeError:
+        # The reader closed stdout (as `| head` does).  Point stdout at
+        # devnull, so that the flush at shutdown raises nothing, and exit quietly.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except (ValueError, RuntimeError, OSError) as exc:
         print(f"pnrlidar: error: {exc}", file=sys.stderr)
         return 1

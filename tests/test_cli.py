@@ -3,10 +3,15 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
+import pnrlidar
 from pnrlidar import snr_analysis
 from pnrlidar.cli import ConfigError, bundled_config_path, load_sim_config, main, parse_sim_config
 from pnrlidar.photon_stats import mixed_tail_terms
@@ -449,3 +454,18 @@ class TestConfigParsing:
         doc = json.loads(capsys.readouterr().out)
         assert len(doc["data"]["bins"]["rows"]) == 50
         assert doc["manifest"]["parameters"]["repetitions"] == 200
+
+
+class TestClosedPipe:
+    def test_reader_that_stops_early_gets_a_quiet_exit(self):
+        # a table far larger than a pipe's buffer, read one line at a time and
+        # the pipe closed after the first, as `pnrlidar sweep ... | head -1` does
+        env = dict(os.environ, PYTHONPATH=str(Path(pnrlidar.__file__).parents[1]))
+        argv = [sys.executable, "-m", "pnrlidar.cli", "sweep", "--n-th", "1", "--thresholds", "2..20", "--grid-points", "2000"]
+        proc = subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+        assert proc.stdout.readline() == b"n_p_mean,threshold_n,ratio\n"
+        proc.stdout.close()
+        stderr = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=60) == 1
+        assert stderr == b""

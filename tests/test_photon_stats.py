@@ -5,6 +5,7 @@ import itertools
 import json
 import math
 import operator
+import random
 import tracemalloc
 from pathlib import Path
 
@@ -12,6 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from numpy.random import Generator, Philox, SeedSequence
 from scipy import stats
 
 from pnrlidar.photon_stats import (
@@ -27,7 +29,7 @@ from pnrlidar.photon_stats import (
     thermal_pmf,
     thermal_tail,
 )
-from pnrlidar.photon_stats import _TAIL_STEPPED, _overflow_weights, _poisson_rows
+from pnrlidar.photon_stats import _TAIL_STEPPED, _overflow_weights, _philox_keys, _poisson_rows, _rekey
 
 MEAN_GRID = (0.0, 0.5, 1.0, 3.0, 10.0)
 
@@ -592,3 +594,32 @@ class TestSampling:
             sampled(pmf, 10, 1, -1)
         with pytest.raises(ValueError):
             sampled(pmf, -1, 1, 0)
+        with pytest.raises(ValueError):
+            sampled(pmf, 10, 1, 2**32)  # SeedSequence would take it as two words
+
+    def test_philox_keys_match_seed_sequence(self):
+        rng = random.Random(20240611)
+        seeds = [0, 1, 1234, 2**32 - 1, 2**32, 2**64 - 1] + [rng.getrandbits(64) for _ in range(20)]
+        keys = [0, 1, 2, 49, 2**31, 2**32 - 1] + [rng.getrandbits(32) for _ in range(20)]
+        for seed in seeds:
+            got = _philox_keys(SeedSequence(seed), keys)
+            assert got.dtype == np.uint64 and got.shape == (len(keys), 2)
+            for key, row in zip(keys, got):
+                want = SeedSequence(seed, spawn_key=(key,)).generate_state(2, np.uint64)
+                assert np.array_equal(row, want), (seed, key)
+
+    def test_rekeyed_generator_matches_a_fresh_one(self):
+        # re-keying must reset the counter, the buffer and the spare uint32 the
+        # previous key left: each key draws 3 uint32 first and leaves one spare
+        seed, keys = 99, [7, 0, 3, 2**32 - 1]
+        seeded = SeedSequence(seed)
+        bitgen = Philox(seeded)
+        rng = Generator(bitgen)
+        for key, philox_key in zip(keys, _philox_keys(seeded, keys)):
+            _rekey(bitgen, philox_key)
+            fresh = Generator(Philox(SeedSequence(seed, spawn_key=(key,))))
+            assert np.array_equal(rng.integers(2**32, size=3, dtype=np.uint32),
+                                  fresh.integers(2**32, size=3, dtype=np.uint32)), key
+            assert np.array_equal(rng.random(5), fresh.random(5)), key
+            assert np.array_equal(rng.multinomial(1000, [0.2, 0.3, 0.5]), fresh.multinomial(1000, [0.2, 0.3, 0.5])), key
+            assert bitgen.state["has_uint32"] == 1  # the third uint32 left half a word

@@ -5,9 +5,11 @@ import math
 from pathlib import Path
 
 import numpy as np
+import numpy.random
 import pytest
 
-from pnrlidar.photon_stats import mixed_tail, SourceParams
+from pnrlidar import rangefinder_sim
+from pnrlidar.photon_stats import mixed_tail, sample_histogram, SourceParams
 from pnrlidar.rangefinder_sim import (
     DegenerateNoiseError,
     SimConfig,
@@ -95,6 +97,27 @@ class TestRunSimulation:
             assert result.intensity_raw.tolist() == case["intensity_raw"], config
             assert [float(v).hex() for v in result.intensity_sq_raw] == case["intensity_sq_raw"], config
             assert {str(n): raw.tolist() for n, raw in result.threshold_raw.items()} == case["threshold_raw"], config
+
+    def test_one_seed_sequence_per_sampler_call(self, monkeypatch):
+        # the sampler derives every bin's Philox key from one SeedSequence(seed):
+        # fig 4 makes one sampler call per table (noise and 4 targets), not one
+        # generator per bin
+        built, calls = [], []
+
+        class CountedSeedSequence(numpy.random.SeedSequence):
+            def __init__(self, *args, **kwargs):
+                built.append(args)
+                super().__init__(*args, **kwargs)
+
+        def counted_sampler(*args):
+            calls.append(args)
+            return sample_histogram(*args)
+
+        monkeypatch.setattr(numpy.random, "SeedSequence", CountedSeedSequence)
+        monkeypatch.setattr(rangefinder_sim, "sample_histogram", counted_sampler)
+        run_simulation(four_target_config(repetitions=200_000))
+        assert len(calls) == 5
+        assert len(built) <= len(calls)
 
     def test_sum_of_squares_does_not_wrap(self):
         # counts near 1e8 square to about 2e19 per bin, past the int64 range;
