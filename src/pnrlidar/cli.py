@@ -33,34 +33,29 @@ class ConfigError(ValueError):
     """Simulation config file rejected; message carries file:line."""
 
 
-def _fmt(value):
-    """Shortest round-trip text of a float, a trailing '.0' dropped (1.0 -> '1')."""
-    if isinstance(value, float):
-        text = repr(float(value))  # float(): a numpy scalar's repr is "np.float64(...)"
-        return text[:-2] if text.endswith(".0") else text
-    return str(value)
+def _csv_block(*columns) -> str:
+    """CSV lines of equal-length columns of numbers, each float as its
+    shortest round-trip repr with a trailing '.0' dropped (1.0 -> '1').
+
+    Each column is a column of ints or of floats, as its first value is.
+    Floats go through float(), since a numpy scalar's repr is
+    "np.float64(...)", and repr puts ".0" only at the end of an integral
+    float, so two replaces over the block drop it.
+    """
+    if not columns:
+        return ""
+    texts = [
+        map(repr, map(float, column)) if isinstance(column[0], float) else map(str, column)
+        for column in columns
+    ]
+    block = "\n".join(map(",".join, zip(*texts))) + "\n"
+    return block.replace(".0,", ",").replace(".0\n", "\n")
 
 
 def _rows(rows):
-    """A table's source: its rows of values, or with ``text`` its CSV lines as one block.
-
-    Each column is a column of ints or of floats, as its first value is.
-    The block is written as ``_fmt`` writes each value: floats go through
-    float(), since a numpy scalar's repr is "np.float64(...)", and repr puts
-    ".0" only at the end of an integral float, so two replaces over the
-    block drop it.
-    """
+    """A table's source: its rows of values, or with ``text`` its CSV lines as one block."""
     def source(text):
-        if not text:
-            return iter(rows)
-        if not rows:
-            return []
-        columns = [
-            map(repr, map(float, column)) if isinstance(column[0], float) else map(str, column)
-            for column in zip(*rows)
-        ]
-        block = "\n".join(map(",".join, zip(*columns))) + "\n"
-        return [block.replace(".0,", ",").replace(".0\n", "\n")]
+        return [_csv_block(*zip(*rows))] if text else iter(rows)
 
     return source
 
@@ -94,7 +89,7 @@ def _emit(
     ``tables`` maps a suffix ("" for the primary file) to (columns, source),
     where ``source(False)`` yields the rows of values, for JSON, and
     ``source(True)`` the CSV text in pieces of whole lines, each value as
-    ``_fmt`` writes it.  Structured mode folds everything into a single
+    ``_csv_block`` writes it.  Structured mode folds everything into a single
     JSON document.
     """
     if (args.format or default_format) == "structured":
@@ -161,9 +156,11 @@ def _grid(args) -> list[float]:
 def _cmd_pmf(args) -> int:
     kind = SourceKind(args.kind)
     needs = {SourceKind.THERMAL: ("n_th",), SourceKind.POISSON: ("n_p",), SourceKind.MIXED: ("n_p", "n_th")}
-    for name in needs[kind]:
-        if getattr(args, name) is None:
-            raise ValueError(f"--{name.replace('_', '-')} is required for kind {kind.value}")
+    for name in ("n_p", "n_th"):
+        needed = name in needs[kind]
+        if needed != (getattr(args, name) is not None):
+            flag = f"--{name.replace('_', '-')}"
+            raise ValueError(f"{flag} is {'required for' if needed else 'not used by'} kind {kind.value}")
     params = SourceParams(args.n_p or 0.0, args.n_th or 0.0)
     pmf = build_pmf(kind, params, args.tolerance, args.n_max)
     manifest = _manifest("pmf", {
@@ -209,10 +206,10 @@ def _cmd_sweep(args) -> int:
             return
         # One text block per threshold, each grid value formatted once.  The
         # ratios end the lines, and repr puts ".0" only at the end of an
-        # integral float, so _fmt's rule is one replace over the block.
-        grid_text = [_fmt(v) + "," for v in grid]
+        # integral float, so _csv_block's rule is one replace over the block.
+        grid_text = _csv_block(grid).splitlines()
         for n, values in zip(args.thresholds, ratios):
-            middle = f"{n},"
+            middle = f",{n},"
             block = "\n".join([g + middle + r for g, r in zip(grid_text, map(repr, values))])
             yield (block + "\n").replace(".0\n", "\n")
 

@@ -110,10 +110,7 @@ class PhotonPmf:
 def thermal_pmf(n: int, n_th_mean: float) -> float:
     """Probability of n photons from single-mode thermal light."""
     n = _check_count(n)
-    n_th_mean = _check_mean(n_th_mean, "n_th_mean")
-    x = n_th_mean / (n_th_mean + 1.0)
-    if x == 0.0:
-        return 1.0 if n == 0 else 0.0
+    x = SourceParams(0.0, n_th_mean).x
     return x**n * (1.0 - x)
 
 
@@ -152,9 +149,7 @@ def mixed_pmf(n: int, params: SourceParams) -> float:
 def thermal_tail(threshold_n: int, n_th_mean: float) -> float:
     """Probability that a thermal draw is >= threshold_n: exactly x^N."""
     threshold_n = int(_check_thresholds(threshold_n))
-    n_th_mean = _check_mean(n_th_mean, "n_th_mean")
-    x = n_th_mean / (n_th_mean + 1.0)
-    return x**threshold_n
+    return SourceParams(0.0, n_th_mean).x ** threshold_n
 
 
 def mixed_tail(threshold_n: int, params: SourceParams) -> float:

@@ -26,12 +26,11 @@ of its histogram.  Each sampler call (one per source table) builds one
 generator and derives the stream keys of all its bins in one array pass;
 bin indices must stay below 2**32, the largest key the sampler takes.
 On a 2-core Xeon (numpy 2.4) the 46-bin noise call of the paper's fig-4
-layout takes about 330 us (about 900 us with one generator built per bin)
-and a one-bin target call about 65 us (about 50 us).  The fold is one
-int64 product of the rows [v, 1{v >= N} for each threshold] over the
-count values v with the counts, which gives the count sum and every
-threshold channel at once, and one dot of v^2 (as floats) with the counts
-for the square sum.  Those rows are built once per source over its table's
+layout takes about 330 us and a one-bin target call about 65 us.  The
+fold is one int64 product of the rows [v, 1{v >= N} for each threshold]
+over the count values v with the counts, which gives the count sum and
+every threshold channel at once, and one dot of v^2 (as floats) with the
+counts for the square sum.  Those rows are built once per source over its table's
 values 0..n_max; a histogram that drew past n_max gets its own.
 Histograms are folded one at a time, as they are drawn: stacking the 46
 noise histograms of the paper's fig-4 layout and folding them with

@@ -230,10 +230,9 @@ def snr_report(params: SourceParams, thresholds: Sequence[int]) -> SnrReport:
     """Evaluate classical and quantum SNR at each threshold."""
     classical = classical_snr(params)
     big_n = np.asarray(thresholds)
-    values = _snr_terms(params.n_p_mean, params.n_th_mean, big_n)[0]
-    quantum = {int(n): q for n, q in zip(big_n.tolist(), values.tolist())}
-    ratio = {n: q / classical for n, q in quantum.items()}
-    return SnrReport(params, classical, quantum, ratio)
+    quantum, ratio = _snr_terms(params.n_p_mean, params.n_th_mean, big_n)[:2]
+    keys = [int(n) for n in big_n.tolist()]
+    return SnrReport(params, classical, dict(zip(keys, quantum.tolist())), dict(zip(keys, ratio.tolist())))
 
 
 def quantum_snr_derivative(params: SourceParams, threshold_n: int) -> float:

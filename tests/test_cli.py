@@ -4,6 +4,7 @@ import csv
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -90,6 +91,26 @@ class TestPmfCommand:
         manifest = json.loads((tmp_path / "pmf.manifest.json").read_text())
         assert manifest["subcommand"] == "pmf"
         assert manifest["parameters"]["residual"] == pytest.approx(0.03125)
+
+    @pytest.mark.parametrize(
+        "argv,refusal",
+        [
+            (("--kind", "poisson", "--n-p", "2", "--n-th", "5"), "--n-th is not used by kind poisson"),
+            (("--kind", "thermal", "--n-p", "7", "--n-th", "1"), "--n-p is not used by kind thermal"),
+        ],
+    )
+    def test_mean_the_kind_ignores_refused(self, tmp_path, capsys, argv, refusal):
+        out = tmp_path / "p.csv"
+        assert run_cli("pmf", *argv, "--n-max", "3", "--output", str(out)) == 1
+        assert capsys.readouterr().err == f"pnrlidar: error: {refusal}\n"
+        assert list(tmp_path.iterdir()) == []
+
+    def test_mixed_manifest_records_both_means(self, tmp_path):
+        out = tmp_path / "p.csv"
+        assert run_cli("pmf", "--kind", "mixed", "--n-p", "2", "--n-th", "5", "--n-max", "3",
+                       "--output", str(out)) == 0
+        parameters = json.loads((tmp_path / "p.manifest.json").read_text())["parameters"]
+        assert (parameters["n_p_mean"], parameters["n_th_mean"]) == (2.0, 5.0)
 
 
 class TestSnrCommand:
@@ -469,3 +490,15 @@ class TestClosedPipe:
         proc.stderr.close()
         assert proc.wait(timeout=60) == 1
         assert stderr == b""
+
+
+CLI_REFERENCE = json.loads((Path(__file__).parent / "data" / "cli_reference.json").read_text())["cases"]
+
+
+class TestReferenceOutput:
+    @pytest.mark.parametrize("case", CLI_REFERENCE, ids=lambda case: " ".join(case["argv"]))
+    def test_stdout_and_exit_code_match_the_record(self, capsys, case):
+        # Every byte but the manifest's timestamp, the last key of its object.
+        code = main(case["argv"])
+        stdout = re.sub(r',\n *"timestamp": "[^"\n]*"', "", capsys.readouterr().out)
+        assert (code, stdout) == (case["exit_code"], case["stdout"])
