@@ -31,7 +31,7 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Any, Callable, Iterable, Iterator, Sequence
+from typing import Any, Callable, Iterable, Iterator
 
 import numpy as np
 from numpy.typing import ArrayLike
@@ -75,7 +75,7 @@ def _check_mean(value: float, name: str) -> float:
     value = float(value)
     if not math.isfinite(value) or value < 0.0:
         raise ValueError(f"{name} must be finite and >= 0, got {value!r}")
-    return value
+    return value + 0.0  # -0.0 + 0.0 is +0.0, so a zero mean is kept as +0.0
 
 
 @dataclass(frozen=True)
@@ -456,28 +456,7 @@ def _check_thresholds(threshold_n: ArrayLike) -> np.ndarray:
 
 # --- seeded histogram sampling ---
 
-_SEED_MASK = 2**64 - 1
-# Keys are one 32-bit word each: SeedSequence splits a larger spawn key into
-# more words, which mix in differently from what _philox_keys computes.
-_KEY_LIMIT = 2**32
-# The uint32 hash of numpy.random.SeedSequence, which implements O'Neill's
-# seed_seq: hashmix multiplies its hash_const by MULT_A before each use,
-# generate_state by MULT_B, and mix combines two words with MIX_MULT_L/R.
-_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
-_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
-_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
-
-
-def _hash_constants(init: int, mult: int, first: int) -> np.ndarray:
-    """init * mult^i mod 2^32 for i = first..first+4: a hash_const before and after each of 4 steps."""
-    return np.array([init * pow(mult, i, 2**32) % 2**32 for i in range(first, first + 5)], dtype=np.uint32)
-
-
-# A 4-word pool takes 16 hashmix calls (4 to fill it, 12 to mix it) before
-# the one spawn-key word is mixed into each pool word; generate_state's
-# hash_const starts from INIT_B.
-_SPAWN_HASH = _hash_constants(_INIT_A, _MULT_A, 16)
-_STATE_HASH = _hash_constants(_INIT_B, _MULT_B, 0)
+_SEED_MASK = 2**64 - 1  # the largest Philox key word
 # Largest Poisson mean the sampler accepts.  Its overflow weights reach past
 # the mean, so their walk grows with it: about 0.1 s at this bound.
 _MAX_SAMPLED_POISSON_MEAN = 1e5
@@ -497,39 +476,41 @@ def sample_histogram(
     n_max and no count is clamped.  Once per call, when the first
     histogram is taken, the arguments are checked, the overflow weights
     tabulated, the cell weights sorted and normalised for the multinomial,
-    the table's support 0..n_max built, every key's Philox key derived in
-    one array pass and one generator built; a key then costs re-keying
-    that generator (under 1 us) and one multinomial, and a key with
-    overflow draws also its draws past n_max (the overflow weights are
-    sorted and normalised at the first).  Keys without overflow draws all
-    yield that one support array, read-only.  Each histogram is drawn as
-    it is taken, so a caller that folds them in holds one at a time.  Each
-    key's stream is that of ``Philox(SeedSequence(seed, spawn_key=(key,)))``:
-    equal arguments give equal histograms, and distinct keys give
-    independent streams.  Keys must be integers in [0, 2**32); Poisson
-    means above 1e5 are refused.
+    the table's support 0..n_max built and one generator built; a key then
+    costs re-keying that generator (about 2 us) and one multinomial, and a
+    key with overflow draws also its draws past n_max (the overflow weights
+    are sorted and normalised at the first).  Keys without overflow draws
+    all yield that one support array, read-only.  Each histogram is drawn
+    as it is taken, so a caller that folds them in holds one at a time.
+    Each key's stream is that of ``Philox(key=[seed mod 2**64, key])`` from
+    counter 0, the counter-based design of Salmon et al. (SC'11), in which
+    distinct keys give independent streams: equal arguments give equal
+    histograms.  The seed is any integer; keys must be integers in
+    [0, 2**64), one Philox key word each.  Poisson means above 1e5 are
+    refused.
     """
     # numpy.random is not loaded by `import numpy`; importing it here keeps
     # its cost out of the analysis commands.
-    from numpy.random import Generator, Philox, SeedSequence
+    from numpy.random import Generator, Philox
 
     if draws != int(draws) or draws < 0:
         raise ValueError(f"draws must be a nonnegative integer, got {draws!r}")
+    if seed != int(seed):
+        raise ValueError(f"seed must be an integer, got {seed!r}")
     keys = list(keys)
     for key in keys:
-        if key != int(key) or not 0 <= key < _KEY_LIMIT:
-            raise ValueError(f"key must be an integer in [0, 2**32), got {key!r}")
+        if key != int(key) or not 0 <= key <= _SEED_MASK:
+            raise ValueError(f"key must be an integer in [0, 2**64), got {key!r}")
     draws, seed = int(draws), int(seed) & _SEED_MASK
     weights, overflow_mass = _overflow_weights(pmf)
     x, m = _law(pmf.kind, pmf.params)[1], pmf.n_max
     draw_cells, draw_bases = _multinomial(np.append(pmf.probs, overflow_mass)), None
     support = np.arange(m + 1)
     support.flags.writeable = False
-    seeded = SeedSequence(seed)
-    bitgen = Philox(seeded)
+    bitgen = Philox(key=seed)  # the key [seed, 0], re-keyed for each key below
     rng = Generator(bitgen)
-    for philox_key in _philox_keys(seeded, keys):
-        _rekey(bitgen, philox_key)
+    for key in keys:
+        _rekey(bitgen, np.array([seed, int(key)], np.uint64))
         cells = draw_cells(rng, draws)
         values, counts = support, cells[:-1]
         if cells[-1]:
@@ -542,29 +523,6 @@ def sample_histogram(
             beyond, beyond_counts = np.unique(drawn, return_counts=True)
             values, counts = np.append(values, beyond), np.append(counts, beyond_counts)
         yield values, counts
-
-
-def _philox_keys(seeded: np.random.SeedSequence, keys: Sequence[int]) -> np.ndarray:
-    """Philox keys of ``SeedSequence(seed, spawn_key=(key,))`` for each key, from ``seeded = SeedSequence(seed)``.
-
-    Returns a (len(keys), 2) uint64 array, row k equal to that sequence's
-    ``generate_state(2, np.uint64)``.  With a spawn key, SeedSequence pads
-    the run entropy to its 4-word pool, so the pool after its first two
-    mixing loops is ``seeded.pool`` whatever the key.  What the key changes
-    is the third loop, which hashes its one word into each pool word, and
-    the 4 output words hashed from that pool: a few uint32 array operations
-    over all keys at once, which wrap as the scalar hash does.
-    """
-    words = np.asarray(keys, dtype=np.uint32)[:, None] ^ _SPAWN_HASH[:4]
-    words *= _SPAWN_HASH[1:]
-    words ^= words >> 16
-    words = seeded.pool * np.uint32(_MIX_MULT_L) - words * np.uint32(_MIX_MULT_R)
-    words ^= words >> 16
-    words ^= _STATE_HASH[:4]
-    words *= _STATE_HASH[1:]
-    words ^= words >> 16
-    # output words pair up little-endian into uint64, as generate_state pairs them
-    return words.astype("<u4", copy=False).view("<u8").astype(np.uint64)
 
 
 def _rekey(bitgen: np.random.Philox, philox_key: np.ndarray) -> None:

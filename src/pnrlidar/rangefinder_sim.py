@@ -23,10 +23,9 @@ or removing a target never perturbs another bin.
 A bin costs a fixed amount of numpy work, whatever the repetition count:
 re-keying the sampler call's one generator, its multinomial, and one fold
 of its histogram.  Each sampler call (one per source table) builds one
-generator and derives the stream keys of all its bins in one array pass;
-bin indices must stay below 2**32, the largest key the sampler takes.
+generator, and bin b's stream is Philox's own key [seed mod 2**64, b].
 On a 2-core Xeon (numpy 2.4) the 46-bin noise call of the paper's fig-4
-layout takes about 330 us and a one-bin target call about 65 us.  The
+layout takes about 340 us and a one-bin target call about 50 us.  The
 fold is one int64 product of the rows [v, 1{v >= N} for each threshold]
 over the count values v with the counts, which gives the count sum and
 every threshold channel at once, and one dot of v^2 (as floats) with the

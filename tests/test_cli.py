@@ -417,10 +417,13 @@ class TestSimulateCommand:
         assert "Traceback" not in captured.err
         assert captured.out == ""
 
-    def test_silent_noise_channel_is_named(self, capsys):
-        # at one repetition no noise bin reaches 5 photons; the intensity and
-        # N = 2 channels have floors of 0.80 and 0.26
-        assert run_cli("simulate", "--config", "paper_fig4", "--repetitions", "1", "--seed", "5") == 1
+    def test_silent_noise_channel_is_named(self, tmp_path, capsys):
+        # 10^6 noise draws at x = 0.005 / 1.005: the N = 5 channel is silent but
+        # with probability about 1e6 x^5 = 3e-6, and the N = 2 channel is silent
+        # with probability about e^-24.7, whatever the seed draws
+        path = tmp_path / "quiet.cfg"
+        path.write_text("num_bins = 10\nnoise_mean = 0.005\nrepetitions = 100000\nseed = 1\nthresholds = 2, 5\n")
+        assert run_cli("simulate", "--config", str(path)) == 1
         captured = capsys.readouterr()
         assert captured.err == (
             "pnrlidar: error: noise-bin average is zero in the N = 5 channel; "

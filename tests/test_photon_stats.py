@@ -5,7 +5,6 @@ import itertools
 import json
 import math
 import operator
-import random
 import tracemalloc
 from pathlib import Path
 
@@ -13,7 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from numpy.random import Generator, Philox, SeedSequence
+from numpy.random import Generator, Philox
 from scipy import stats
 
 from pnrlidar.photon_stats import (
@@ -29,7 +28,7 @@ from pnrlidar.photon_stats import (
     thermal_pmf,
     thermal_tail,
 )
-from pnrlidar.photon_stats import _TAIL_STEPPED, _overflow_weights, _philox_keys, _poisson_rows, _rekey
+from pnrlidar.photon_stats import _TAIL_STEPPED, _multinomial, _overflow_weights, _poisson_rows, _rekey
 
 MEAN_GRID = (0.0, 0.5, 1.0, 3.0, 10.0)
 
@@ -429,11 +428,15 @@ class TestMixedTailTerms:
 
 class TestSourceParams:
     def test_thermal_ratio_definition(self):
-        for n_th in (0.0, 0.5, 1.0, 3.0, 10.0):
+        for n_th in (0.0, -0.0, 0.5, 1.0, 3.0, 10.0):
             params = SourceParams(1.0, n_th)
             assert params.x == n_th / (n_th + 1.0)
             assert 0.0 <= params.x < 1.0
+            # a zero mean is kept as +0.0: no -0.0 reaches x or the thermal laws
+            for value in (params.n_th_mean, params.x, thermal_tail(1, n_th), thermal_pmf(1, n_th)):
+                assert math.copysign(1.0, value) == 1.0, n_th
         assert SourceParams(0.0, 0.0).x == 0.0
+        assert math.copysign(1.0, SourceParams(-0.0, 1.0).n_p_mean) == 1.0
 
     def test_rejects_bad_means(self):
         with pytest.raises(ValueError):
@@ -595,31 +598,32 @@ class TestSampling:
         with pytest.raises(ValueError):
             sampled(pmf, -1, 1, 0)
         with pytest.raises(ValueError):
-            sampled(pmf, 10, 1, 2**32)  # SeedSequence would take it as two words
-
-    def test_philox_keys_match_seed_sequence(self):
-        rng = random.Random(20240611)
-        seeds = [0, 1, 1234, 2**32 - 1, 2**32, 2**64 - 1] + [rng.getrandbits(64) for _ in range(20)]
-        keys = [0, 1, 2, 49, 2**31, 2**32 - 1] + [rng.getrandbits(32) for _ in range(20)]
-        for seed in seeds:
-            got = _philox_keys(SeedSequence(seed), keys)
-            assert got.dtype == np.uint64 and got.shape == (len(keys), 2)
-            for key, row in zip(keys, got):
-                want = SeedSequence(seed, spawn_key=(key,)).generate_state(2, np.uint64)
-                assert np.array_equal(row, want), (seed, key)
+            sampled(pmf, 10, 1, 2**64)  # one Philox key word holds a key
+        with pytest.raises(ValueError):
+            sampled(pmf, 10, 1.5, 0)  # not truncated to seed 1
 
     def test_rekeyed_generator_matches_a_fresh_one(self):
         # re-keying must reset the counter, the buffer and the spare uint32 the
         # previous key left: each key draws 3 uint32 first and leaves one spare
-        seed, keys = 99, [7, 0, 3, 2**32 - 1]
-        seeded = SeedSequence(seed)
-        bitgen = Philox(seeded)
+        bitgen = Philox(key=0)
         rng = Generator(bitgen)
-        for key, philox_key in zip(keys, _philox_keys(seeded, keys)):
+        for seed, key in itertools.product([99, -1234, 2**64 - 1], [7, 0, 3, 2**32, 2**64 - 1]):
+            philox_key = np.array([seed & (2**64 - 1), key], np.uint64)
             _rekey(bitgen, philox_key)
-            fresh = Generator(Philox(SeedSequence(seed, spawn_key=(key,))))
+            fresh = Generator(Philox(key=philox_key))
             assert np.array_equal(rng.integers(2**32, size=3, dtype=np.uint32),
                                   fresh.integers(2**32, size=3, dtype=np.uint32)), key
             assert np.array_equal(rng.random(5), fresh.random(5)), key
             assert np.array_equal(rng.multinomial(1000, [0.2, 0.3, 0.5]), fresh.multinomial(1000, [0.2, 0.3, 0.5])), key
             assert bitgen.state["has_uint32"] == 1  # the third uint32 left half a word
+
+    def test_each_key_draws_from_its_philox_key(self):
+        # key k under seed s draws what Generator(Philox(key=[s mod 2**64, k])) draws from its start
+        pmf = build_pmf(SourceKind.MIXED, SourceParams(1.0, 1.0))
+        draw_cells = _multinomial(np.append(pmf.probs, _overflow_weights(pmf)[1]))
+        keys = [7, 0, 3, 2**32, 2**64 - 1]
+        for seed in (99, -1234, 2**64 - 1):
+            for key, (values, counts) in zip(keys, sample_histogram(pmf, 1000, seed, keys)):
+                cells = draw_cells(Generator(Philox(key=np.array([seed & (2**64 - 1), key], np.uint64))), 1000)
+                assert values.size == pmf.n_max + 1 and cells[-1] == 0, (seed, key)
+                assert np.array_equal(counts, cells[:-1]), (seed, key)

@@ -98,26 +98,34 @@ class TestRunSimulation:
             assert [float(v).hex() for v in result.intensity_sq_raw] == case["intensity_sq_raw"], config
             assert {str(n): raw.tolist() for n, raw in result.threshold_raw.items()} == case["threshold_raw"], config
 
-    def test_one_seed_sequence_per_sampler_call(self, monkeypatch):
-        # the sampler derives every bin's Philox key from one SeedSequence(seed):
-        # fig 4 makes one sampler call per table (noise and 4 targets), not one
-        # generator per bin
-        built, calls = [], []
+    def test_one_philox_and_no_seed_sequence_per_sampler_call(self, monkeypatch):
+        # each bin's stream is Philox's own key (seed, bin), so no seed is hashed
+        # into a SeedSequence: fig 4 makes one sampler call per table (noise and
+        # 4 targets), each with one Philox re-keyed per bin
+        built, philoxes, calls = [], [], []
 
         class CountedSeedSequence(numpy.random.SeedSequence):
             def __init__(self, *args, **kwargs):
                 built.append(args)
                 super().__init__(*args, **kwargs)
 
+        philox = numpy.random.Philox
+
+        def counted_philox(*args, **kwargs):
+            philoxes.append((args, sorted(kwargs)))
+            return philox(*args, **kwargs)
+
         def counted_sampler(*args):
             calls.append(args)
             return sample_histogram(*args)
 
         monkeypatch.setattr(numpy.random, "SeedSequence", CountedSeedSequence)
+        monkeypatch.setattr(numpy.random, "Philox", counted_philox)
         monkeypatch.setattr(rangefinder_sim, "sample_histogram", counted_sampler)
         run_simulation(four_target_config(repetitions=200_000))
         assert len(calls) == 5
-        assert len(built) <= len(calls)
+        assert philoxes == [((), ["key"])] * len(calls)  # each built from a key, not from a seed
+        assert built == []
 
     def test_sum_of_squares_does_not_wrap(self):
         # counts near 1e8 square to about 2e19 per bin, past the int64 range;
