@@ -48,6 +48,7 @@ __all__ = [
     "thermal_tail",
     "mixed_tail",
     "mixed_tail_terms",
+    "mixed_tail_parts",
     "sample_histogram",
 ]
 
@@ -55,6 +56,12 @@ __all__ = [
 _RECURRENCE_CUTOFF = 30
 # Table cells (rows x columns) per block of a walk down a table's rows.
 _TABLE_BLOCK = 24576
+# Tables at least this many columns wide add their sums a row at a time;
+# narrower ones in one accumulate down the rows.  A row's np.add costs about
+# 0.7 us, numpy's accumulate about 3.3 ns a cell (it walks column by column):
+# on 21 rows, 19 columns took 3.9 us by accumulate against 14 by rows, 200
+# columns 28 against 16.
+_ROW_LOOP_WIDTH = 128
 # log(m!) = lgamma(m + 1) for m below 1024, the rows of the tables the
 # sampler draws from, tabulated once: math.lgamma costs about 150 ns a call,
 # and each block of log-space rows needs one per row.  Deeper rows call it.
@@ -190,20 +197,41 @@ def mixed_tail_terms(
 
     The terms sit in a table whose columns are the elements of the
     broadcast of ``n_p`` and ``x`` and whose rows are m = 0, 1, ..., max(N):
-    p_p(m) from ``_poisson_rows``, and the running mass, scaled and identity
-    sums, the last by the Horner recurrence s <- x (s + p_p(m)).  An element
-    with threshold N reads rows N - 2 to N of its own column, so thresholds
-    on one grid share its terms.  The rows
-    are walked in blocks of _TABLE_BLOCK cells, each starting from the last
-    two rows of the one before, so memory stays in proportion to the
+    p_p(m) from ``_poisson_rows``, the running mass and scaled sums, and
+    the identity sum, by the Horner recurrence s <- x (s + p_p(m)) row by
+    row.  Only the tail reads the identity sum: :func:`mixed_tail_parts`
+    does not walk it.  An element with threshold N reads rows N - 2 to N
+    of its own column, so thresholds on one grid share its terms.  The
+    rows are walked in blocks of _TABLE_BLOCK cells, each starting from the
+    last two rows of the one before, so memory stays in proportion to the
     elements.  The Poisson tail sums whichever side of N carries less mass:
     one minus the below-N sum where that is under 0.5, else the upward sum
     from p_p(N), so a small tail keeps its relative precision.  Every sum
     is sequential and adds one term at a time, so an element's bits do not
-    depend on the block size or on the other elements of the call: a
-    scalar call gives the element's bits.  Every array has the broadcast
-    shape of the three inputs, at least 1-D.
+    depend on the block size, on the other elements of the call or on
+    whether the tail is taken: a scalar call gives the element's bits.
+    Every array has the broadcast shape of the three inputs, at least 1-D.
     """
+    return _tail_terms(threshold_n, n_p, x, True)
+
+
+def mixed_tail_parts(
+    threshold_n: ArrayLike, n_p: ArrayLike, x: ArrayLike
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """``(poisson, scaled, last, head)`` of :func:`mixed_tail_terms`, bit for bit, without the tail.
+
+    The parts the SNR reads.  The tail's identity sums, a loop over the
+    table's rows, are not walked, and narrow tables take their other sums
+    in one accumulate: a one-point call costs about 80 us at N = 20, where
+    :func:`mixed_tail_terms` costs about 115 us.
+    """
+    return _tail_terms(threshold_n, n_p, x, False)[1:]
+
+
+def _tail_terms(
+    threshold_n: ArrayLike, n_p: ArrayLike, x: ArrayLike, tail: bool
+) -> tuple[np.ndarray | None, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """:func:`mixed_tail_terms`, with None for the tail unless ``tail``."""
     big_n = _check_thresholds(threshold_n)
     n_p = np.asarray(n_p, dtype=float)
     x = np.asarray(x, dtype=float)
@@ -221,31 +249,40 @@ def mixed_tail_terms(
     n = _spread(big_n, shape)
     column = _spread(np.arange(lam.size).reshape(columns), shape)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        first, last, mass, scaled, head, identity = _table_reads(n, column, lam, x)
+        first, last, mass, scaled, head, *identity = _table_reads(n, column, lam, x, tail)
         np.minimum(mass, 1.0, out=mass)
         upper = mass >= 0.5
         poisson = np.subtract(1.0, mass, out=mass)
         if upper.any():
             poisson[upper] = _upper_poisson_tail(lam[column[upper]], first[upper], n[upper])
-        tail = np.minimum(poisson + identity, 1.0)
-    return tuple(a.reshape(shape) for a in (tail, poisson, scaled, last, head))
+        terms = [np.minimum(poisson + identity[0], 1.0) if tail else None, poisson, scaled, last, head]
+    return tuple(a if a is None else a.reshape(shape) for a in terms)
 
 
-def _table_reads(n: np.ndarray, column: np.ndarray, lam: np.ndarray, x: np.ndarray) -> list[np.ndarray]:
-    """(p_p(N), p_p(N - 1), mass, scaled, head, identity) of element i, at N = n[i].
+def _table_reads(
+    n: np.ndarray, column: np.ndarray, lam: np.ndarray, x: np.ndarray, identity: bool
+) -> list[np.ndarray]:
+    """(p_p(N), p_p(N - 1), mass, scaled, head) of element i, at N = n[i], and with ``identity`` its identity sum.
 
     Element i reads column column[i], in the block that holds its row N.
     Rows 2, 3, ... of a table block hold m = start, start + 1, ..., rows 0
-    and 1 the two before; a row's planes are p_p(m) and the mass, scaled
-    and identity sums through m.
+    and 1 the two before; a row's planes are p_p(m) and the mass and scaled
+    sums through m, and with ``identity`` the identity sum through m.  The
+    identity plane, which only the tail reads, needs a loop over the rows;
+    without it the sums of a table under _ROW_LOOP_WIDTH columns are one
+    accumulate down the rows, with the loop's bits.
     """
     width = lam.size
     top = int(n.max(initial=1))
     rows = max(1, min(top + 1, _TABLE_BLOCK // max(width, 1) - 2))
-    table = np.zeros((rows + 2, 4, width))
+    planes = 3 + identity
+    table = np.zeros((rows + 2, planes, width))
     owner = n // rows
-    at = n * (4 * width) + column
-    reads = [np.empty(n.size) for _ in range(6)]
+    at = n * (planes * width) + column
+    # p_p(N), p_p(N - 1), the sums through row N - 1 and the scaled sum
+    # through row N - 2, at these shifts (in planes of width) from p_p(N - 2)
+    shifts = (2 * planes, planes, planes + 1, planes + 2, 2, planes + 3)[: 5 + identity]
+    reads = [np.empty(n.size) for _ in shifts]
     for start in range(0, top + 1, rows):
         count = min(rows, top + 1 - start)
         if start:
@@ -257,15 +294,19 @@ def _table_reads(n: np.ndarray, column: np.ndarray, lam: np.ndarray, x: np.ndarr
         # exponent -1 as a reciprocal, rounded differently from its power loop.
         cells[:, 1::2] = p[:, None]
         np.multiply(p, np.power(np.full((count, x.size), x), np.full((count, x.size), -m)), out=cells[:, 2])
-        for row in range(2, 2 + min(count, top - start)):  # no threshold reads row max(N)'s sums
-            sums = table[row, 1:]
-            np.add(table[row - 1, 1:], sums, out=sums)
-            np.multiply(sums[2], x, out=sums[2])
-        # p_p(N), p_p(N - 1), the sums through row N - 1 and the scaled sum
-        # through row N - 2, at these shifts (in planes of width) from p_p(N - 2)
+        if identity or width >= _ROW_LOOP_WIDTH:
+            for row in range(2, 2 + min(count, top - start)):  # no threshold reads row max(N)'s sums
+                sums = table[row, 1:]
+                np.add(table[row - 1, 1:], sums, out=sums)
+                if identity:
+                    np.multiply(sums[2], x, out=sums[2])
+        else:
+            # the same sums: accumulate adds the rows in order, one at a time
+            sums = table[1 : 2 + count, 1:]
+            np.add.accumulate(sums, axis=0, out=sums)
         reading = (owner == start // rows).nonzero()[0]
-        here = at[reading] - 4 * start * width
-        for read, shift in zip(reads, (8, 4, 5, 6, 2, 7)):
+        here = at[reading] - planes * start * width
+        for read, shift in zip(reads, shifts):
             read[reading] = table.ravel()[shift * width :].take(here)
     return reads
 
@@ -327,8 +368,11 @@ def _spread(a: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 # Upward-tail terms per pass.  While more than _TAIL_STEPPED elements are
 # live, a pass steps _TAIL_STEPS terms one at a time over them; fewer
 # elements take a (elements x terms) block of at most _TAIL_BLOCK entries
-# and _TAIL_MAX_STEPS terms.
-_TAIL_STEPPED, _TAIL_STEPS, _TAIL_BLOCK, _TAIL_MAX_STEPS = 256, 4, 4096, 64
+# and _TAIL_MAX_STEPS terms.  Longer passes check fewer times which elements
+# are done: 16 steps a pass rather than 4 took the (19 x 200) sweep at n_th = 1
+# from 590 to 499 us and the (39 x 200) one at n_th = 1000 from 1050 to 910 us
+# (best of 7, 2-core Xeon, numpy 2.4), where 8 and 32 were no faster.
+_TAIL_STEPPED, _TAIL_STEPS, _TAIL_BLOCK, _TAIL_MAX_STEPS = 256, 16, 4096, 64
 
 
 def _upper_poisson_tail(lam: np.ndarray, first: np.ndarray, start: np.ndarray) -> np.ndarray:
@@ -477,7 +521,7 @@ def sample_histogram(
     histogram is taken, the arguments are checked, the overflow weights
     tabulated, the cell weights sorted and normalised for the multinomial,
     the table's support 0..n_max built and one generator built; a key then
-    costs re-keying that generator (about 2 us) and one multinomial, and a
+    costs re-keying that generator (about 1 us) and one multinomial, and a
     key with overflow draws also its draws past n_max (the overflow weights
     are sorted and normalised at the first).  Keys without overflow draws
     all yield that one support array, read-only.  Each histogram is drawn
@@ -510,7 +554,7 @@ def sample_histogram(
     bitgen = Philox(key=seed)  # the key [seed, 0], re-keyed for each key below
     rng = Generator(bitgen)
     for key in keys:
-        _rekey(bitgen, np.array([seed, int(key)], np.uint64))
+        _rekey(bitgen, (seed, int(key)))
         cells = draw_cells(rng, draws)
         values, counts = support, cells[:-1]
         if cells[-1]:
@@ -525,11 +569,13 @@ def sample_histogram(
         yield values, counts
 
 
-def _rekey(bitgen: np.random.Philox, philox_key: np.ndarray) -> None:
+def _rekey(bitgen: np.random.Philox, philox_key: tuple[int, int]) -> None:
     """Set a Philox bit generator to the state a fresh one with this key starts in.
 
     Counter 0, an empty buffer and no spare uint32 half-word: the draws that
-    follow are those of ``Philox(key=philox_key)`` from its start.
+    follow are those of ``Philox(key=philox_key)`` from its start.  The key
+    is two words in [0, 2**64), as a tuple (the state setter converts it;
+    about 0.7 us a call against 1.3 us from a new uint64 array).
     """
     bitgen.state = {"bit_generator": "Philox", "state": {"counter": (0, 0, 0, 0), "key": philox_key},
                     "buffer": (0, 0, 0, 0), "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}

@@ -24,7 +24,7 @@ which has the sign of d(ratio)/d(n_p): one scan brackets it, and Newton
 steps on rise and its analytic slope refine it.
 
 Every value comes from one array evaluation over whole grids
-(:func:`pnrlidar.photon_stats.mixed_tail_terms`), which tabulates the
+(:func:`pnrlidar.photon_stats.mixed_tail_parts`), which tabulates the
 Poisson terms and running sums once per (n_p, n_th) point, with the term
 index as the row, and reads each threshold N from its rows: a sweep over
 every threshold is one call, the optimum searches of all thresholds run
@@ -48,7 +48,7 @@ from typing import Sequence
 import numpy as np
 from numpy.typing import ArrayLike
 
-from .photon_stats import SourceParams, mixed_tail_terms
+from .photon_stats import SourceParams, mixed_tail_parts
 
 __all__ = [
     "ZeroNoiseError",
@@ -143,10 +143,12 @@ def _snr_terms(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """(quantum_snr, snr_ratio, quantum_snr_derivative, rise, rise_slope) over broadcast arrays.
 
-    One call of :func:`mixed_tail_terms`; ``threshold_n`` broadcasts with
-    ``n_p`` and ``n_th``.  With u = 1/n_th, T = P_poisson(n >= N) and S the
-    kernel's ``scaled`` sum, the quantum SNR is assembled as T / x^N + S,
-    which is exactly 1 at n_p == 0, and its derivative is u S.  The
+    One call of :func:`mixed_tail_parts` (the parts of
+    :func:`mixed_tail_terms` without the tail, which no SNR reads);
+    ``threshold_n`` broadcasts with ``n_p`` and ``n_th``.  With u = 1/n_th,
+    T = P_poisson(n >= N) and S the kernel's ``scaled`` sum, the quantum
+    SNR is assembled as T / x^N + S, which is exactly 1 at n_p == 0, and
+    its derivative is u S.  The
     ratio's derivative is u rise / (1 + n_p u)^2, so it has the sign of
 
         rise = n_p u S - T / x^N,
@@ -172,7 +174,7 @@ def _snr_terms(
         bad = n_th[~((n_th > 0.0) & (n_th < math.inf))]
         raise ValueError(f"n_th_mean must be finite and >= 0, got {float(bad[0])!r}")
     x = n_th / (n_th + 1.0)
-    _, poisson, scaled, last, head = mixed_tail_terms(threshold_n, n_p, x)
+    poisson, scaled, last, head = mixed_tail_parts(threshold_n, n_p, x)
     big_n = np.asarray(threshold_n)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         # x^2 as x * x, correctly rounded whether N is a scalar or an array:

@@ -1,6 +1,7 @@
 """CLI surface: tables, manifests, config handling, reproducibility."""
 
 import csv
+import inspect
 import json
 import math
 import os
@@ -13,9 +14,8 @@ from pathlib import Path
 import pytest
 
 import pnrlidar
-from pnrlidar import snr_analysis
-from pnrlidar.cli import ConfigError, bundled_config_path, load_sim_config, main, parse_sim_config
-from pnrlidar.photon_stats import mixed_tail_terms
+from pnrlidar import photon_stats, snr_analysis
+from pnrlidar.cli import ConfigError, _csv_block, bundled_config_path, load_sim_config, main, parse_sim_config
 from pnrlidar.snr_analysis import find_boundary, find_optima, log_grid
 from test_snr_analysis import optimum_mp
 
@@ -212,6 +212,23 @@ class TestSweepCommand:
                            "--grid-points", "40", "--output", str(out)) == 0
         assert a.read_bytes() == b.read_bytes()
 
+    @pytest.mark.parametrize("argv", [
+        ("--n-th", "1", "--thresholds", "2..6", "--grid-points", "40"),
+        # integral grid values, and ratios of exactly 1 at n_p = 0
+        ("--n-th", "2", "--thresholds", "1,3", "--grid-min", "0", "--grid-max", "10",
+         "--grid-points", "11", "--grid-scale", "linear"),
+    ], ids=["log", "linear"])
+    def test_csv_follows_the_one_number_rule(self, capsys, argv):
+        # the sweep writes its text from a per-threshold template: it must give
+        # the bytes _csv_block gives for the rows the structured format holds
+        assert run_cli("sweep", *argv) == 0
+        text = capsys.readouterr().out
+        assert run_cli("sweep", *argv, "--format", "structured") == 0
+        rows = json.loads(capsys.readouterr().out)["data"]["table"]["rows"]
+        assert text == "n_p_mean,threshold_n,ratio\n" + _csv_block(*zip(*rows))
+        if "linear" in argv:
+            assert [0, 1, 1] in rows and "\n0,1,1\n" in text
+
     def test_unwritable_output_is_an_error(self, tmp_path, capsys):
         out = tmp_path / "nodir" / "x.csv"
         assert run_cli("sweep", "--n-th", "1", "--output", str(out)) == 1
@@ -264,17 +281,29 @@ class TestOptimumBoundaryCommands:
     def test_boundary_searches_in_lockstep(self, capsys, monkeypatch):
         # one scan call per chunk of noise levels and one bisection call per
         # step, over every threshold at once: 3 scan calls and 28 steps here,
-        # where a call per threshold and noise level would make over 240
+        # where a call per threshold and noise level would make over 240.
+        # The calls counted are those to every photon_stats function that
+        # _snr_terms names, so routing it through another entry is still seen.
+        entries = [
+            name for name in snr_analysis._snr_terms.__code__.co_names
+            if inspect.isfunction(getattr(snr_analysis, name, None))
+            and getattr(snr_analysis, name).__module__ == photon_stats.__name__
+        ]
+        assert entries
         calls = []
 
-        def counted(*args):
-            calls.append(args)
-            return mixed_tail_terms(*args)
+        def counting(kernel):
+            def counted(*args, **kwargs):
+                calls.append(args)
+                return kernel(*args, **kwargs)
 
-        monkeypatch.setattr(snr_analysis, "mixed_tail_terms", counted)
+            return counted
+
+        for name in entries:
+            monkeypatch.setattr(snr_analysis, name, counting(getattr(snr_analysis, name)))
         assert run_cli("boundary") == 0
         assert len(capsys.readouterr().out.strip().splitlines()) == 1 + 4 * 60
-        assert len(calls) <= 35
+        assert 3 <= len(calls) <= 35
 
     def test_boundary_points_on_contract(self, capsys):
         assert run_cli("boundary", "--thresholds", "3", "--nth-min", "0.5",

@@ -22,6 +22,7 @@ from pnrlidar.photon_stats import (
     build_pmf,
     mixed_pmf,
     mixed_tail,
+    mixed_tail_parts,
     mixed_tail_terms,
     poisson_pmf,
     sample_histogram,
@@ -374,6 +375,45 @@ class TestMixedTailTerms:
                 got = array.ravel()[case["elements"]]
                 assert got.view(np.int64).tolist() == floats(case["outputs"][name]).view(np.int64).tolist(), name
 
+    @pytest.mark.parametrize("threshold_n, n_p, x", [
+        (7, 3.0, 0.5),
+        (np.arange(2, 21)[:, None], np.geomspace(0.01, 100.0, 200), 0.5),
+        # 2000 columns leave 10 rows a block: N to 50 walks the table in 6 blocks
+        (np.arange(1, 51)[:, None], np.geomspace(0.01, 100.0, 2000), np.linspace(0.0, 0.99, 2000)),
+        # 100 columns, under the row loop's width, leave 243 rows a block: 3 blocks
+        (np.arange(1, 601, 7)[:, None], np.geomspace(0.01, 500.0, 100), 0.9),
+    ], ids=["scalar", "one-block", "many-blocks", "narrow-many-blocks"])
+    def test_parts_match_the_full_kernel_bit_for_bit(self, threshold_n, n_p, x):
+        # the SNR path skips the tail's identity walk and reads a table of one
+        # plane fewer; every part it returns keeps the full kernel's bits
+        _, *full = mixed_tail_terms(threshold_n, n_p, x)
+        parts = mixed_tail_parts(threshold_n, n_p, x)
+        for name, want, got in zip(("poisson", "scaled", "last", "head"), full, parts):
+            assert got.shape == want.shape, name
+            assert got.view(np.int64).tolist() == want.view(np.int64).tolist(), name
+
+    def test_parts_and_scalar_tail_match_recorded_reference(self):
+        # the recorded bits of test_bits_match_recorded_reference, read through
+        # mixed_tail_parts, and through mixed_tail at each element whose x is
+        # n_th / (n_th + 1) of some n_th
+        reference = json.loads((Path(__file__).parent / "data" / "mixed_tail_reference.json").read_text())
+        floats = lambda hexes: np.array([float.fromhex(h) for h in hexes])
+        scalar_tails = 0
+        for case in reference["cases"]:
+            big_n, n_p, x = np.array(case["threshold_n"]), floats(case["n_p"]), floats(case["x"])
+            parts = mixed_tail_parts(big_n[:, None], n_p, x)
+            for name, array in zip(("poisson", "scaled", "last", "head"), parts):
+                got = array.ravel()[case["elements"]]
+                assert got.view(np.int64).tolist() == floats(case["outputs"][name]).view(np.int64).tolist(), name
+            x = np.broadcast_to(x, n_p.shape)
+            for element, tail in zip(case["elements"], case["outputs"]["tail"]):
+                row, col = np.unravel_index(element, parts[0].shape)
+                params = SourceParams(n_p[col], x[col] / (1.0 - x[col]))
+                if params.x == x[col]:
+                    assert mixed_tail(int(big_n[row]), params).hex() == tail, (case["threshold_n"][row], params)
+                    scalar_tails += 1
+        assert scalar_tails >= 10
+
     def test_deep_threshold_memory_is_bounded(self):
         # the table is walked in blocks of rows, so a deep threshold on a wide
         # grid holds a few blocks, not (N + 1) x 2000 table entries (95 MB)
@@ -608,9 +648,9 @@ class TestSampling:
         bitgen = Philox(key=0)
         rng = Generator(bitgen)
         for seed, key in itertools.product([99, -1234, 2**64 - 1], [7, 0, 3, 2**32, 2**64 - 1]):
-            philox_key = np.array([seed & (2**64 - 1), key], np.uint64)
+            philox_key = (seed & (2**64 - 1), key)
             _rekey(bitgen, philox_key)
-            fresh = Generator(Philox(key=philox_key))
+            fresh = Generator(Philox(key=np.array(philox_key, np.uint64)))
             assert np.array_equal(rng.integers(2**32, size=3, dtype=np.uint32),
                                   fresh.integers(2**32, size=3, dtype=np.uint32)), key
             assert np.array_equal(rng.random(5), fresh.random(5)), key

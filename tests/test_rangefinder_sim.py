@@ -6,6 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import numpy.random
+import numpy.random.bit_generator
 import pytest
 
 from pnrlidar import rangefinder_sim
@@ -101,8 +102,11 @@ class TestRunSimulation:
     def test_one_philox_and_no_seed_sequence_per_sampler_call(self, monkeypatch):
         # each bin's stream is Philox's own key (seed, bin), so no seed is hashed
         # into a SeedSequence: fig 4 makes one sampler call per table (noise and
-        # 4 targets), each with one Philox re-keyed per bin
-        built, philoxes, calls = [], [], []
+        # 4 targets), each with one Philox re-keyed per bin.  Philox(key=...)
+        # still builds one unseeded SeedSequence inside numpy, which no patch of
+        # numpy.random.SeedSequence sees; it reads 128 bits of OS entropy, so
+        # those reads count the Philoxes built, one per sampler call.
+        built, philoxes, calls, entropy_reads = [], [], [], []
 
         class CountedSeedSequence(numpy.random.SeedSequence):
             def __init__(self, *args, **kwargs):
@@ -110,10 +114,15 @@ class TestRunSimulation:
                 super().__init__(*args, **kwargs)
 
         philox = numpy.random.Philox
+        randbits = numpy.random.bit_generator.randbits
 
         def counted_philox(*args, **kwargs):
             philoxes.append((args, sorted(kwargs)))
             return philox(*args, **kwargs)
+
+        def counted_randbits(bits):
+            entropy_reads.append(bits)
+            return randbits(bits)
 
         def counted_sampler(*args):
             calls.append(args)
@@ -121,11 +130,13 @@ class TestRunSimulation:
 
         monkeypatch.setattr(numpy.random, "SeedSequence", CountedSeedSequence)
         monkeypatch.setattr(numpy.random, "Philox", counted_philox)
+        monkeypatch.setattr(numpy.random.bit_generator, "randbits", counted_randbits)
         monkeypatch.setattr(rangefinder_sim, "sample_histogram", counted_sampler)
         run_simulation(four_target_config(repetitions=200_000))
         assert len(calls) == 5
         assert philoxes == [((), ["key"])] * len(calls)  # each built from a key, not from a seed
         assert built == []
+        assert entropy_reads == [128] * len(calls)
 
     def test_sum_of_squares_does_not_wrap(self):
         # counts near 1e8 square to about 2e19 per bin, past the int64 range;
