@@ -129,11 +129,14 @@ def _write_manifest(output_path, manifest: dict) -> None:
 def _parse_thresholds(text: str) -> tuple[int, ...]:
     """Accept '2,5' lists and '2..8' inclusive ranges."""
     text = text.strip()
-    if ".." in text:
-        lo, _, hi = text.partition("..")
-        values = tuple(range(int(lo), int(hi) + 1))
-    else:
-        values = tuple(int(part) for part in text.split(","))
+    try:
+        if ".." in text:
+            lo, _, hi = text.partition("..")
+            values = tuple(range(int(lo), int(hi) + 1))
+        else:
+            values = tuple(int(part) for part in text.split(","))
+    except ValueError:
+        values = ()
     if not values or any(n < 1 for n in values):
         raise argparse.ArgumentTypeError(f"invalid threshold list {text!r}")
     return values
@@ -145,7 +148,7 @@ def _grid(args) -> list[float]:
     if not (math.isfinite(args.grid_min) and math.isfinite(args.grid_max)):
         raise ValueError(f"grid bounds must be finite, got {args.grid_min!r} and {args.grid_max!r}")
     if args.grid_points < 2:
-        raise ValueError("need 0 < lo < hi and at least 2 points")
+        raise ValueError(f"a linear grid needs at least 2 points, got {args.grid_points}")
     step = (args.grid_max - args.grid_min) / (args.grid_points - 1)
     return [args.grid_min + i * step for i in range(args.grid_points - 1)] + [args.grid_max]
 

@@ -14,9 +14,10 @@ so a PMF table to n_max costs O(n_max).  One time bin is treated as one
 mode per repetition, so a single (n_p, n_th) pair fully describes a
 detection slot.
 
-The Poisson terms p_p(m) of every table (the SNR kernel's, :func:`build_pmf`'s
-and the sampler's overflow weights) are rows of one block function,
-``_poisson_rows``; :func:`poisson_pmf` is their scalar reference.
+The Poisson terms p_p(m) of every table (the one array kernel
+:func:`mixed_tail_parts`, :func:`mixed_tail`'s sum, :func:`build_pmf` and the
+sampler's overflow weights) are rows of one block function, ``_poisson_rows``;
+:func:`poisson_pmf` is their scalar reference.
 
 Also provided: tail probabilities above a photon-number threshold, truncated
 PMF construction, and a seeded sampler that draws the photon-count histogram
@@ -47,7 +48,6 @@ __all__ = [
     "build_pmf",
     "thermal_tail",
     "mixed_tail",
-    "mixed_tail_terms",
     "mixed_tail_parts",
     "sample_histogram",
 ]
@@ -167,71 +167,61 @@ def mixed_tail(threshold_n: int, params: SourceParams) -> float:
         P(n >= N) = P_poisson(n >= N) + sum_{m<N} p_p(m) x^(N-m),
 
     an exact regrouping of the convolution into positive terms, so small
-    tails are not lost to 1 - (almost 1) cancellation.  One point of
-    :func:`mixed_tail_terms`.
+    tails are not lost to 1 - (almost 1) cancellation.  The Poisson tail is
+    one point of :func:`mixed_tail_parts`, the sum the Horner recurrence
+    s <- x (s + p_p(m)) over m = 0, 1, ..., N - 1 on the same rows of
+    ``_poisson_rows``; their total is capped at 1.
     """
-    return float(mixed_tail_terms(threshold_n, params.n_p_mean, params.x)[0][0])
+    return _mixed_tail(threshold_n, params.n_p_mean, params.x)
 
 
-def mixed_tail_terms(
-    threshold_n: ArrayLike, n_p: ArrayLike, x: ArrayLike
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Mixed-light tail P(n >= N) over arrays, with the parts SNR needs.
-
-    ``threshold_n`` (integers N >= 1), ``n_p`` (signal means) and ``x``
-    (thermal ratios n_th / (n_th + 1)) broadcast together.  Returns
-    ``(tail, poisson, scaled, last, head)``:
-
-        poisson = P_poisson(n >= N),
-        tail    = poisson + sum_{m<N} p_p(m) x^(N-m),   at most 1,
-        scaled  = sum_{m<N} p_p(m) x^(-m),
-        last    = p_p(N - 1),
-        head    = sum_{m<N-1} p_p(m) x^(-m),            scaled without its last term,
-
-    the threshold identity in positive terms.  So the tail over the thermal
-    tail x^N is poisson / x^N + scaled (exactly 1 at n_p == 0), and
-    (1/x - 1) scaled is its derivative in n_p; ``last`` is the derivative
-    of ``poisson`` in n_p, and (1/x - 1) head - last x^(1-N) that of
-    ``scaled``.  ``scaled`` and ``head`` are meaningless at x == 0 and
-    overflow where x^(1-N) does.
-
-    The terms sit in a table whose columns are the elements of the
-    broadcast of ``n_p`` and ``x`` and whose rows are m = 0, 1, ..., max(N):
-    p_p(m) from ``_poisson_rows``, the running mass and scaled sums, and
-    the identity sum, by the Horner recurrence s <- x (s + p_p(m)) row by
-    row.  Only the tail reads the identity sum: :func:`mixed_tail_parts`
-    does not walk it.  An element with threshold N reads rows N - 2 to N
-    of its own column, so thresholds on one grid share its terms.  The
-    rows are walked in blocks of _TABLE_BLOCK cells, each starting from the
-    last two rows of the one before, so memory stays in proportion to the
-    elements.  The Poisson tail sums whichever side of N carries less mass:
-    one minus the below-N sum where that is under 0.5, else the upward sum
-    from p_p(N), so a small tail keeps its relative precision.  Every sum
-    is sequential and adds one term at a time, so an element's bits do not
-    depend on the block size, on the other elements of the call or on
-    whether the tail is taken: a scalar call gives the element's bits.
-    Every array has the broadcast shape of the three inputs, at least 1-D.
-    """
-    return _tail_terms(threshold_n, n_p, x, True)
+def _mixed_tail(threshold_n: int, n_p: float, x: float) -> float:
+    """:func:`mixed_tail` at any thermal ratio x in [0, 1], not only n_th / (n_th + 1)."""
+    poisson = float(mixed_tail_parts(threshold_n, n_p, x)[0][0])  # refuses a bad N, n_p or x
+    s = 0.0
+    for block in _poisson_column(n_p, 0, int(threshold_n), int(threshold_n)):
+        for p in block:
+            s = x * (s + p)
+    return min(poisson + s, 1.0)
 
 
 def mixed_tail_parts(
     threshold_n: ArrayLike, n_p: ArrayLike, x: ArrayLike
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """``(poisson, scaled, last, head)`` of :func:`mixed_tail_terms`, bit for bit, without the tail.
+    """The parts of the threshold identity that the SNR reads, over arrays.
 
-    The parts the SNR reads.  The tail's identity sums, a loop over the
-    table's rows, are not walked, and narrow tables take their other sums
-    in one accumulate: a one-point call costs about 80 us at N = 20, where
-    :func:`mixed_tail_terms` costs about 115 us.
+    ``threshold_n`` (integers N >= 1), ``n_p`` (signal means) and ``x``
+    (thermal ratios n_th / (n_th + 1)) broadcast together.  Returns
+    ``(poisson, scaled, last, head)``:
+
+        poisson = P_poisson(n >= N),
+        scaled  = sum_{m<N} p_p(m) x^(-m),
+        last    = p_p(N - 1),
+        head    = sum_{m<N-1} p_p(m) x^(-m),            scaled without its last term,
+
+    so that P(n >= N) = poisson + x^N scaled, the threshold identity in
+    positive terms.  The tail over the thermal tail x^N is then
+    poisson / x^N + scaled (exactly 1 at n_p == 0), and (1/x - 1) scaled
+    is its derivative in n_p; ``last`` is the derivative of ``poisson`` in
+    n_p, and (1/x - 1) head - last x^(1-N) that of ``scaled``.  ``scaled``
+    and ``head`` are meaningless at x == 0 and overflow where x^(1-N) does.
+
+    The terms sit in a table whose columns are the elements of the
+    broadcast of ``n_p`` and ``x`` and whose rows are m = 0, 1, ..., max(N):
+    p_p(m) from ``_poisson_rows`` and the running mass and scaled sums.  An
+    element with threshold N reads rows N - 2 to N of its own column, so
+    thresholds on one grid share its terms.  The rows are walked in blocks
+    of _TABLE_BLOCK cells, each starting from the last two rows of the one
+    before, so memory stays in proportion to the elements.  The Poisson
+    tail sums whichever side of N carries less mass: one minus the below-N
+    sum where that is under 0.5, else the upward sum from p_p(N), so a
+    small tail keeps its relative precision.  Every sum is sequential and
+    adds one term at a time, so an element's bits do not depend on the
+    block size or on the other elements of the call: a scalar call gives
+    the element's bits.  Every array has the broadcast shape of the three
+    inputs, at least 1-D.  A one-point call costs about 55 us at N = 20
+    (best of 7, 2-core Xeon, numpy 2.4).
     """
-    return _tail_terms(threshold_n, n_p, x, False)[1:]
-
-
-def _tail_terms(
-    threshold_n: ArrayLike, n_p: ArrayLike, x: ArrayLike, tail: bool
-) -> tuple[np.ndarray | None, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """:func:`mixed_tail_terms`, with None for the tail unless ``tail``."""
     big_n = _check_thresholds(threshold_n)
     n_p = np.asarray(n_p, dtype=float)
     x = np.asarray(x, dtype=float)
@@ -249,39 +239,34 @@ def _tail_terms(
     n = _spread(big_n, shape)
     column = _spread(np.arange(lam.size).reshape(columns), shape)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        first, last, mass, scaled, head, *identity = _table_reads(n, column, lam, x, tail)
+        first, last, mass, scaled, head = _table_reads(n, column, lam, x)
         np.minimum(mass, 1.0, out=mass)
         upper = mass >= 0.5
         poisson = np.subtract(1.0, mass, out=mass)
         if upper.any():
             poisson[upper] = _upper_poisson_tail(lam[column[upper]], first[upper], n[upper])
-        terms = [np.minimum(poisson + identity[0], 1.0) if tail else None, poisson, scaled, last, head]
-    return tuple(a if a is None else a.reshape(shape) for a in terms)
+    return tuple(a.reshape(shape) for a in (poisson, scaled, last, head))
 
 
-def _table_reads(
-    n: np.ndarray, column: np.ndarray, lam: np.ndarray, x: np.ndarray, identity: bool
-) -> list[np.ndarray]:
-    """(p_p(N), p_p(N - 1), mass, scaled, head) of element i, at N = n[i], and with ``identity`` its identity sum.
+def _table_reads(n: np.ndarray, column: np.ndarray, lam: np.ndarray, x: np.ndarray) -> list[np.ndarray]:
+    """(p_p(N), p_p(N - 1), mass, scaled, head) of element i, at N = n[i].
 
     Element i reads column column[i], in the block that holds its row N.
     Rows 2, 3, ... of a table block hold m = start, start + 1, ..., rows 0
-    and 1 the two before; a row's planes are p_p(m) and the mass and scaled
-    sums through m, and with ``identity`` the identity sum through m.  The
-    identity plane, which only the tail reads, needs a loop over the rows;
-    without it the sums of a table under _ROW_LOOP_WIDTH columns are one
-    accumulate down the rows, with the loop's bits.
+    and 1 the two before; a row's three planes are p_p(m) and the mass and
+    scaled sums through m.  A table under _ROW_LOOP_WIDTH columns takes its
+    sums in one accumulate down the rows, a wider one a row at a time, with
+    the same bits.
     """
     width = lam.size
     top = int(n.max(initial=1))
     rows = max(1, min(top + 1, _TABLE_BLOCK // max(width, 1) - 2))
-    planes = 3 + identity
-    table = np.zeros((rows + 2, planes, width))
+    table = np.zeros((rows + 2, 3, width))
     owner = n // rows
-    at = n * (planes * width) + column
+    at = n * (3 * width) + column
     # p_p(N), p_p(N - 1), the sums through row N - 1 and the scaled sum
     # through row N - 2, at these shifts (in planes of width) from p_p(N - 2)
-    shifts = (2 * planes, planes, planes + 1, planes + 2, 2, planes + 3)[: 5 + identity]
+    shifts = (6, 3, 4, 5, 2)
     reads = [np.empty(n.size) for _ in shifts]
     for start in range(0, top + 1, rows):
         count = min(rows, top + 1 - start)
@@ -292,20 +277,18 @@ def _table_reads(
         p = _poisson_rows(cells[:, 0], lam, start, table[1, 0])
         # x^-m from base and exponent arrays of one shape: numpy takes a broadcast
         # exponent -1 as a reciprocal, rounded differently from its power loop.
-        cells[:, 1::2] = p[:, None]
+        cells[:, 1] = p
         np.multiply(p, np.power(np.full((count, x.size), x), np.full((count, x.size), -m)), out=cells[:, 2])
-        if identity or width >= _ROW_LOOP_WIDTH:
+        if width >= _ROW_LOOP_WIDTH:
             for row in range(2, 2 + min(count, top - start)):  # no threshold reads row max(N)'s sums
                 sums = table[row, 1:]
                 np.add(table[row - 1, 1:], sums, out=sums)
-                if identity:
-                    np.multiply(sums[2], x, out=sums[2])
         else:
             # the same sums: accumulate adds the rows in order, one at a time
             sums = table[1 : 2 + count, 1:]
             np.add.accumulate(sums, axis=0, out=sums)
         reading = (owner == start // rows).nonzero()[0]
-        here = at[reading] - planes * start * width
+        here = at[reading] - 3 * start * width
         for read, shift in zip(reads, shifts):
             read[reading] = table.ravel()[shift * width :].take(here)
     return reads

@@ -143,8 +143,7 @@ def _snr_terms(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """(quantum_snr, snr_ratio, quantum_snr_derivative, rise, rise_slope) over broadcast arrays.
 
-    One call of :func:`mixed_tail_parts` (the parts of
-    :func:`mixed_tail_terms` without the tail, which no SNR reads);
+    One call of :func:`mixed_tail_parts`, the package's one array kernel;
     ``threshold_n`` broadcasts with ``n_p`` and ``n_th``.  With u = 1/n_th,
     T = P_poisson(n >= N) and S the kernel's ``scaled`` sum, the quantum
     SNR is assembled as T / x^N + S, which is exactly 1 at n_p == 0, and

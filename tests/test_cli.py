@@ -167,14 +167,26 @@ class TestSweepCommand:
         first = capsys.readouterr().out.strip().splitlines()[1]
         assert float(first.split(",")[2]) == pytest.approx(want, rel=1e-12)
 
-    @pytest.mark.parametrize("scale", ["log", "linear"])
-    def test_one_point_grid_refused(self, capsys, scale):
+    @pytest.mark.parametrize("scale, rule", [
+        ("log", "need 0 < lo < hi and at least 2 points"),
+        # a linear grid may start at 0 (test_csv_follows_the_one_number_rule)
+        ("linear", "a linear grid needs at least 2 points, got 1"),
+    ], ids=["log", "linear"])
+    def test_one_point_grid_refused(self, capsys, scale, rule):
         assert run_cli("sweep", "--n-th", "1", "--thresholds", "2",
                        "--grid-scale", scale, "--grid-points", "1") == 1
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err.startswith("pnrlidar: error: ")
-        assert "at least 2 points" in captured.err
+        assert captured.err == f"pnrlidar: error: {rule}\n"
+
+    @pytest.mark.parametrize("thresholds", ["2.5", "2..x", "2,,3", "0..3"])
+    def test_malformed_threshold_list_names_the_list(self, capsys, thresholds):
+        with pytest.raises(SystemExit) as exit_info:
+            run_cli("sweep", "--n-th", "1", "--thresholds", thresholds)
+        assert exit_info.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.endswith(f"error: argument --thresholds: invalid threshold list {thresholds!r}\n")
 
     @pytest.mark.parametrize("scale", ["log", "linear"])
     @pytest.mark.parametrize("bound", ["--grid-max=inf", "--grid-min=-inf", "--grid-max=nan"])

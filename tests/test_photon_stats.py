@@ -23,13 +23,12 @@ from pnrlidar.photon_stats import (
     mixed_pmf,
     mixed_tail,
     mixed_tail_parts,
-    mixed_tail_terms,
     poisson_pmf,
     sample_histogram,
     thermal_pmf,
     thermal_tail,
 )
-from pnrlidar.photon_stats import _TAIL_STEPPED, _multinomial, _overflow_weights, _poisson_rows, _rekey
+from pnrlidar.photon_stats import _TAIL_STEPPED, _mixed_tail, _multinomial, _overflow_weights, _poisson_rows, _rekey
 
 MEAN_GRID = (0.0, 0.5, 1.0, 3.0, 10.0)
 
@@ -260,10 +259,10 @@ class TestTails:
 
     def test_poisson_tail_sides(self):
         # deep tail keeps relative precision; saturated tail does not underflow
-        assert mixed_tail_terms(10, 0.5, 0.0)[1][0] == pytest.approx(
+        assert mixed_tail_parts(10, 0.5, 0.0)[0][0] == pytest.approx(
             math.fsum(poisson_pmf(n, 0.5) for n in range(10, 40)), rel=1e-12
         )
-        assert mixed_tail_terms(5, 10000.0, 0.0)[1][0] == 1.0
+        assert mixed_tail_parts(5, 10000.0, 0.0)[0][0] == 1.0
 
     def test_threshold_domain(self):
         with pytest.raises(ValueError):
@@ -291,7 +290,8 @@ class TestMixedTailTerms:
         # over the Poisson count: stats.poisson and stats.nbinom(1, p).
         x = 1.0 - self.P_NOISE[:, None]
         for big_n in range(1, 51):
-            tail, poisson, scaled, _, head = mixed_tail_terms(big_n, self.SIGNAL, x)
+            poisson, scaled, _, head = mixed_tail_parts(big_n, self.SIGNAL, x)
+            tail = np.array([[_mixed_tail(big_n, n_p, x_i) for n_p in self.SIGNAL.tolist()] for x_i in x.ravel().tolist()])
             m = np.arange(big_n)[:, None, None]
             pmf = stats.poisson.pmf(m, self.SIGNAL)
             oracle = stats.poisson.sf(big_n - 1, self.SIGNAL)
@@ -303,11 +303,18 @@ class TestMixedTailTerms:
 
     @pytest.mark.parametrize("n_th", [0.0, 1e-3, 1.0, 40.0])
     def test_scalar_wrapper_is_array_element(self, n_th):
-        params = SourceParams(0.0, n_th)
+        # the scalar tail is the helper's at params.x, and that is the array
+        # kernel's identity: its Poisson tail element exactly when x == 0
+        x = SourceParams(0.0, n_th).x
         grid = [0.0, *self.SIGNAL.tolist()]
         for big_n in (1, 2, 7, 31, 50):
-            tail = mixed_tail_terms(big_n, grid, params.x)[0]
-            assert [mixed_tail(big_n, SourceParams(n_p, n_th)) for n_p in grid] == tail.tolist()
+            tail = [mixed_tail(big_n, SourceParams(n_p, n_th)) for n_p in grid]
+            assert [t.hex() for t in tail] == [_mixed_tail(big_n, n_p, x).hex() for n_p in grid]
+            poisson, scaled = mixed_tail_parts(big_n, grid, x)[:2]
+            if x == 0.0:
+                assert tail == poisson.tolist()
+            else:
+                np.testing.assert_allclose(tail, poisson + x**big_n * scaled, rtol=1e-14, atol=0.0)
 
     def test_threshold_axis_matches_per_threshold_calls(self):
         # unsorted and repeated thresholds, including the log-space terms
@@ -316,10 +323,10 @@ class TestMixedTailTerms:
         big_n = big_n[:, None, None]
         x = 1.0 - self.P_NOISE[:, None]
         signal = np.array([0.0, *self.SIGNAL.tolist()])
-        arrays = mixed_tail_terms(big_n, signal, x)
-        assert [a.shape for a in arrays] == [(53, 13, 42)] * 5
+        arrays = mixed_tail_parts(big_n, signal, x)
+        assert [a.shape for a in arrays] == [(53, 13, 42)] * 4
         for i, n in enumerate(big_n.ravel().tolist()):
-            for array, single in zip(arrays, mixed_tail_terms(n, signal, x)):
+            for array, single in zip(arrays, mixed_tail_parts(n, signal, x)):
                 assert array[i].tolist() == np.broadcast_to(single, array[i].shape).tolist()
 
     def test_last_term_is_the_poisson_pmf_below_threshold(self):
@@ -327,11 +334,11 @@ class TestMixedTailTerms:
         # element of a threshold-axis call is the one-threshold value
         signal = np.array([0.0, *self.SIGNAL.tolist()])
         big_n = np.random.default_rng(1).permutation(np.arange(1, 51))
-        last = mixed_tail_terms(big_n[:, None], signal, 0.5)[3]
+        last = mixed_tail_parts(big_n[:, None], signal, 0.5)[2]
         for i, n in enumerate(big_n.tolist()):
             pmf = [poisson_pmf(n - 1, n_p) for n_p in signal.tolist()]
             np.testing.assert_allclose(last[i], pmf, rtol=1e-13, atol=0.0)
-            assert last[i].tolist() == mixed_tail_terms(n, signal, 0.5)[3].tolist()
+            assert last[i].tolist() == mixed_tail_parts(n, signal, 0.5)[2].tolist()
 
     def test_stepped_upper_tail_matches_one_element_calls(self):
         # more than twice the elements that switch the upper tail from
@@ -339,10 +346,10 @@ class TestMixedTailTerms:
         # take blocks, and every output agrees bit for bit
         big_n = np.arange(2, 21)[:, None]
         signal = np.array([1e-160, *np.geomspace(0.01, 100.0, 200).tolist(), 1e-160])
-        arrays = mixed_tail_terms(big_n, signal, 0.5)
+        arrays = mixed_tail_parts(big_n, signal, 0.5)
         assert np.count_nonzero(stats.poisson.cdf(big_n - 1, signal) >= 0.5) > 2 * _TAIL_STEPPED
         for i, n in enumerate(big_n.ravel().tolist()):
-            singles = [mixed_tail_terms(n, n_p, 0.5) for n_p in signal.tolist()]
+            singles = [mixed_tail_parts(n, n_p, 0.5) for n_p in signal.tolist()]
             for array, single in zip(arrays, zip(*singles)):
                 assert array[i].tolist() == np.concatenate(single).tolist()
 
@@ -354,9 +361,9 @@ class TestMixedTailTerms:
         n_th = np.geomspace(0.2, 40.0, 64)
         x = n_th / (n_th + 1.0)
         signal = np.geomspace(1e-3, 60.0, 64)
-        arrays = mixed_tail_terms(big_n, signal, x)
+        arrays = mixed_tail_parts(big_n, signal, x)
         for i in range(signal.size):
-            single = np.concatenate(mixed_tail_terms(big_n, signal[i], x[i]))
+            single = np.concatenate(mixed_tail_parts(big_n, signal[i], x[i]))
             got = np.array([a[i] for a in arrays])
             assert got.view(np.int64).tolist() == single.view(np.int64).tolist()
 
@@ -366,14 +373,20 @@ class TestMixedTailTerms:
         # cases hold elements whose x^-1 a broadcast exponent rounds
         # differently, means 0, 1e-160, 30, 31 and e^9, and a table of
         # several row blocks.  The bits come from numpy's float64 loops: the
-        # file names the numpy version and machine that recorded them.
+        # file names the numpy version and machine that recorded them.  The
+        # parts are checked in test_parts_and_scalar_tail_match_recorded_reference;
+        # here every recorded tail, through the scalar path at its own x.
         reference = json.loads((Path(__file__).parent / "data" / "mixed_tail_reference.json").read_text())
         floats = lambda hexes: np.array([float.fromhex(h) for h in hexes])
+        tails = 0
         for case in reference["cases"]:
-            arrays = mixed_tail_terms(np.array(case["threshold_n"])[:, None], floats(case["n_p"]), floats(case["x"]))
-            for name, array in zip(("tail", "poisson", "scaled", "last", "head"), arrays):
-                got = array.ravel()[case["elements"]]
-                assert got.view(np.int64).tolist() == floats(case["outputs"][name]).view(np.int64).tolist(), name
+            big_n, n_p, x = np.array(case["threshold_n"]), floats(case["n_p"]), floats(case["x"])
+            n_p, x = np.broadcast_arrays(n_p, x)
+            for element, tail in zip(case["elements"], case["outputs"]["tail"]):
+                row, col = np.unravel_index(element, (big_n.size, n_p.size))
+                assert _mixed_tail(int(big_n[row]), float(n_p[col]), float(x[col])).hex() == tail, (big_n[row], col)
+                tails += 1
+        assert tails == 56
 
     @pytest.mark.parametrize("threshold_n, n_p, x", [
         (7, 3.0, 0.5),
@@ -383,14 +396,18 @@ class TestMixedTailTerms:
         # 100 columns, under the row loop's width, leave 243 rows a block: 3 blocks
         (np.arange(1, 601, 7)[:, None], np.geomspace(0.01, 500.0, 100), 0.9),
     ], ids=["scalar", "one-block", "many-blocks", "narrow-many-blocks"])
-    def test_parts_match_the_full_kernel_bit_for_bit(self, threshold_n, n_p, x):
-        # the SNR path skips the tail's identity walk and reads a table of one
-        # plane fewer; every part it returns keeps the full kernel's bits
-        _, *full = mixed_tail_terms(threshold_n, n_p, x)
+    def test_parts_match_one_element_calls(self, threshold_n, n_p, x):
+        # a one-element call walks one column in one block, with the sums of
+        # a narrow table; the elements of wide and many-block tables keep its
+        # bits (the corners and 200 elements drawn at random)
         parts = mixed_tail_parts(threshold_n, n_p, x)
-        for name, want, got in zip(("poisson", "scaled", "last", "head"), full, parts):
-            assert got.shape == want.shape, name
-            assert got.view(np.int64).tolist() == want.view(np.int64).tolist(), name
+        shape = parts[0].shape
+        inputs = [np.broadcast_to(a, shape).ravel() for a in (threshold_n, n_p, x)]
+        picked = np.random.default_rng(2).choice(parts[0].size, min(parts[0].size, 200), replace=False)
+        for i in sorted({0, parts[0].size - 1, *picked.tolist()}):
+            single = mixed_tail_parts(*(a[i] for a in inputs))
+            got = [a.ravel()[i] for a in parts]
+            assert np.array(got).view(np.int64).tolist() == np.concatenate(single).view(np.int64).tolist(), i
 
     def test_parts_and_scalar_tail_match_recorded_reference(self):
         # the recorded bits of test_bits_match_recorded_reference, read through
@@ -420,11 +437,29 @@ class TestMixedTailTerms:
         signal = np.geomspace(0.01, 100.0, 2000)
         tracemalloc.start()
         try:
-            mixed_tail_terms(2000, signal, 0.5)
+            mixed_tail_parts(2000, signal, 0.5)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < 2e6
+
+    @pytest.mark.parametrize("big_n", [200, 700, 2000])
+    def test_deep_scalar_tail_scipy_oracle(self, big_n):
+        # the scalar tail's Horner sum over N terms, against the oracle of
+        # test_scipy_oracle; x = 1/2 and 1023/1024 are exact, as is 1 - x.
+        # Log-space Poisson terms near m = 2000 round their exponent, about
+        # 1.5e4 at the mean 1900, to about 2e-12: hence the tolerance.
+        m = np.arange(big_n)
+        for n_th in (1.0, 1023.0):
+            params = [SourceParams(n_p, n_th) for n_p in (1.0, 0.3 * big_n, 0.95 * big_n)]
+            p_noise = 1.0 - params[0].x
+            tail = [mixed_tail(big_n, p) for p in params]
+            oracle = [
+                stats.poisson.sf(big_n - 1, p.n_p_mean)
+                + math.fsum(stats.poisson.pmf(m, p.n_p_mean) * stats.nbinom.sf(big_n - 1 - m, 1, p_noise))
+                for p in params
+            ]
+            np.testing.assert_allclose(tail, oracle, rtol=3e-12, atol=0.0)
 
     @settings(max_examples=60)
     @given(st.data())
@@ -439,31 +474,31 @@ class TestMixedTailTerms:
         else:
             signal = np.array(data.draw(st.lists(means, min_size=1, max_size=5)))[:, None]
         x = np.array(data.draw(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=3)))
-        arrays = mixed_tail_terms(big_n, signal, x)
+        arrays = mixed_tail_parts(big_n, signal, x)
         shape = np.broadcast_shapes(big_n.shape, signal.shape, x.shape)
-        assert [a.shape for a in arrays] == [shape] * 5
+        assert [a.shape for a in arrays] == [shape] * 4
         for at in np.ndindex(shape):
             args = (a[at] for a in np.broadcast_arrays(big_n, signal, x))
-            single = np.concatenate(mixed_tail_terms(*args))
+            single = np.concatenate(mixed_tail_parts(*args))
             got = np.array([np.broadcast_to(a, shape)[at] for a in arrays])
             assert got.view(np.int64).tolist() == single.view(np.int64).tolist()
 
     def test_subnormal_poisson_tail_ends(self):
         # p_p(2) is subnormal and the next term is 0: the upward sum stops
-        poisson = mixed_tail_terms([2, 3, 2], 1e-160, 0.5)[1]
+        poisson = mixed_tail_parts([2, 3, 2], 1e-160, 0.5)[0]
         assert poisson.tolist() == [poisson_pmf(2, 1e-160), 0.0, poisson_pmf(2, 1e-160)]
         assert poisson[0] > 0.0
 
     def test_domain(self):
         for bad in ([-1.0], [math.nan], [math.inf]):
             with pytest.raises(ValueError):
-                mixed_tail_terms(2, bad, 0.5)
+                mixed_tail_parts(2, bad, 0.5)
         for bad in (-0.1, 1.5, math.nan):
             with pytest.raises(ValueError):
-                mixed_tail_terms(2, [1.0], bad)
+                mixed_tail_parts(2, [1.0], bad)
         for bad in (0, [2, 0], [2.5], [3, math.nan]):
             with pytest.raises(ValueError, match="threshold must be a positive integer"):
-                mixed_tail_terms(bad, [1.0], 0.5)
+                mixed_tail_parts(bad, [1.0], 0.5)
 
 
 class TestSourceParams:
