@@ -149,6 +149,8 @@ def _grid(args) -> list[float]:
         raise ValueError(f"grid bounds must be finite, got {args.grid_min!r} and {args.grid_max!r}")
     if args.grid_points < 2:
         raise ValueError(f"a linear grid needs at least 2 points, got {args.grid_points}")
+    if not args.grid_min < args.grid_max:
+        raise ValueError(f"a linear grid needs --grid-min < --grid-max, got {args.grid_min!r} and {args.grid_max!r}")
     step = (args.grid_max - args.grid_min) / (args.grid_points - 1)
     return [args.grid_min + i * step for i in range(args.grid_points - 1)] + [args.grid_max]
 

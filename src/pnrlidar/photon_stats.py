@@ -211,16 +211,20 @@ def mixed_tail_parts(
     p_p(m) from ``_poisson_rows`` and the running mass and scaled sums.  An
     element with threshold N reads rows N - 2 to N of its own column, so
     thresholds on one grid share its terms.  The rows are walked in blocks
-    of _TABLE_BLOCK cells, each starting from the last two rows of the one
-    before, so memory stays in proportion to the elements.  The Poisson
+    of about max(_TABLE_BLOCK, elements) cells (rows x columns), each
+    starting from the last two rows of the one before, so memory stays in
+    proportion to the elements: about 86 B an element at the traced peak
+    on the (19 x 200) and (19 x 2000) sweeps of N = 2..20, that is the four
+    outputs (32 B), the first read and the flat read index (16 B) and a
+    table block of about one cell, three planes of 8 B, an element.  The Poisson
     tail sums whichever side of N carries less mass: one minus the below-N
     sum where that is under 0.5, else the upward sum from p_p(N), so a
     small tail keeps its relative precision.  Every sum is sequential and
     adds one term at a time, so an element's bits do not depend on the
     block size or on the other elements of the call: a scalar call gives
     the element's bits.  Every array has the broadcast shape of the three
-    inputs, at least 1-D.  A one-point call costs about 55 us at N = 20
-    (best of 7, 2-core Xeon, numpy 2.4).
+    inputs, at least 1-D.  A one-point call costs about 53 us at N = 20
+    and 31 us at N = 2 (best of 7, 2-core Xeon, numpy 2.4).
     """
     big_n = _check_thresholds(threshold_n)
     n_p = np.asarray(n_p, dtype=float)
@@ -236,38 +240,51 @@ def mixed_tail_parts(
     shape = np.broadcast(big_n, n_p, x).shape or (1,)
     lam = _spread(n_p, columns)
     x = x.reshape(1) if x.size == 1 else _spread(x, columns)
-    n = _spread(big_n, shape)
-    column = _spread(np.arange(lam.size).reshape(columns), shape)
+    width = lam.size
+    # element i reads its row N and column c at N (3 width) + c in the
+    # table's flat layout of rows of 3 planes of a value per column
+    at = (big_n * (3 * width) + np.arange(width).reshape(columns)).reshape(-1)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        first, last, mass, scaled, head = _table_reads(n, column, lam, x)
+        first, last, mass, scaled, head = _table_reads(at, int(big_n.max(initial=1)), lam, x)
         np.minimum(mass, 1.0, out=mass)
         upper = mass >= 0.5
         poisson = np.subtract(1.0, mass, out=mass)
         if upper.any():
-            poisson[upper] = _upper_poisson_tail(lam[column[upper]], first[upper], n[upper])
+            # the tail walks arrays of its own elements: the full index and first read go
+            at, first = at[upper], first[upper]
+            lam = lam.take(at % (3 * width))
+            start = np.floor_divide(at, 3 * width, out=at).astype(float)
+            del at
+            poisson[upper] = _upper_poisson_tail(lam, first, start)
     return tuple(a.reshape(shape) for a in (poisson, scaled, last, head))
 
 
-def _table_reads(n: np.ndarray, column: np.ndarray, lam: np.ndarray, x: np.ndarray) -> list[np.ndarray]:
-    """(p_p(N), p_p(N - 1), mass, scaled, head) of element i, at N = n[i].
+def _table_reads(at: np.ndarray, top: int, lam: np.ndarray, x: np.ndarray) -> list[np.ndarray]:
+    """(p_p(N), p_p(N - 1), mass, scaled, head) of each element, at[i] = N (3 width) + c.
 
-    Element i reads column column[i], in the block that holds its row N.
     Rows 2, 3, ... of a table block hold m = start, start + 1, ..., rows 0
     and 1 the two before; a row's three planes are p_p(m) and the mass and
-    scaled sums through m.  A table under _ROW_LOOP_WIDTH columns takes its
+    scaled sums through m, one value a column.  A block has
+    max(_TABLE_BLOCK, elements) // width - 2 rows (at least 1), up to the
+    top row, so with the two before it holds about as many cells as the call
+    has elements.  Each element reads in the block that holds its row N, at
+    its index ``at`` less the block's start: a one-block walk takes every
+    read straight into its array, a longer one finds a block's elements in
+    one pass over ``at``, which the block's cells about match, so the reads
+    cost in proportion to the elements and cells over the whole walk.  The
+    five reads are made after the first block's rows, once their
+    temporaries are freed.  A table under _ROW_LOOP_WIDTH columns takes its
     sums in one accumulate down the rows, a wider one a row at a time, with
     the same bits.
     """
     width = lam.size
-    top = int(n.max(initial=1))
-    rows = max(1, min(top + 1, _TABLE_BLOCK // max(width, 1) - 2))
+    rows = max(1, min(top + 1, max(_TABLE_BLOCK, at.size) // width - 2))
     table = np.zeros((rows + 2, 3, width))
-    owner = n // rows
-    at = n * (3 * width) + column
+    flat = table.reshape(-1)
     # p_p(N), p_p(N - 1), the sums through row N - 1 and the scaled sum
     # through row N - 2, at these shifts (in planes of width) from p_p(N - 2)
     shifts = (6, 3, 4, 5, 2)
-    reads = [np.empty(n.size) for _ in shifts]
+    reads = []
     for start in range(0, top + 1, rows):
         count = min(rows, top + 1 - start)
         if start:
@@ -287,10 +304,19 @@ def _table_reads(n: np.ndarray, column: np.ndarray, lam: np.ndarray, x: np.ndarr
             # the same sums: accumulate adds the rows in order, one at a time
             sums = table[1 : 2 + count, 1:]
             np.add.accumulate(sums, axis=0, out=sums)
-        reading = (owner == start // rows).nonzero()[0]
-        here = at[reading] - 3 * start * width
-        for read, shift in zip(reads, shifts):
-            read[reading] = table.ravel()[shift * width :].take(here)
+        reads = reads or [np.empty(at.size) for _ in shifts]
+        if count > top:
+            # one block: no index of a block's elements, whose 17 B an element
+            # set the sweep's and optimum scan's peaks 8% higher.  Every index
+            # is in range; clip spares the copy raise makes of out.
+            for read, shift in zip(reads, shifts):
+                flat[shift * width :].take(at, out=read, mode="clip")
+        else:
+            lo = 3 * width * start
+            mine = (at >= lo) & (at < lo + 3 * width * count)
+            local = at[mine] - lo
+            for read, shift in zip(reads, shifts):
+                read[mine] = flat[shift * width :].take(local)
     return reads
 
 
@@ -359,7 +385,7 @@ _TAIL_STEPPED, _TAIL_STEPS, _TAIL_BLOCK, _TAIL_MAX_STEPS = 256, 16, 4096, 64
 
 
 def _upper_poisson_tail(lam: np.ndarray, first: np.ndarray, start: np.ndarray) -> np.ndarray:
-    """sum_{n>=N} p_p(n) from first = p_p(N), N = start, one term at a time.
+    """sum_{n>=N} p_p(n) from first = p_p(N), N = start (floats), one term at a time.
 
     The terms follow p(n) = p(n-1) mean / n and are added to the total one
     at a time in order, so an element's bits do not depend on the number of
@@ -373,12 +399,14 @@ def _upper_poisson_tail(lam: np.ndarray, first: np.ndarray, start: np.ndarray) -
     of the total and leave it as it is.  The tail is the smaller side here,
     so the median is below N and the mean (at most median + ln 2) is too:
     terms fall from the first step on, faster than geometrically, so the
-    walk needs no step cap.
+    walk needs no step cap.  The walk runs in place on the three arrays
+    it is given, which it overwrites.
     """
     total = first.copy()
     live = first.nonzero()[0]  # a zero first term is the whole sum
-    lam, term, count = lam[live], first[live], start[live].astype(float)
-    partial = term.copy()
+    if live.size < first.size:
+        lam, first, start = lam[live], first[live], start[live]
+    term, count, partial = first, start, first.copy()
     while live.size:
         if live.size > _TAIL_STEPPED:
             ratio = np.empty(live.size)
@@ -401,7 +429,7 @@ def _upper_poisson_tail(lam: np.ndarray, first: np.ndarray, start: np.ndarray) -
         going = (term > 0.0) & (term >= 1e-18 * partial)
         total[live[~going]] = partial[~going]
         live, lam, term, count, partial = (a[going] for a in (live, lam, term, count, partial))
-    return np.minimum(total, 1.0)
+    return np.minimum(total, 1.0, out=total)
 
 
 def build_pmf(

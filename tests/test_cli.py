@@ -179,6 +179,19 @@ class TestSweepCommand:
         assert captured.out == ""
         assert captured.err == f"pnrlidar: error: {rule}\n"
 
+    @pytest.mark.parametrize("bounds", [("5", "5"), ("5", "4")], ids=["equal", "reversed"])
+    def test_linear_grid_bounds_refused_by_their_options(self, capsys, bounds):
+        # the refusal names the options given, as the log grid names its rule,
+        # not sweep_ratio's n_p_grid parameter
+        assert run_cli("sweep", "--n-th", "1", "--grid-scale", "linear", "--grid-min", bounds[0],
+                       "--grid-max", bounds[1], "--grid-points", "3") == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"pnrlidar: error: a linear grid needs --grid-min < --grid-max, got {float(bounds[0])!r} "
+            f"and {float(bounds[1])!r}\n"
+        )
+
     @pytest.mark.parametrize("thresholds", ["2.5", "2..x", "2,,3", "0..3"])
     def test_malformed_threshold_list_names_the_list(self, capsys, thresholds):
         with pytest.raises(SystemExit) as exit_info:

@@ -29,6 +29,7 @@ from pnrlidar.photon_stats import (
     thermal_tail,
 )
 from pnrlidar.photon_stats import _TAIL_STEPPED, _mixed_tail, _multinomial, _overflow_weights, _poisson_rows, _rekey
+from pnrlidar import photon_stats
 
 MEAN_GRID = (0.0, 0.5, 1.0, 3.0, 10.0)
 
@@ -388,19 +389,33 @@ class TestMixedTailTerms:
                 tails += 1
         assert tails == 56
 
-    @pytest.mark.parametrize("threshold_n, n_p, x", [
-        (7, 3.0, 0.5),
-        (np.arange(2, 21)[:, None], np.geomspace(0.01, 100.0, 200), 0.5),
-        # 2000 columns leave 10 rows a block: N to 50 walks the table in 6 blocks
-        (np.arange(1, 51)[:, None], np.geomspace(0.01, 100.0, 2000), np.linspace(0.0, 0.99, 2000)),
+    _elementwise = np.random.default_rng(7)
+
+    @pytest.mark.parametrize("threshold_n, n_p, x, blocks", [
+        (7, 3.0, 0.5, 1),
+        (np.arange(2, 21)[:, None], np.geomspace(0.01, 100.0, 200), 0.5, 1),
+        # 2000 columns and 50 thresholds: blocks of 100000 // 2000 - 2 = 48 rows
+        (np.arange(1, 51)[:, None], np.geomspace(0.01, 100.0, 2000), np.linspace(0.0, 0.99, 2000), 2),
         # 100 columns, under the row loop's width, leave 243 rows a block: 3 blocks
-        (np.arange(1, 601, 7)[:, None], np.geomspace(0.01, 500.0, 100), 0.9),
-    ], ids=["scalar", "one-block", "many-blocks", "narrow-many-blocks"])
-    def test_parts_match_one_element_calls(self, threshold_n, n_p, x):
+        (np.arange(1, 601, 7)[:, None], np.geomspace(0.01, 500.0, 100), 0.9, 3),
+        # more elements than _TABLE_BLOCK, one column each: a row a block, so
+        # rows N - 2 to N of every element lie in three blocks
+        (_elementwise.integers(1, 51, 30000), _elementwise.uniform(0.0, 60.0, 30000),
+         _elementwise.uniform(0.0, 0.99, 30000), 51),
+        # 3000 columns leave 6 rows a block: rows N - 2 to N straddle the
+        # block edges at 6, 60 and 300
+        (np.array([[7], [61], [300]]), np.geomspace(0.01, 500.0, 3000), np.linspace(0.0, 0.99, 3000), 51),
+    ], ids=["scalar", "one-block", "many-blocks", "narrow-many-blocks", "elementwise-many-blocks", "block-edges"])
+    def test_parts_match_one_element_calls(self, monkeypatch, threshold_n, n_p, x, blocks):
         # a one-element call walks one column in one block, with the sums of
         # a narrow table; the elements of wide and many-block tables keep its
-        # bits (the corners and 200 elements drawn at random)
+        # bits (the corners and 200 elements drawn at random).  Each block
+        # makes its Poisson rows once: counting those calls counts the blocks.
+        made = []
+        monkeypatch.setattr(photon_stats, "_poisson_rows", lambda *args: made.append(1) or _poisson_rows(*args))
         parts = mixed_tail_parts(threshold_n, n_p, x)
+        assert len(made) == blocks
+        monkeypatch.undo()
         shape = parts[0].shape
         inputs = [np.broadcast_to(a, shape).ravel() for a in (threshold_n, n_p, x)]
         picked = np.random.default_rng(2).choice(parts[0].size, min(parts[0].size, 200), replace=False)

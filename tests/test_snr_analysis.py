@@ -268,6 +268,21 @@ class TestSweep:
         assert snr_ratio(SourceParams(n_p * 0.9, n_th), 5) > 1.0
         assert snr_ratio(SourceParams(n_p * 1.1, n_th), 5) < 1.0
 
+    def test_memory_per_element_is_bounded(self):
+        # 38000 elements (19 thresholds x 2000 points): the outputs take 32 B
+        # an element, the kernel's reads and index 48 B more, and its table
+        # block at least one cell (24 B) an element; a table walked in blocks
+        # of _TABLE_BLOCK cells with its reads and their index spread to each
+        # element held 4.6 MB here
+        grid = log_grid(0.01, 100.0, 2000)
+        tracemalloc.start()
+        try:
+            sweep_ratio(1.0, range(2, 21), grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4.0e6
+
     def test_grid_validation(self):
         with pytest.raises(ValueError):
             sweep_ratio(1.0, [2], [])
