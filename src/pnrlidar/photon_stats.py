@@ -214,9 +214,9 @@ def mixed_tail_parts(
     of about max(_TABLE_BLOCK, elements) cells (rows x columns), each
     starting from the last two rows of the one before, so memory stays in
     proportion to the elements: about 86 B an element at the traced peak
-    on the (19 x 200) and (19 x 2000) sweeps of N = 2..20, that is the four
+    on the (19 x 200) and (19 x 2000) sweeps of N = 2..20, mostly the four
     outputs (32 B), the first read and the flat read index (16 B) and a
-    table block of about one cell, three planes of 8 B, an element.  The Poisson
+    table block of about one cell (three planes of 8 B) an element.  The Poisson
     tail sums whichever side of N carries less mass: one minus the below-N
     sum where that is under 0.5, else the upward sum from p_p(N), so a
     small tail keeps its relative precision.  Every sum is sequential and
@@ -306,9 +306,10 @@ def _table_reads(at: np.ndarray, top: int, lam: np.ndarray, x: np.ndarray) -> li
             np.add.accumulate(sums, axis=0, out=sums)
         reads = reads or [np.empty(at.size) for _ in shifts]
         if count > top:
-            # one block: no index of a block's elements, whose 17 B an element
-            # set the sweep's and optimum scan's peaks 8% higher.  Every index
-            # is in range; clip spares the copy raise makes of out.
+            # one block: straight into the reads, without the masked index of
+            # a block's elements, which set deep_threshold_scan's traced peak
+            # 9% higher (0.577 against 0.531 MB).  Every index is in range;
+            # clip spares the copy that raise makes of out.
             for read, shift in zip(reads, shifts):
                 flat[shift * width :].take(at, out=read, mode="clip")
         else:

@@ -269,11 +269,11 @@ class TestSweep:
         assert snr_ratio(SourceParams(n_p * 1.1, n_th), 5) < 1.0
 
     def test_memory_per_element_is_bounded(self):
-        # 38000 elements (19 thresholds x 2000 points): the outputs take 32 B
-        # an element, the kernel's reads and index 48 B more, and its table
-        # block at least one cell (24 B) an element; a table walked in blocks
-        # of _TABLE_BLOCK cells with its reads and their index spread to each
-        # element held 4.6 MB here
+        # 38000 elements (19 thresholds x 2000 points): at the kernel's peak
+        # its five reads and flat read index take 48 B an element and its
+        # table block about one 24 B cell an element, about 3.3 MB in all.
+        # Spreading N and the column to each element, with a block number
+        # for each besides, reaches 4.6 MB.
         grid = log_grid(0.01, 100.0, 2000)
         tracemalloc.start()
         try:
