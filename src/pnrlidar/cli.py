@@ -143,16 +143,24 @@ def _parse_thresholds(text: str) -> tuple[int, ...]:
 
 
 def _grid(args) -> list[float]:
+    lo, hi, points = args.grid_min, args.grid_max, args.grid_points
     if args.grid_scale == "log":
-        return log_grid(args.grid_min, args.grid_max, args.grid_points)
-    if not (math.isfinite(args.grid_min) and math.isfinite(args.grid_max)):
-        raise ValueError(f"grid bounds must be finite, got {args.grid_min!r} and {args.grid_max!r}")
-    if args.grid_points < 2:
-        raise ValueError(f"a linear grid needs at least 2 points, got {args.grid_points}")
-    if not args.grid_min < args.grid_max:
-        raise ValueError(f"a linear grid needs --grid-min < --grid-max, got {args.grid_min!r} and {args.grid_max!r}")
-    step = (args.grid_max - args.grid_min) / (args.grid_points - 1)
-    return [args.grid_min + i * step for i in range(args.grid_points - 1)] + [args.grid_max]
+        grid = log_grid(lo, hi, points)
+    else:
+        if not (math.isfinite(lo) and math.isfinite(hi)):
+            raise ValueError(f"grid bounds must be finite, got {lo!r} and {hi!r}")
+        if points < 2:
+            raise ValueError(f"a linear grid needs at least 2 points, got {points}")
+        if not lo < hi:
+            raise ValueError(f"a linear grid needs --grid-min < --grid-max, got {lo!r} and {hi!r}")
+        step = (hi - lo) / (points - 1)
+        grid = [lo + i * step for i in range(points - 1)] + [hi]
+    # bounds a few ulps apart round to repeated points on either scale
+    if any(b <= a for a, b in zip(grid, grid[1:])):
+        raise ValueError(
+            f"the {points} --grid-points between --grid-min {lo!r} and --grid-max {hi!r} repeat after rounding"
+        )
+    return grid
 
 
 # --- subcommands ---
@@ -371,63 +379,73 @@ def load_sim_config(spec: str) -> SimConfig:
 # --- argument wiring ---
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _subparser(*, named, **kwargs):
+    """A subcommand's parser, or None for one that argv does not name."""
+    return argparse.ArgumentParser(**kwargs) if named else None
+
+
+def _build_parser(argv) -> argparse.ArgumentParser:
+    """The parser for one argv.  Every subcommand is listed with its help
+    line, but only those whose name occurs in argv get a parser: argparse
+    dispatches on an exact name and reads no other subcommand's parser."""
     parser = argparse.ArgumentParser(
         prog="pnrlidar",
         description="Photon-number threshold detection statistics and rangefinder simulation.",
     )
     parser.add_argument("--version", action="version", version=f"pnrlidar {__version__}")
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--output", type=str, default=None, help="output file (default: stdout)")
-    common.add_argument("--format", choices=("csv", "structured"), default=None,
-                        help="csv for tables (default), structured for one JSON document")
-    sub = parser.add_subparsers(dest="subcommand", required=True)
+    sub = parser.add_subparsers(dest="subcommand", required=True, parser_class=_subparser)
+    named = set(argv)
 
-    p = sub.add_parser("pmf", parents=[common], help="photon-number PMF table")
-    p.add_argument("--kind", choices=("thermal", "poisson", "mixed"), required=True)
-    p.add_argument("--n-p", dest="n_p", type=float, default=None, help="signal mean photon number")
-    p.add_argument("--n-th", dest="n_th", type=float, default=None, help="noise mean photon number")
-    p.add_argument("--n-max", dest="n_max", type=int, default=None, help="fixed truncation bound")
-    p.add_argument("--tolerance", type=float, default=1e-12, help="residual tail tolerance")
-    p.set_defaults(func=_cmd_pmf)
+    def command(name, help_line, func):
+        p = sub.add_parser(name, help=help_line, named=name in named)
+        if p is None:
+            return None
+        p.add_argument("--output", type=str, default=None, help="output file (default: stdout)")
+        p.add_argument("--format", choices=("csv", "structured"), default=None,
+                       help="csv for tables (default), structured for one JSON document")
+        p.set_defaults(func=func)
+        return p
 
-    p = sub.add_parser("snr", parents=[common], help="classical vs threshold SNR at one point")
-    p.add_argument("--n-p", dest="n_p", type=float, required=True)
-    p.add_argument("--n-th", dest="n_th", type=float, required=True)
-    p.add_argument("--thresholds", type=_parse_thresholds, default=(2, 5))
-    p.set_defaults(func=_cmd_snr)
+    if p := command("pmf", "photon-number PMF table", _cmd_pmf):
+        p.add_argument("--kind", choices=("thermal", "poisson", "mixed"), required=True)
+        p.add_argument("--n-p", dest="n_p", type=float, default=None, help="signal mean photon number")
+        p.add_argument("--n-th", dest="n_th", type=float, default=None, help="noise mean photon number")
+        p.add_argument("--n-max", dest="n_max", type=int, default=None, help="fixed truncation bound")
+        p.add_argument("--tolerance", type=float, default=1e-12, help="residual tail tolerance")
 
-    p = sub.add_parser("sweep", parents=[common], help="SNR-ratio curves over a signal grid")
-    p.add_argument("--n-th", dest="n_th", type=float, required=True)
-    p.add_argument("--thresholds", type=_parse_thresholds, default=(2, 3, 4, 5))
-    p.add_argument("--grid-min", type=float, default=0.01)
-    p.add_argument("--grid-max", type=float, default=100.0)
-    p.add_argument("--grid-points", type=int, default=200)
-    p.add_argument("--grid-scale", choices=("log", "linear"), default="log")
-    p.set_defaults(func=_cmd_sweep)
+    if p := command("snr", "classical vs threshold SNR at one point", _cmd_snr):
+        p.add_argument("--n-p", dest="n_p", type=float, required=True)
+        p.add_argument("--n-th", dest="n_th", type=float, required=True)
+        p.add_argument("--thresholds", type=_parse_thresholds, default=(2, 5))
 
-    p = sub.add_parser("optimum", parents=[common], help="best signal mean per threshold")
-    p.add_argument("--n-th", dest="n_th", type=float, required=True)
-    p.add_argument("--thresholds", type=_parse_thresholds, default=(2, 3, 4, 5))
-    p.set_defaults(func=_cmd_optimum)
+    if p := command("sweep", "SNR-ratio curves over a signal grid", _cmd_sweep):
+        p.add_argument("--n-th", dest="n_th", type=float, required=True)
+        p.add_argument("--thresholds", type=_parse_thresholds, default=(2, 3, 4, 5))
+        p.add_argument("--grid-min", type=float, default=0.01)
+        p.add_argument("--grid-max", type=float, default=100.0)
+        p.add_argument("--grid-points", type=int, default=200)
+        p.add_argument("--grid-scale", choices=("log", "linear"), default="log")
 
-    p = sub.add_parser("boundary", parents=[common], help="ratio == 1 advantage boundary")
-    p.add_argument("--thresholds", type=_parse_thresholds, default=(2, 3, 4, 5))
-    p.add_argument("--nth-min", type=float, default=0.2)
-    p.add_argument("--nth-max", type=float, default=40.0)
-    p.add_argument("--nth-points", type=int, default=60)
-    p.set_defaults(func=_cmd_boundary)
+    if p := command("optimum", "best signal mean per threshold", _cmd_optimum):
+        p.add_argument("--n-th", dest="n_th", type=float, required=True)
+        p.add_argument("--thresholds", type=_parse_thresholds, default=(2, 3, 4, 5))
 
-    p = sub.add_parser("simulate", parents=[common], help="time-binned Monte Carlo rangefinder")
-    p.add_argument("--config", required=True, help="config file path or bundled name")
-    p.add_argument("--seed", type=int, default=None, help="seed override")
-    p.add_argument("--repetitions", type=int, default=None, help="repetitions override")
-    p.set_defaults(func=_cmd_simulate)
+    if p := command("boundary", "ratio == 1 advantage boundary", _cmd_boundary):
+        p.add_argument("--thresholds", type=_parse_thresholds, default=(2, 3, 4, 5))
+        p.add_argument("--nth-min", type=float, default=0.2)
+        p.add_argument("--nth-max", type=float, default=40.0)
+        p.add_argument("--nth-points", type=int, default=60)
+
+    if p := command("simulate", "time-binned Monte Carlo rangefinder", _cmd_simulate):
+        p.add_argument("--config", required=True, help="config file path or bundled name")
+        p.add_argument("--seed", type=int, default=None, help="seed override")
+        p.add_argument("--repetitions", type=int, default=None, help="repetitions override")
     return parser
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = _build_parser(argv).parse_args(argv)
     try:
         return args.func(args)
     except BrokenPipeError:

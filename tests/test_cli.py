@@ -1,5 +1,6 @@
 """CLI surface: tables, manifests, config handling, reproducibility."""
 
+import argparse
 import csv
 import inspect
 import json
@@ -190,6 +191,19 @@ class TestSweepCommand:
         assert captured.err == (
             f"pnrlidar: error: a linear grid needs --grid-min < --grid-max, got {float(bounds[0])!r} "
             f"and {float(bounds[1])!r}\n"
+        )
+
+    @pytest.mark.parametrize("scale", ["log", "linear"])
+    def test_grid_points_that_repeat_refused_by_their_options(self, capsys, scale):
+        # bounds one ulp apart round 5 points to repeats on either scale; the
+        # refusal names the options given, not sweep_ratio's n_p_grid
+        assert run_cli("sweep", "--n-th", "1", "--grid-scale", scale, "--grid-min", "1",
+                       "--grid-max", "1.0000000000000002", "--grid-points", "5") == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "pnrlidar: error: the 5 --grid-points between --grid-min 1.0 and "
+            "--grid-max 1.0000000000000002 repeat after rounding\n"
         )
 
     @pytest.mark.parametrize("thresholds", ["2.5", "2..x", "2,,3", "0..3"])
@@ -559,3 +573,184 @@ class TestReferenceOutput:
         code = main(case["argv"])
         stdout = re.sub(r',\n *"timestamp": "[^"\n]*"', "", capsys.readouterr().out)
         assert (code, stdout) == (case["exit_code"], case["stdout"])
+
+
+# What argparse prints at 80 columns, recorded from the parser that gave every
+# subcommand its arguments on each call.
+TOP_USAGE = "usage: pnrlidar [-h] [--version] {pmf,snr,sweep,optimum,boundary,simulate} ...\n"
+SUBCOMMAND_USAGE = {
+    "pmf": """\
+usage: pnrlidar pmf [-h] [--output OUTPUT] [--format {csv,structured}] --kind
+                    {thermal,poisson,mixed} [--n-p N_P] [--n-th N_TH]
+                    [--n-max N_MAX] [--tolerance TOLERANCE]
+""",
+    "snr": """\
+usage: pnrlidar snr [-h] [--output OUTPUT] [--format {csv,structured}] --n-p
+                    N_P --n-th N_TH [--thresholds THRESHOLDS]
+""",
+    "sweep": """\
+usage: pnrlidar sweep [-h] [--output OUTPUT] [--format {csv,structured}]
+                      --n-th N_TH [--thresholds THRESHOLDS]
+                      [--grid-min GRID_MIN] [--grid-max GRID_MAX]
+                      [--grid-points GRID_POINTS] [--grid-scale {log,linear}]
+""",
+    "optimum": """\
+usage: pnrlidar optimum [-h] [--output OUTPUT] [--format {csv,structured}]
+                        --n-th N_TH [--thresholds THRESHOLDS]
+""",
+    "boundary": """\
+usage: pnrlidar boundary [-h] [--output OUTPUT] [--format {csv,structured}]
+                         [--thresholds THRESHOLDS] [--nth-min NTH_MIN]
+                         [--nth-max NTH_MAX] [--nth-points NTH_POINTS]
+""",
+    "simulate": """\
+usage: pnrlidar simulate [-h] [--output OUTPUT] [--format {csv,structured}]
+                         --config CONFIG [--seed SEED]
+                         [--repetitions REPETITIONS]
+""",
+}
+SHARED_OPTIONS = """
+options:
+  -h, --help            show this help message and exit
+  --output OUTPUT       output file (default: stdout)
+  --format {csv,structured}
+                        csv for tables (default), structured for one JSON
+                        document
+"""
+OWN_OPTIONS = {
+    "pmf": """\
+  --kind {thermal,poisson,mixed}
+  --n-p N_P             signal mean photon number
+  --n-th N_TH           noise mean photon number
+  --n-max N_MAX         fixed truncation bound
+  --tolerance TOLERANCE
+                        residual tail tolerance
+""",
+    "snr": """\
+  --n-p N_P
+  --n-th N_TH
+  --thresholds THRESHOLDS
+""",
+    "sweep": """\
+  --n-th N_TH
+  --thresholds THRESHOLDS
+  --grid-min GRID_MIN
+  --grid-max GRID_MAX
+  --grid-points GRID_POINTS
+  --grid-scale {log,linear}
+""",
+    "optimum": """\
+  --n-th N_TH
+  --thresholds THRESHOLDS
+""",
+    "boundary": """\
+  --thresholds THRESHOLDS
+  --nth-min NTH_MIN
+  --nth-max NTH_MAX
+  --nth-points NTH_POINTS
+""",
+    "simulate": """\
+  --config CONFIG       config file path or bundled name
+  --seed SEED           seed override
+  --repetitions REPETITIONS
+                        repetitions override
+""",
+}
+TOP_HELP = TOP_USAGE + """
+Photon-number threshold detection statistics and rangefinder simulation.
+
+positional arguments:
+  {pmf,snr,sweep,optimum,boundary,simulate}
+    pmf                 photon-number PMF table
+    snr                 classical vs threshold SNR at one point
+    sweep               SNR-ratio curves over a signal grid
+    optimum             best signal mean per threshold
+    boundary            ratio == 1 advantage boundary
+    simulate            time-binned Monte Carlo rangefinder
+
+options:
+  -h, --help            show this help message and exit
+  --version             show program's version number and exit
+"""
+PARSER_OUTPUT = [
+    # (argv, exit status, stdout, stderr)
+    (["--help"], 0, TOP_HELP, ""),
+    (["--version"], 0, f"pnrlidar {pnrlidar.__version__}\n", ""),
+    *(([name, "-h"], 0, SUBCOMMAND_USAGE[name] + SHARED_OPTIONS + OWN_OPTIONS[name], "")
+      for name in SUBCOMMAND_USAGE),
+    ([], 2, "", TOP_USAGE + "pnrlidar: error: the following arguments are required: subcommand\n"),
+    (["swee"], 2, "", TOP_USAGE + "pnrlidar: error: argument subcommand: invalid choice: 'swee' "
+                              "(choose from 'pmf', 'snr', 'sweep', 'optimum', 'boundary', 'simulate')\n"),
+    (["sweep", "--n-th", "1", "extra"], 2, "", TOP_USAGE + "pnrlidar: error: unrecognized arguments: extra\n"),
+    (["sweep"], 2, "", SUBCOMMAND_USAGE["sweep"]
+     + "pnrlidar sweep: error: the following arguments are required: --n-th\n"),
+    (["sweep", "--n-th", "x"], 2, "", SUBCOMMAND_USAGE["sweep"]
+     + "pnrlidar sweep: error: argument --n-th: invalid float value: 'x'\n"),
+    (["pmf", "--kind", "bogus"], 2, "", SUBCOMMAND_USAGE["pmf"]
+     + "pnrlidar pmf: error: argument --kind: invalid choice: 'bogus' (choose from 'thermal', 'poisson', 'mixed')\n"),
+    (["sweep", "--n-th", "1", "--thresholds", "2.5"], 2, "", SUBCOMMAND_USAGE["sweep"]
+     + "pnrlidar sweep: error: argument --thresholds: invalid threshold list '2.5'\n"),
+    # an option value that names another subcommand: only simulate is parsed
+    (["simulate", "--config", "sweep"], 1, "", "pnrlidar: error: config file not found: sweep\n"),
+]
+
+
+def run_to_exit(argv):
+    """main(argv)'s exit status, returned or raised by argparse."""
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+class TestParserOutput:
+    @pytest.mark.parametrize("argv, status, stdout, stderr", PARSER_OUTPUT,
+                             ids=[" ".join(case[0]) or "(no argv)" for case in PARSER_OUTPUT])
+    def test_help_version_and_errors_as_recorded(self, capsys, monkeypatch, argv, status, stdout, stderr):
+        monkeypatch.setenv("COLUMNS", "80")
+        assert run_to_exit(argv) == status
+        assert capsys.readouterr() == (stdout, stderr)
+
+    def test_only_the_named_subcommands_get_arguments(self, capsys, monkeypatch):
+        # A build makes the top-level parser with its 2 arguments and, for each
+        # subcommand that argv names, a parser with its -h, --output, --format
+        # and its own; the parser that built every subcommand made 7 parsers
+        # and added 33 arguments.  The [project.scripts] entry calls main()
+        # with no argv, so it must read sys.argv[1:].
+        made, added = [], []
+        init, add_argument = argparse.ArgumentParser.__init__, argparse._ActionsContainer.add_argument
+
+        def counted_init(parser, *args, **kwargs):
+            init(parser, *args, **kwargs)
+            made.append(parser.prog)
+
+        def counted(container, *names, **kwargs):
+            added.append(names[0])
+            return add_argument(container, *names, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted_init)
+        monkeypatch.setattr(argparse._ActionsContainer, "add_argument", counted)
+        top = ["-h", "--version"]
+        own = {
+            "sweep": ["-h", "--output", "--format", "--n-th", "--thresholds", "--grid-min",
+                      "--grid-max", "--grid-points", "--grid-scale"],
+            "simulate": ["-h", "--output", "--format", "--config", "--seed", "--repetitions"],
+        }
+        argv = ["sweep", "--n-th", "1", "--thresholds", "2,3", "--grid-points", "5"]
+        assert main(argv) == 0
+        assert (made, added) == (["pnrlidar", "pnrlidar sweep"], top + own["sweep"])
+        table = capsys.readouterr().out
+
+        made.clear()
+        added.clear()
+        monkeypatch.setattr(sys, "argv", ["pnrlidar", *argv])
+        assert main() == 0
+        assert (made, added) == (["pnrlidar", "pnrlidar sweep"], top + own["sweep"])
+        assert capsys.readouterr().out == table
+
+        made.clear()
+        added.clear()
+        assert run_to_exit(["simulate", "--config", "sweep"]) == 1
+        assert made == ["pnrlidar", "pnrlidar sweep", "pnrlidar simulate"]
+        assert added == top + own["sweep"] + own["simulate"]
+        assert capsys.readouterr() == ("", "pnrlidar: error: config file not found: sweep\n")
