@@ -690,8 +690,6 @@ PARSER_OUTPUT = [
      + "pnrlidar pmf: error: argument --kind: invalid choice: 'bogus' (choose from 'thermal', 'poisson', 'mixed')\n"),
     (["sweep", "--n-th", "1", "--thresholds", "2.5"], 2, "", SUBCOMMAND_USAGE["sweep"]
      + "pnrlidar sweep: error: argument --thresholds: invalid threshold list '2.5'\n"),
-    # an option value that names another subcommand: only simulate is parsed
-    (["simulate", "--config", "sweep"], 1, "", "pnrlidar: error: config file not found: sweep\n"),
 ]
 
 
@@ -750,7 +748,8 @@ class TestParserOutput:
 
         made.clear()
         added.clear()
-        assert run_to_exit(["simulate", "--config", "sweep"]) == 1
+        # an option value that names another subcommand: only simulate is parsed
+        assert main(["simulate", "--config", "sweep"]) == 1
         assert made == ["pnrlidar", "pnrlidar sweep", "pnrlidar simulate"]
         assert added == top + own["sweep"] + own["simulate"]
         assert capsys.readouterr() == ("", "pnrlidar: error: config file not found: sweep\n")
