@@ -155,10 +155,16 @@ def _grid(args) -> list[float]:
             raise ValueError(f"a linear grid needs --grid-min < --grid-max, got {lo!r} and {hi!r}")
         step = (hi - lo) / (points - 1)
         grid = [lo + i * step for i in range(points - 1)] + [hi]
-    # bounds a few ulps apart round to repeated points on either scale
+    return _distinct(grid, "--grid", lo, hi, points)
+
+
+def _distinct(grid, options, lo, hi, points) -> list[float]:
+    """``grid``, refused by the names of its options (``{options}-points`` and
+    its bounds) where bounds a few ulps apart round its points to repeats."""
     if any(b <= a for a, b in zip(grid, grid[1:])):
         raise ValueError(
-            f"the {points} --grid-points between --grid-min {lo!r} and --grid-max {hi!r} repeat after rounding"
+            f"the {points} {options}-points between {options}-min {lo!r} and {options}-max {hi!r} "
+            "repeat after rounding"
         )
     return grid
 
@@ -248,7 +254,13 @@ def _cmd_optimum(args) -> int:
 
 
 def _cmd_boundary(args) -> int:
-    grid = log_grid(args.nth_min, args.nth_max, args.nth_points)
+    lo, hi, points = args.nth_min, args.nth_max, args.nth_points
+    if not (0.0 < lo < hi < math.inf and points >= 2):
+        raise ValueError(
+            "need 0 < --nth-min < --nth-max < inf and --nth-points >= 2, "
+            f"got --nth-min {lo!r}, --nth-max {hi!r} and --nth-points {points}"
+        )
+    grid = _distinct(log_grid(lo, hi, points), "--nth", lo, hi, points)
     rows = []
     skipped = []
     multiple = []

@@ -14,14 +14,16 @@ alone.  SNR_q is monotone increasing in both n_p and N; whether it beats
 SNR_c depends on (n_p, n_th, N).  This module evaluates both closed forms
 and the analytic derivative of SNR_q, and maps the advantage region: ratio
 sweeps over signal grids, the signal mean that maximizes the ratio at fixed
-noise, and the ratio == 1 boundary in the (n_th, n_p) plane (a scan and a
-bisection, each in lockstep over thresholds and noise levels).  The
+noise, and the ratio == 1 boundary in the (n_th, n_p) plane.  The
 maximizing signal mean is the root of
 
     rise = n_p S / n_th - P_poisson(n >= N) / x^N,    S = sum_{m<N} p_p(m) x^(-m),
 
-which has the sign of d(ratio)/d(n_p): one scan brackets it, and Newton
-steps on rise and its analytic slope refine it.
+which has the sign of d(ratio)/d(n_p), and a boundary point is a root of
+ratio - 1, whose slope is a multiple of rise.  Both searches are a scan for
+a sign change and then one root loop, shared by both: safeguarded Newton
+steps in log(n_p) on the function and its analytic slope, in lockstep over
+thresholds and noise levels.
 
 Every value comes from one array evaluation over whole grids
 (:func:`pnrlidar.photon_stats.mixed_tail_parts`), which tabulates the
@@ -71,7 +73,6 @@ __all__ = [
 OPTIMUM_RELATIVE_TOL = 1e-6
 OPTIMUM_BRACKET = (1e-3, 1e3)
 OPTIMUM_BRACKET_POINTS = 200
-BOUNDARY_ABS_TOL = 1e-6
 BOUNDARY_RATIO_TOL = 1e-5
 BOUNDARY_SCAN_RANGE = (1e-4, 1e4)
 BOUNDARY_SCAN_POINTS = 300
@@ -117,13 +118,15 @@ class BoundaryCurve:
     """Locus of ratio == 1 points bounding the threshold-advantage region.
 
     ``points`` holds (n_th_mean, n_p_mean) pairs, one per grid noise level
-    with a crossing; the region below each point has ratio > 1, and
-    ``ratios`` holds the SNR ratio at each point (within BOUNDARY_RATIO_TOL
-    of 1).  Noise levels without a crossing are listed in ``no_crossing``
-    with the scanned ratio's sign ("above" if the ratio stayed above 1
-    everywhere, "below" otherwise).  ``multiple_crossings`` flags noise
-    levels where the scan saw more than one sign change; the largest-n_p
-    crossing is the one kept.
+    with a resolved crossing; the region below each point has ratio > 1,
+    and ``ratios`` holds the SNR ratio at each point (1 to rounding, and
+    always within BOUNDARY_RATIO_TOL of 1).  Every other noise level is
+    listed in ``no_crossing`` with a side: without a crossing, the scanned
+    ratio's sign ("above" if the ratio stayed above 1 everywhere, "below"
+    otherwise); with one, "unresolved", where the root search ended on a
+    point more than BOUNDARY_RATIO_TOL from ratio == 1.
+    ``multiple_crossings`` flags noise levels where the scan saw more than
+    one sign change; the largest-n_p crossing is the one kept.
     """
 
     threshold_n: int
@@ -283,6 +286,37 @@ def log_grid(lo: float, hi: float, points: int) -> list[float]:
     return [lo, *inner, hi]
 
 
+def _lockstep_roots(terms, lo, hi, up, down) -> tuple[np.ndarray, np.ndarray]:
+    """Roots of f in brackets lo < hi with f(lo) = up >= 0 >= down = f(hi), up > down.
+
+    ``terms(n_p, live)`` gives, from one array call, f, its slope in log(n_p)
+    and a value to keep at the points n_p of the searches numbered ``live``.
+    Each search starts from the secant of f in log(n_p) across its bracket
+    and takes Newton steps in log(n_p), bisecting (geometrically) instead
+    where a step would leave the bracket; every evaluation shrinks the
+    bracket to the side where f changes sign.  A root is the point reached
+    by the first step of at most OPTIMUM_RELATIVE_TOL squared, or a point
+    that no step can move, and is returned with its value.  The searches run
+    in lockstep, one call per step, and each gives the bits it gives alone.
+    """
+    live = np.arange(lo.size)
+    n_p = np.clip(lo * (hi / lo) ** (up / (up - down)), lo, hi)
+    roots, values, settled = np.empty(lo.size), np.empty(lo.size), np.zeros(lo.size, bool)
+    while live.size:
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            f, slope, value = terms(n_p, live)
+            lo, hi = np.where(f > 0.0, n_p, lo), np.where(f > 0.0, hi, n_p)
+            step = -f / slope
+            newton = n_p * np.exp(step)
+        inside = (lo < newton) & (newton < hi)
+        following = np.where(inside, newton, np.sqrt(lo) * np.sqrt(hi))
+        done = settled | (newton == n_p) | (following <= lo) | (following >= hi)
+        roots[live[done]], values[live[done]] = n_p[done], value[done]
+        settled = inside & (np.abs(step) <= OPTIMUM_RELATIVE_TOL**2)
+        live, n_p, lo, hi, settled = (a[~done] for a in (live, following, lo, hi, settled))
+    return roots, values
+
+
 def find_optima(n_th_mean: float, thresholds: Sequence[int]) -> list[OptimumPoint]:
     """Signal mean maximizing the SNR ratio at fixed noise, per threshold.
 
@@ -293,15 +327,15 @@ def find_optima(n_th_mean: float, thresholds: Sequence[int]) -> list[OptimumPoin
     no interior maximum: SearchError, for the first such threshold in input
     order.  The bracket is OPTIMUM_BRACKET, its lower end lowered to
     0.1 / n_th above n_th = 100, where N = 2's optimum nears 2 / n_th.
-    From the secant of rise across that cell, Newton steps in log(n_p)
-    refine the root, bisecting instead where a step would leave the
-    bracket.  The point reached by the first step of at most
-    OPTIMUM_RELATIVE_TOL squared is returned with its ratio: quadratic
-    convergence leaves it exact to rounding, where stopping after a step of
-    OPTIMUM_RELATIVE_TOL would leave errors up to 7e-12 (n_th = 3000, N = 50).
-    A point that neither a step nor bisection can move is returned as it is.  The thresholds are searched in
-    lockstep, one array call per step; a threshold's search gives the same
-    bits as it does alone.  Results follow the input order.
+    The root loop that the boundary search shares (``_lockstep_roots``)
+    refines each root from that cell by safeguarded Newton steps in
+    log(n_p) on rise and its analytic slope, from the scan's values at the
+    cell's ends and one array call per step over every threshold.  A root
+    is returned with its ratio: stopping at the first step of
+    OPTIMUM_RELATIVE_TOL squared leaves it exact to rounding, where stopping
+    after a step of OPTIMUM_RELATIVE_TOL would leave errors up to 7e-12
+    (n_th = 3000, N = 50).  A threshold's search gives the same bits as it
+    does alone.  Results follow the input order.
     """
     if n_th_mean <= 0.0:
         raise ZeroNoiseError("n_th_mean must be > 0 for SNR analysis")
@@ -315,22 +349,14 @@ def find_optima(n_th_mean: float, thresholds: Sequence[int]) -> list[OptimumPoin
     if not found.all():
         n = int(big_n[np.argmin(found)])
         raise SearchError(f"no interior ratio maximum for N={n}, n_th={n_th_mean} in bracket {bracket}")
-    live, cell = np.arange(big_n.size), np.argmax(peak, axis=1)
-    lo, hi, up, down = grid[cell], grid[cell + 1], rise[live, cell], rise[live, cell + 1]
-    n_p = np.clip(lo * (hi / lo) ** (up / (up - down)), lo, hi)
-    best_n_p, best_ratio, settled = np.empty(big_n.size), np.empty(big_n.size), np.zeros(big_n.size, bool)
-    while live.size:
+
+    def terms(n_p, live):
         _, ratio, _, rise, rise_slope = _snr_terms(n_p, n_th_mean, big_n[live])
-        lo, hi = np.where(rise > 0.0, n_p, lo), np.where(rise > 0.0, hi, n_p)
-        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            step = -rise / (n_p * rise_slope)
-            newton = n_p * np.exp(step)
-        inside = (lo < newton) & (newton < hi)
-        following = np.where(inside, newton, np.sqrt(lo) * np.sqrt(hi))
-        done = settled | (newton == n_p) | (following <= lo) | (following >= hi)
-        best_n_p[live[done]], best_ratio[live[done]] = n_p[done], ratio[done]
-        settled = inside & (np.abs(step) <= OPTIMUM_RELATIVE_TOL**2)
-        live, n_p, lo, hi, settled = (a[~done] for a in (live, following, lo, hi, settled))
+        return rise, n_p * rise_slope, ratio
+
+    cell = np.argmax(peak, axis=1)
+    ends = np.take_along_axis(rise, cell[:, None] + [0, 1], axis=1)
+    best_n_p, best_ratio = _lockstep_roots(terms, grid[cell], grid[cell + 1], *ends.T)
     return [
         OptimumPoint(int(n), float(n_th_mean), p, r)
         for n, p, r in zip(big_n.tolist(), best_n_p.tolist(), best_ratio.tolist())
@@ -346,15 +372,17 @@ def find_boundary(thresholds: Sequence[int], n_th_grid: Sequence[float]) -> list
     _SCAN_CHUNK / (thresholds x points) noise levels in one array call, so
     memory stays bounded on long noise grids.  At each pair the
     largest-n_p sign change of (ratio - 1) bounds the advantage region from
-    above, matching a region that sits below the curve.  Every crossing of
-    the grid is bisected in one loop, one array call per step; each stops
-    once its bracket is within BOUNDARY_ABS_TOL and |ratio - 1| <=
-    BOUNDARY_RATIO_TOL at the midpoint, whose ratio is kept with the point,
-    and is reported as "unresolved" if its bracket collapses or 300 steps
-    pass first.  Levels with no sign change are reported rather than
-    guessed, and levels with several crossings are flagged.  Each curve has
-    the bits of a search of its threshold alone, one noise level at a time.
-    Curves follow the input order.
+    above, matching a region that sits below the curve.  The root loop that
+    the optimum search shares (``_lockstep_roots``) refines every crossing
+    at once, one array call per step, by safeguarded Newton steps in
+    log(n_p) on s (ratio - 1), s the sign of ratio - 1 at the cell's low
+    end, with the slope s n_p rise / (n_th (1 + n_p / n_th)^2) from the same
+    call and the cell's ends from the scan.  A root is kept with its ratio
+    where |ratio - 1| <= BOUNDARY_RATIO_TOL, and reported as "unresolved"
+    otherwise.  Levels with no sign change are reported rather than guessed,
+    and levels with several crossings are flagged.  Each curve has the bits
+    of a search of its threshold alone, one noise level at a time.  Curves
+    follow the input order.
     """
     big_n = np.asarray(thresholds)
     levels = np.asarray(n_th_grid, dtype=float)
@@ -363,7 +391,7 @@ def find_boundary(thresholds: Sequence[int], n_th_grid: Sequence[float]) -> list
     scan = np.array(log_grid(*BOUNDARY_SCAN_RANGE, BOUNDARY_SCAN_POINTS))
     shape = (big_n.size, levels.size)
     crossings, cell = np.zeros(shape, int), np.zeros(shape, int)
-    f_lo, above = np.zeros(shape), np.zeros(shape, bool)
+    ends, above = np.zeros(shape + (2,)), np.zeros(shape, bool)
     chunk = max(1, _SCAN_CHUNK // (scan.size * max(big_n.size, 1)))
     for start in range(0, levels.size, chunk):
         part = slice(start, start + chunk)
@@ -371,29 +399,23 @@ def find_boundary(thresholds: Sequence[int], n_th_grid: Sequence[float]) -> list
         change = (excess[..., 1:] > 0.0) != (excess[..., :-1] > 0.0)
         crossings[:, part] = change.sum(axis=-1)
         cell[:, part] = change.shape[-1] - 1 - np.argmax(change[..., ::-1], axis=-1)
-        f_lo[:, part] = np.take_along_axis(excess, cell[:, part, None], axis=-1)[..., 0]
+        ends[:, part] = np.take_along_axis(excess, cell[:, part, None] + [0, 1], axis=-1)
         above[:, part] = excess[..., scan.size // 2] > 0.0
 
-    # Lockstep bisection over every crossing, by its flat (threshold, noise level) index.
-    lo, hi, f_lo = scan[cell].ravel(), scan[cell + 1].ravel(), f_lo.ravel()
-    noise, n_of = np.tile(levels, big_n.size), np.repeat(big_n, levels.size)
-    roots, root_ratios = np.full(lo.size, np.nan), np.full(lo.size, np.nan)
-    live = np.flatnonzero(crossings)
-    for _ in range(300):
-        if not live.size:
-            break
-        mid = 0.5 * (lo[live] + hi[live])
-        ratio = _snr_terms(mid, noise[live], n_of[live])[1]
-        f_mid = ratio - 1.0
-        found = (hi[live] - lo[live] <= BOUNDARY_ABS_TOL) & (np.abs(f_mid) <= BOUNDARY_RATIO_TOL)
-        roots[live[found]] = mid[found]
-        root_ratios[live[found]] = ratio[found]
-        same = (f_lo[live] < 0.0) == (f_mid < 0.0)
-        lo[live[same]], f_lo[live[same]] = mid[same], f_mid[same]
-        hi[live[~same]] = mid[~same]
-        live = live[~found & (hi[live] != lo[live])]
+    # Every crossing, by its (threshold, noise level) index.
+    at = np.nonzero(crossings)
+    noise, n_of, cell, ends = levels[at[1]], big_n[at[0]], cell[at], ends[at]
+    sign = np.where(ends[:, 0] > 0.0, 1.0, -1.0)
 
-    roots, root_ratios = roots.reshape(shape), root_ratios.reshape(shape)
+    def terms(n_p, live):
+        _, ratio, _, rise, _ = _snr_terms(n_p, noise[live], n_of[live])
+        slope = n_p * rise / (noise[live] * (1.0 + n_p / noise[live]) ** 2)
+        return sign[live] * (ratio - 1.0), sign[live] * slope, ratio
+
+    found, found_ratios = _lockstep_roots(terms, scan[cell], scan[cell + 1], *(sign * ends.T))
+    found[np.abs(found_ratios - 1.0) > BOUNDARY_RATIO_TOL] = np.nan
+    roots, root_ratios = np.full((2, *shape), np.nan)
+    roots[at], root_ratios[at] = found, found_ratios
     side = np.where(crossings > 0, "unresolved", np.where(above, "above", "below"))
     return [
         BoundaryCurve(

@@ -1,0 +1,153 @@
+"""Recorders for the reference files that the tests compare against.
+
+Each recorder rebuilds its file from the current code over the case list
+stored in the file itself and returns the new text, so a re-record keeps
+every case: cases can be added to a file, never dropped by a recorder.
+
+    PYTHONPATH=src python tests/data/record.py boundary cli           # rewrite both
+    PYTHONPATH=src python tests/data/record.py --report boundary cli  # print what would move
+
+The report prints each boundary point that would move, with its old and new
+|ratio - 1| by 40-digit mpmath (the tests' oracle), then a summary; for the
+CLI file it names each argv whose exit code or stdout would change.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import io
+import json
+import re
+import sys
+from pathlib import Path
+
+from pnrlidar.cli import main
+from pnrlidar.snr_analysis import find_boundary, log_grid
+
+DATA = Path(__file__).parent
+
+BOUNDARY_ABOUT = (
+    "find_boundary curves on log_grid(nth_min, nth_max, nth_points), one per threshold in input order, "
+    "noise levels, signal means and ratios as float.hex: the boundary command's defaults; N = 2 up to "
+    "n_th = 5000, whose excess ratio - 1 loses its digits there and flags spurious multiple crossings; "
+    "N = 1, 2 at n_th = 1e3..1e4; unsorted, repeated thresholds on 37 levels; recorded by "
+    "tests/data/record.py from the lockstep search whose Newton steps put each point on ratio == 1 "
+    "to rounding, with numpy 2.4.6 on x86_64"
+)
+CLI_ABOUT = (
+    "main(argv) stdout and exit code per argv, the manifest's timestamp line dropped from structured "
+    "output; recorded by tests/data/record.py with numpy 2.4.6 on x86_64; the boundary rows from the "
+    "Newton root search, each ratio 1 to rounding"
+)
+
+
+def _dumps(document: dict) -> str:
+    return json.dumps(document, indent=1) + "\n"
+
+
+def _cases(name: str) -> list[dict]:
+    return json.loads((DATA / name).read_text())["cases"]
+
+
+def boundary_curves(case: dict) -> list[dict]:
+    """One boundary case's curves, as the file stores them: every float as float.hex."""
+    grid = log_grid(case["nth_min"], case["nth_max"], case["nth_points"])
+    return [
+        {
+            "threshold_n": curve.threshold_n,
+            "points": [[n_th.hex(), n_p.hex()] for n_th, n_p in curve.points],
+            "ratios": [ratio.hex() for ratio in curve.ratios],
+            "no_crossing": [[n_th.hex(), side] for n_th, side in curve.no_crossing],
+            "multiple_crossings": [n_th.hex() for n_th in curve.multiple_crossings],
+        }
+        for curve in find_boundary(case["thresholds"], grid)
+    ]
+
+
+def record_boundary() -> str:
+    """The text of boundary_reference.json, its cases re-run."""
+    keys = ("thresholds", "nth_min", "nth_max", "nth_points")
+    cases = [{**{key: case[key] for key in keys}, "curves": boundary_curves(case)}
+             for case in _cases("boundary_reference.json")]
+    return _dumps({"about": BOUNDARY_ABOUT, "cases": cases})
+
+
+def cli_run(argv: list[str]) -> tuple[int, str]:
+    """main(argv)'s exit code and stdout, without the manifest's timestamp line."""
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        code = main(list(argv))
+    return code, re.sub(r',\n *"timestamp": "[^"\n]*"', "", out.getvalue())
+
+
+def record_cli() -> str:
+    """The text of cli_reference.json, its argvs re-run."""
+    cases = []
+    for case in _cases("cli_reference.json"):
+        code, stdout = cli_run(case["argv"])
+        cases.append({"argv": case["argv"], "exit_code": code, "stdout": stdout})
+    return _dumps({"about": CLI_ABOUT, "cases": cases})
+
+
+def report_boundary(new_text: str) -> None:
+    """Print each moved boundary point with its old and new |ratio - 1| by mpmath, then a summary."""
+    from test_snr_analysis import ratio_mp
+
+    def excess(n_p, n_th, big_n):
+        return abs(float(ratio_mp(float.fromhex(n_p), float.fromhex(n_th), big_n) - 1))
+
+    moved, worst_old, worst_new, same_levels = 0, 0.0, 0.0, True
+    old_cases, new_cases = _cases("boundary_reference.json"), json.loads(new_text)["cases"]
+    for old_case, new_case in zip(old_cases, new_cases):
+        for old, new in zip(old_case["curves"], new_case["curves"]):
+            n = old["threshold_n"]
+            same_levels &= [t for t, _ in old["points"]] == [t for t, _ in new["points"]]
+            same_levels &= (old["no_crossing"], old["multiple_crossings"]) == (
+                new["no_crossing"], new["multiple_crossings"])
+            for (n_th, p_old), (_, p_new) in zip(old["points"], new["points"]):
+                if p_old == p_new:
+                    continue
+                moved += 1
+                before, after = excess(p_old, n_th, n), excess(p_new, n_th, n)
+                worst_old, worst_new = max(worst_old, before), max(worst_new, after)
+                print(f"N = {n}, n_th = {float.fromhex(n_th)!r}: n_p {float.fromhex(p_old)!r} -> "
+                      f"{float.fromhex(p_new)!r}, |ratio - 1| {before:.2e} -> {after:.2e}")
+    total = sum(len(curve["points"]) for case in new_cases for curve in case["curves"])
+    print(f"boundary: {moved} of {total} points moved; worst |ratio - 1| by mpmath {worst_old:.2e} -> "
+          f"{worst_new:.2e}; levels, no_crossing and multiple_crossings "
+          f"{'unchanged' if same_levels else 'CHANGED'}")
+
+
+def report_cli(new_text: str) -> None:
+    """Name each argv whose recorded exit code or stdout would change."""
+    old_cases, new_cases = _cases("cli_reference.json"), json.loads(new_text)["cases"]
+    moved = [" ".join(new["argv"]) for old, new in zip(old_cases, new_cases) if old != new]
+    for argv in moved:
+        print(f"cli: {argv} moved")
+    print(f"cli: {len(moved)} of {len(new_cases)} argvs moved")
+
+
+# name: (file, recorder, report)
+RECORDERS = {
+    "boundary": ("boundary_reference.json", record_boundary, report_boundary),
+    "cli": ("cli_reference.json", record_cli, report_cli),
+}
+
+
+def run(argv=None) -> None:
+    parser = argparse.ArgumentParser(description="Rebuild reference files from their own case lists.")
+    parser.add_argument("files", nargs="+", choices=sorted(RECORDERS))
+    parser.add_argument("--report", action="store_true", help="write nothing; print what would move")
+    args = parser.parse_args(argv)
+    for name in args.files:
+        filename, recorder, report = RECORDERS[name]
+        text = recorder()
+        if args.report:
+            report(text)
+        else:
+            (DATA / filename).write_text(text)
+
+
+if __name__ == "__main__":
+    sys.path.insert(0, str(DATA.parent))  # the tests' oracles, for --report
+    run()

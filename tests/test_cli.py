@@ -206,6 +206,33 @@ class TestSweepCommand:
             "--grid-max 1.0000000000000002 repeat after rounding\n"
         )
 
+    def test_boundary_grid_points_that_repeat_refused_by_their_options(self, capsys):
+        # the noise grid gets the sweep grid's check: no table of repeated levels
+        assert run_cli("boundary", "--thresholds", "2", "--nth-min", "1",
+                       "--nth-max", "1.0000000000000002", "--nth-points", "5") == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "pnrlidar: error: the 5 --nth-points between --nth-min 1.0 and "
+            "--nth-max 1.0000000000000002 repeat after rounding\n"
+        )
+
+    @pytest.mark.parametrize("options, got", [
+        (("--nth-points", "1"), "--nth-min 0.2, --nth-max 40.0 and --nth-points 1"),
+        (("--nth-min", "5", "--nth-max", "5"), "--nth-min 5.0, --nth-max 5.0 and --nth-points 60"),
+        (("--nth-min", "0"), "--nth-min 0.0, --nth-max 40.0 and --nth-points 60"),
+        (("--nth-max", "inf"), "--nth-min 0.2, --nth-max inf and --nth-points 60"),
+        (("--nth-min", "nan"), "--nth-min nan, --nth-max 40.0 and --nth-points 60"),
+    ], ids=["one-point", "equal", "zero", "infinite", "nan"])
+    def test_boundary_grid_refused_by_its_options(self, capsys, options, got):
+        # named by the options given, not by log_grid's lo, hi and points
+        assert run_cli("boundary", "--thresholds", "2", *options) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"pnrlidar: error: need 0 < --nth-min < --nth-max < inf and --nth-points >= 2, got {got}\n"
+        )
+
     @pytest.mark.parametrize("thresholds", ["2.5", "2..x", "2,,3", "0..3"])
     def test_malformed_threshold_list_names_the_list(self, capsys, thresholds):
         with pytest.raises(SystemExit) as exit_info:
@@ -318,8 +345,8 @@ class TestOptimumBoundaryCommands:
         )
 
     def test_boundary_searches_in_lockstep(self, capsys, monkeypatch):
-        # one scan call per chunk of noise levels and one bisection call per
-        # step, over every threshold at once: 3 scan calls and 28 steps here,
+        # one scan call per chunk of noise levels and one call per Newton
+        # step, over every threshold at once: 3 scan calls and 8 steps here,
         # where a call per threshold and noise level would make over 240.
         # The calls counted are those to every photon_stats function that
         # _snr_terms names, so routing it through another entry is still seen.
@@ -342,7 +369,7 @@ class TestOptimumBoundaryCommands:
             monkeypatch.setattr(snr_analysis, name, counting(getattr(snr_analysis, name)))
         assert run_cli("boundary") == 0
         assert len(capsys.readouterr().out.strip().splitlines()) == 1 + 4 * 60
-        assert 3 <= len(calls) <= 35
+        assert 3 <= len(calls) <= 15
 
     def test_boundary_points_on_contract(self, capsys):
         assert run_cli("boundary", "--thresholds", "3", "--nth-min", "0.5",

@@ -356,7 +356,7 @@ class TestMixedTailTerms:
 
     @pytest.mark.parametrize("big_n", [2, 3])
     def test_per_element_thermal_ratios_match_one_element_calls(self, big_n):
-        # the boundary bisection's shape: one threshold, one x per element,
+        # the boundary root search's shape: one threshold, one x per element,
         # more x values than a vector register holds; x^-1 from a broadcast
         # exponent would round differently from numpy's power loop
         n_th = np.geomspace(0.2, 40.0, 64)

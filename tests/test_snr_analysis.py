@@ -14,13 +14,13 @@ from scipy import stats
 
 from pnrlidar.photon_stats import SourceParams, mixed_pmf, thermal_pmf
 from pnrlidar.snr_analysis import (
-    BOUNDARY_ABS_TOL,
     BOUNDARY_RATIO_TOL,
     BOUNDARY_SCAN_POINTS,
     BOUNDARY_SCAN_RANGE,
     OPTIMUM_BRACKET,
     OPTIMUM_BRACKET_POINTS,
     OPTIMUM_RELATIVE_TOL,
+    BoundaryCurve,
     SearchError,
     ZeroNoiseError,
     classical_snr,
@@ -35,6 +35,7 @@ from pnrlidar.snr_analysis import (
 )
 from pnrlidar.snr_analysis import _snr_terms
 
+BOUNDARY_REFERENCE = json.loads((Path(__file__).parent / "data" / "boundary_reference.json").read_text())["cases"]
 SIGNAL_GRID = (0.0, 0.5, 1.0, 3.0, 10.0)
 NOISE_GRID = (0.2, 1.0, 5.0)
 
@@ -63,6 +64,13 @@ def optimum_mp(n_th, big_n, lo, hi, digits=50):
     with mpmath.workdps(digits):
         assert relative_rise(lo) > 0 > relative_rise(hi)
         return mpmath.findroot(relative_rise, (mpmath.mpf(lo), mpmath.mpf(hi)), solver="anderson")
+
+
+def ratio_mp(n_p, n_th, big_n, digits=40):
+    """snr_ratio at n_p > 0 in mpmath, (T / x^N + S) / (1 + n_p / n_th), from rise's terms (oracle)."""
+    with mpmath.workdps(digits):
+        gain, loss = rise_terms_mp(n_p, n_th, big_n, digits)
+        return (loss + gain * n_th / n_p) / (1 + mpmath.mpf(n_p) / n_th)
 
 
 def central_diff(f, a, h=1e-5):
@@ -354,8 +362,7 @@ class TestFindBoundary:
         # defaults, N = 2 up to n_th = 5000 (spurious multiple crossings from
         # ratio - 1 at rounding level), N = 1, 2 at n_th = 1e3..1e4, and
         # unsorted, repeated thresholds; the file names the numpy version
-        reference = json.loads((Path(__file__).parent / "data" / "boundary_reference.json").read_text())
-        for case in reference["cases"]:
+        for case in BOUNDARY_REFERENCE:
             grid = log_grid(case["nth_min"], case["nth_max"], case["nth_points"])
             curves = find_boundary(case["thresholds"], grid)
             assert [
@@ -369,6 +376,15 @@ class TestFindBoundary:
                 for curve in curves
             ] == case["curves"], case["thresholds"]
 
+    def test_recorded_points_sit_on_unity_ratio_to_rounding(self):
+        # every point of the recorded cases against 40-digit mpmath: the
+        # Newton steps end on ratio == 1 to rounding
+        for case in BOUNDARY_REFERENCE:
+            grid = log_grid(case["nth_min"], case["nth_max"], case["nth_points"])
+            for curve in find_boundary(case["thresholds"], grid):
+                for n_th, n_p in curve.points:
+                    assert abs(ratio_mp(n_p, n_th, curve.threshold_n) - 1) <= 1e-13, (curve.threshold_n, n_th)
+
     def test_scan_memory_is_bounded(self):
         # the scan runs in chunks of noise levels, so 1000 levels hold about
         # what 60 do, not a (4 x 1000 x 300) excess array per kernel plane
@@ -380,6 +396,11 @@ class TestFindBoundary:
         finally:
             tracemalloc.stop()
         assert peak < 8 * 2**20
+
+
+# The reference bisection's bracket width: its points sit within this of
+# find_boundary's, which are exact to rounding.
+BISECTION_TOL = 1e-6
 
 
 def per_level_boundary(threshold_n, n_th_grid):
@@ -402,7 +423,7 @@ def per_level_boundary(threshold_n, n_th_grid):
         for _ in range(300):
             mid = 0.5 * (lo + hi)
             f_mid = excess(mid)
-            if hi - lo <= BOUNDARY_ABS_TOL and abs(f_mid) <= BOUNDARY_RATIO_TOL:
+            if hi - lo <= BISECTION_TOL and abs(f_mid) <= BOUNDARY_RATIO_TOL:
                 root = mid
                 break
             if (f_lo < 0.0) == (f_mid < 0.0):
@@ -452,7 +473,7 @@ class TestArrayKernel:
             points, no_crossing, multiple = per_level_boundary(curve.threshold_n, grid)
             assert [t for t, _ in curve.points] == [t for t, _ in points]
             np.testing.assert_allclose(
-                [p for _, p in curve.points], [p for _, p in points], rtol=0.0, atol=BOUNDARY_ABS_TOL
+                [p for _, p in curve.points], [p for _, p in points], rtol=0.0, atol=BISECTION_TOL
             )
             assert curve.no_crossing == tuple(no_crossing)
             assert curve.multiple_crossings == tuple(multiple)
@@ -492,6 +513,19 @@ class TestArrayKernel:
     def test_lockstep_optima_equal_single_threshold_searches(self, n_th):
         thresholds = [5, 2, 12, 5, 3]
         assert find_optima(n_th, thresholds) == [find_optima(n_th, [n])[0] for n in thresholds]
+
+    @pytest.mark.parametrize("thresholds, grid", [
+        pytest.param([2, 3, 4, 5], log_grid(0.2, 40.0, 60), id="defaults"),
+        pytest.param([5, 2, 12, 5, 3, 1], log_grid(0.05, 300.0, 37), id="unsorted"),
+        pytest.param([2], log_grid(1.0, 5000.0, 40), id="high-noise"),
+    ])
+    def test_lockstep_boundary_equals_single_searches(self, thresholds, grid):
+        # each curve has the bits of its threshold searched alone, one noise
+        # level at a time, unresolved and multiple crossings included
+        fields = ("points", "ratios", "no_crossing", "multiple_crossings")
+        for n, curve in zip(thresholds, find_boundary(thresholds, grid)):
+            alone = [find_boundary([n], [level])[0] for level in grid]
+            assert curve == BoundaryCurve(n, *(sum((getattr(a, f) for a in alone), ()) for f in fields))
 
     @pytest.mark.parametrize("thresholds", [[3, 1], [1, 3], [3, 1, 2]])
     def test_optima_refuse_the_first_threshold_without_maximum(self, thresholds):
