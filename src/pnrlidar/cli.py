@@ -153,6 +153,8 @@ def _grid(args) -> list[float]:
             raise ValueError(f"a linear grid needs at least 2 points, got {points}")
         if not lo < hi:
             raise ValueError(f"a linear grid needs --grid-min < --grid-max, got {lo!r} and {hi!r}")
+        if lo < 0.0:
+            raise ValueError(f"a linear grid needs --grid-min >= 0, got {lo!r}")
         step = (hi - lo) / (points - 1)
         grid = [lo + i * step for i in range(points - 1)] + [hi]
     return _distinct(grid, "--grid", lo, hi, points)

@@ -177,7 +177,7 @@ def mixed_tail(threshold_n: int, params: SourceParams) -> float:
 
 def _mixed_tail(threshold_n: int, n_p: float, x: float) -> float:
     """:func:`mixed_tail` at any thermal ratio x in [0, 1], not only n_th / (n_th + 1)."""
-    poisson = float(mixed_tail_parts(threshold_n, n_p, x)[0][0])  # refuses a bad N, n_p or x
+    poisson = float(mixed_tail_parts(threshold_n, n_p, x, slope_parts=False)[0][0])  # refuses a bad N, n_p or x
     s = 0.0
     for block in _poisson_column(n_p, 0, int(threshold_n), int(threshold_n)):
         for p in block:
@@ -186,13 +186,14 @@ def _mixed_tail(threshold_n: int, n_p: float, x: float) -> float:
 
 
 def mixed_tail_parts(
-    threshold_n: ArrayLike, n_p: ArrayLike, x: ArrayLike
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    threshold_n: ArrayLike, n_p: ArrayLike, x: ArrayLike, *, slope_parts: bool = True
+) -> tuple[np.ndarray, ...]:
     """The parts of the threshold identity that the SNR reads, over arrays.
 
     ``threshold_n`` (integers N >= 1), ``n_p`` (signal means) and ``x``
     (thermal ratios n_th / (n_th + 1)) broadcast together.  Returns
-    ``(poisson, scaled, last, head)``:
+    ``(poisson, scaled, last, head)``, or with ``slope_parts=False`` only
+    ``(poisson, scaled)``, with the same bits and two table reads fewer:
 
         poisson = P_poisson(n >= N),
         scaled  = sum_{m<N} p_p(m) x^(-m),
@@ -213,9 +214,10 @@ def mixed_tail_parts(
     thresholds on one grid share its terms.  The rows are walked in blocks
     of about max(_TABLE_BLOCK, elements) cells (rows x columns), each
     starting from the last two rows of the one before, so memory stays in
-    proportion to the elements: about 86 B an element at the traced peak
-    on the (19 x 200) and (19 x 2000) sweeps of N = 2..20, mostly the four
-    outputs (32 B), the first read and the flat read index (16 B) and a
+    proportion to the elements: at the traced peak, about 86 B an element
+    with the slope parts and about 70 B without, on the (19 x 200) and
+    (19 x 2000) sweeps of N = 2..20.  That is mostly the reads (8 B each: five
+    with the slope parts, three without), the flat read index (8 B) and a
     table block of about one cell (three planes of 8 B) an element.  The Poisson
     tail sums whichever side of N carries less mass: one minus the below-N
     sum where that is under 0.5, else the upward sum from p_p(N), so a
@@ -245,7 +247,10 @@ def mixed_tail_parts(
     # table's flat layout of rows of 3 planes of a value per column
     at = (big_n * (3 * width) + np.arange(width).reshape(columns)).reshape(-1)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        first, last, mass, scaled, head = _table_reads(at, int(big_n.max(initial=1)), lam, x)
+        # p_p(N), the sums through row N - 1, and p_p(N - 1) and the scaled
+        # sum through row N - 2, at these shifts (in planes of width) from p_p(N - 2)
+        shifts = (6, 4, 5, 3, 2) if slope_parts else (6, 4, 5)
+        first, mass, scaled, *slopes = _table_reads(at, int(big_n.max(initial=1)), lam, x, shifts)
         np.minimum(mass, 1.0, out=mass)
         upper = mass >= 0.5
         poisson = np.subtract(1.0, mass, out=mass)
@@ -256,11 +261,11 @@ def mixed_tail_parts(
             start = np.floor_divide(at, 3 * width, out=at).astype(float)
             del at
             poisson[upper] = _upper_poisson_tail(lam, first, start)
-    return tuple(a.reshape(shape) for a in (poisson, scaled, last, head))
+    return tuple(a.reshape(shape) for a in (poisson, scaled, *slopes))
 
 
-def _table_reads(at: np.ndarray, top: int, lam: np.ndarray, x: np.ndarray) -> list[np.ndarray]:
-    """(p_p(N), p_p(N - 1), mass, scaled, head) of each element, at[i] = N (3 width) + c.
+def _table_reads(at: np.ndarray, top: int, lam: np.ndarray, x: np.ndarray, shifts: tuple[int, ...]) -> list[np.ndarray]:
+    """One read per shift: the table's value at at[i] + shift width, at[i] = N (3 width) + c.
 
     Rows 2, 3, ... of a table block hold m = start, start + 1, ..., rows 0
     and 1 the two before; a row's three planes are p_p(m) and the mass and
@@ -272,7 +277,7 @@ def _table_reads(at: np.ndarray, top: int, lam: np.ndarray, x: np.ndarray) -> li
     read straight into its array, a longer one finds a block's elements in
     one pass over ``at``, which the block's cells about match, so the reads
     cost in proportion to the elements and cells over the whole walk.  The
-    five reads are made after the first block's rows, once their
+    reads are made after the first block's rows, once their
     temporaries are freed.  A table under _ROW_LOOP_WIDTH columns takes its
     sums in one accumulate down the rows, a wider one a row at a time, with
     the same bits.
@@ -281,9 +286,6 @@ def _table_reads(at: np.ndarray, top: int, lam: np.ndarray, x: np.ndarray) -> li
     rows = max(1, min(top + 1, max(_TABLE_BLOCK, at.size) // width - 2))
     table = np.zeros((rows + 2, 3, width))
     flat = table.reshape(-1)
-    # p_p(N), p_p(N - 1), the sums through row N - 1 and the scaled sum
-    # through row N - 2, at these shifts (in planes of width) from p_p(N - 2)
-    shifts = (6, 3, 4, 5, 2)
     reads = []
     for start in range(0, top + 1, rows):
         count = min(rows, top + 1 - start)
@@ -381,8 +383,10 @@ def _spread(a: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 # and _TAIL_MAX_STEPS terms.  Longer passes check fewer times which elements
 # are done: 16 steps a pass rather than 4 took the (19 x 200) sweep at n_th = 1
 # from 590 to 499 us and the (39 x 200) one at n_th = 1000 from 1050 to 910 us
-# (best of 7, 2-core Xeon, numpy 2.4), where 8 and 32 were no faster.
-_TAIL_STEPPED, _TAIL_STEPS, _TAIL_BLOCK, _TAIL_MAX_STEPS = 256, 16, 4096, 64
+# (best of 7, 2-core Xeon, numpy 2.4), where 8 and 32 were no faster.  Blocks
+# take over where one holds at least as many terms as a stepped pass.
+_TAIL_STEPS, _TAIL_BLOCK, _TAIL_MAX_STEPS = 16, 4096, 64
+_TAIL_STEPPED = _TAIL_BLOCK // _TAIL_STEPS
 
 
 def _upper_poisson_tail(lam: np.ndarray, first: np.ndarray, start: np.ndarray) -> np.ndarray:

@@ -143,16 +143,19 @@ def _check_params(params: SourceParams) -> SourceParams:
 
 
 def _snr_terms(
-    n_p: ArrayLike, n_th: ArrayLike, threshold_n: ArrayLike
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """(quantum_snr, snr_ratio, quantum_snr_derivative, rise, rise_slope) over broadcast arrays.
+    n_p: ArrayLike, n_th: ArrayLike, threshold_n: ArrayLike, rise_slope: bool = False
+) -> tuple[np.ndarray, ...]:
+    """(quantum_snr, snr_ratio, quantum_snr_derivative, rise) over broadcast arrays,
+    and with ``rise_slope=True`` rise's derivative in n_p fifth.
 
     One call of :func:`mixed_tail_parts`, the package's one array kernel;
-    ``threshold_n`` broadcasts with ``n_p`` and ``n_th``.  With u = 1/n_th,
-    T = P_poisson(n >= N) and S the kernel's ``scaled`` sum, the quantum
-    SNR is assembled as T / x^N + S, which is exactly 1 at n_p == 0, and
-    its derivative is u S.  The
-    ratio's derivative is u rise / (1 + n_p u)^2, so it has the sign of
+    ``threshold_n`` broadcasts with ``n_p`` and ``n_th``.  Only the Newton
+    steps of :func:`find_optima` ask for the slope: the kernel then reads
+    its two slope parts too, 16 B more an element at its traced peak.  With
+    u = 1/n_th, T = P_poisson(n >= N) and S the kernel's ``scaled`` sum, the
+    quantum SNR is assembled as T / x^N + S, which is exactly 1 at
+    n_p == 0, and its derivative is u S.  The ratio's derivative is
+    u rise / (1 + n_p u)^2, so it has the sign of
 
         rise = n_p u S - T / x^N,
 
@@ -177,7 +180,7 @@ def _snr_terms(
         bad = n_th[~((n_th > 0.0) & (n_th < math.inf))]
         raise ValueError(f"n_th_mean must be finite and >= 0, got {float(bad[0])!r}")
     x = n_th / (n_th + 1.0)
-    poisson, scaled, last, head = mixed_tail_parts(threshold_n, n_p, x)
+    poisson, scaled, *slope_parts = mixed_tail_parts(threshold_n, n_p, x, slope_parts=rise_slope)
     big_n = np.asarray(threshold_n)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         # x^2 as x * x, correctly rounded whether N is a scalar or an array:
@@ -186,13 +189,16 @@ def _snr_terms(
         x_n = np.where(big_n == 2, x * x, np.power(x, big_n.astype(float)))
         classical = (n_p + n_th) / n_th
         # in place, each operation as the docstring writes it: rise_slope in
-        # head, quantum in last, slope in scaled, rise in poisson, and the
-        # ratio in the one new array
-        np.divide(head, n_th, out=head)
-        np.divide(np.multiply(last, x, out=last), x_n, out=last)
-        rise_slope = np.multiply(classical, np.subtract(head, last, out=head), out=head)
+        # head, slope in scaled, rise in poisson; quantum and the ratio in
+        # new arrays, made after the kernel's peak
+        if slope_parts:
+            last, head = slope_parts
+            np.divide(head, n_th, out=head)
+            np.divide(np.multiply(last, x, out=last), x_n, out=last)
+            slope_parts = [np.multiply(classical, np.subtract(head, last, out=head), out=head)]
+            del last, head
         poisson_part = np.divide(poisson, x_n, out=poisson)
-        quantum = np.add(poisson_part, scaled, out=last)
+        quantum = np.add(poisson_part, scaled)
         # u S with u = 1/n_th, not (1/x - 1) S: 1/x - 1 loses log10(n_th)
         # digits to cancellation.
         slope = np.divide(scaled, n_th, out=scaled)
@@ -211,7 +217,7 @@ def _snr_terms(
                 "x^N underflows, so the SNR is not representable"
             )
         raise ValueError(f"SNR at n_th = {n_th_at!r}, threshold N = {n_at} overflows double precision")
-    return quantum, ratio, slope, rise, rise_slope
+    return (quantum, ratio, slope, rise, *slope_parts)
 
 
 def classical_snr(params: SourceParams) -> float:
@@ -351,7 +357,7 @@ def find_optima(n_th_mean: float, thresholds: Sequence[int]) -> list[OptimumPoin
         raise SearchError(f"no interior ratio maximum for N={n}, n_th={n_th_mean} in bracket {bracket}")
 
     def terms(n_p, live):
-        _, ratio, _, rise, rise_slope = _snr_terms(n_p, n_th_mean, big_n[live])
+        _, ratio, _, rise, rise_slope = _snr_terms(n_p, n_th_mean, big_n[live], rise_slope=True)
         return rise, n_p * rise_slope, ratio
 
     cell = np.argmax(peak, axis=1)
@@ -408,7 +414,7 @@ def find_boundary(thresholds: Sequence[int], n_th_grid: Sequence[float]) -> list
     sign = np.where(ends[:, 0] > 0.0, 1.0, -1.0)
 
     def terms(n_p, live):
-        _, ratio, _, rise, _ = _snr_terms(n_p, noise[live], n_of[live])
+        _, ratio, _, rise = _snr_terms(n_p, noise[live], n_of[live])
         slope = n_p * rise / (noise[live] * (1.0 + n_p / noise[live]) ** 2)
         return sign[live] * (ratio - 1.0), sign[live] * slope, ratio
 

@@ -180,18 +180,19 @@ class TestSweepCommand:
         assert captured.out == ""
         assert captured.err == f"pnrlidar: error: {rule}\n"
 
-    @pytest.mark.parametrize("bounds", [("5", "5"), ("5", "4")], ids=["equal", "reversed"])
-    def test_linear_grid_bounds_refused_by_their_options(self, capsys, bounds):
+    @pytest.mark.parametrize("bounds, rule", [
+        (("5", "5"), "--grid-min < --grid-max, got 5.0 and 5.0"),
+        (("5", "4"), "--grid-min < --grid-max, got 5.0 and 4.0"),
+        (("-1", "100"), "--grid-min >= 0, got -1.0"),
+    ], ids=["equal", "reversed", "negative"])
+    def test_linear_grid_bounds_refused_by_their_options(self, capsys, bounds, rule):
         # the refusal names the options given, as the log grid names its rule,
-        # not sweep_ratio's n_p_grid parameter
+        # not sweep_ratio's n_p_grid parameter or the kernel's n_p_mean
         assert run_cli("sweep", "--n-th", "1", "--grid-scale", "linear", "--grid-min", bounds[0],
                        "--grid-max", bounds[1], "--grid-points", "3") == 1
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == (
-            f"pnrlidar: error: a linear grid needs --grid-min < --grid-max, got {float(bounds[0])!r} "
-            f"and {float(bounds[1])!r}\n"
-        )
+        assert captured.err == f"pnrlidar: error: a linear grid needs {rule}\n"
 
     @pytest.mark.parametrize("scale", ["log", "linear"])
     def test_grid_points_that_repeat_refused_by_their_options(self, capsys, scale):

@@ -416,6 +416,12 @@ class TestMixedTailTerms:
         parts = mixed_tail_parts(threshold_n, n_p, x)
         assert len(made) == blocks
         monkeypatch.undo()
+        # without the slope parts, the table walk reads three values, not five,
+        # and the two it returns keep the full kernel's bits
+        slope_free = mixed_tail_parts(threshold_n, n_p, x, slope_parts=False)
+        assert len(slope_free) == 2
+        for array, full in zip(slope_free, parts):
+            assert array.view(np.int64).tolist() == full.view(np.int64).tolist()
         shape = parts[0].shape
         inputs = [np.broadcast_to(a, shape).ravel() for a in (threshold_n, n_p, x)]
         picked = np.random.default_rng(2).choice(parts[0].size, min(parts[0].size, 200), replace=False)
@@ -434,7 +440,9 @@ class TestMixedTailTerms:
         for case in reference["cases"]:
             big_n, n_p, x = np.array(case["threshold_n"]), floats(case["n_p"]), floats(case["x"])
             parts = mixed_tail_parts(big_n[:, None], n_p, x)
-            for name, array in zip(("poisson", "scaled", "last", "head"), parts):
+            slope_free = mixed_tail_parts(big_n[:, None], n_p, x, slope_parts=False)
+            names = ("poisson", "scaled", "last", "head", "poisson", "scaled")
+            for name, array in zip(names, (*parts, *slope_free), strict=True):
                 got = array.ravel()[case["elements"]]
                 assert got.view(np.int64).tolist() == floats(case["outputs"][name]).view(np.int64).tolist(), name
             x = np.broadcast_to(x, n_p.shape)

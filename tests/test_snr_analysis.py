@@ -208,7 +208,7 @@ class TestDerivative:
         # the scale of those terms: the slope itself is 0 where rise peaks
         grid = [1e-3, 0.1, 1.0, 3.0, 30.0]
         for big_n in (1, 2, 5, 12):
-            slopes = _snr_terms(np.array(grid), n_th, big_n)[4]
+            slopes = _snr_terms(np.array(grid), n_th, big_n, rise_slope=True)[4]
             for n_p, slope in zip(grid, slopes.tolist()):
                 with mpmath.workdps(40):
                     h = mpmath.mpf(n_p) * mpmath.mpf("1e-15")
@@ -277,19 +277,24 @@ class TestSweep:
         assert snr_ratio(SourceParams(n_p * 1.1, n_th), 5) < 1.0
 
     def test_memory_per_element_is_bounded(self):
-        # 38000 elements (19 thresholds x 2000 points): at the kernel's peak
-        # its five reads and flat read index take 48 B an element and its
-        # table block about one 24 B cell an element, about 3.3 MB in all.
-        # Spreading N and the column to each element, with a block number
-        # for each besides, reaches 4.6 MB.
-        grid = log_grid(0.01, 100.0, 2000)
-        tracemalloc.start()
-        try:
-            sweep_ratio(1.0, range(2, 21), grid)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 4.0e6
+        # The sweep's 38000 elements (19 thresholds x 2000 points): at the
+        # kernel's peak its three reads and flat read index take 32 B an
+        # element and its table block about one 24 B cell an element, about
+        # 2.7 MB in all.  The boundary's scan calls hold 25000 elements, about
+        # 2.1 MB at their peak.  Reading the two slope parts as well, which
+        # only the optimum's Newton steps use, reaches 3.3 and 2.5 MB.
+        searches = [
+            (sweep_ratio, (1.0, range(2, 21), log_grid(0.01, 100.0, 2000)), 3.0e6),
+            (find_boundary, ([2, 3, 4, 5], log_grid(0.2, 40, 60)), 2.3e6),
+        ]
+        for search, args, bound in searches:
+            tracemalloc.start()
+            try:
+                search(*args)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < bound
 
     def test_grid_validation(self):
         with pytest.raises(ValueError):
@@ -484,9 +489,13 @@ class TestArrayKernel:
         # above N = 30; every output equals the one-threshold call bit for bit
         big_n = np.concatenate([np.random.default_rng(0).permutation(np.arange(1, 51)), [7, 31, 1]])
         grid = np.array([0.0, *log_grid(1e-3, 1e3, 41)])
-        arrays = _snr_terms(grid, n_th, big_n[:, None])
+        arrays = _snr_terms(grid, n_th, big_n[:, None], rise_slope=True)
+        assert len(arrays) == 5
+        # without the slope, the kernel reads two parts fewer: the other four keep their bits
+        for array, full in zip(_snr_terms(grid, n_th, big_n[:, None]), arrays[:4], strict=True):
+            assert array.tolist() == full.tolist()
         for i, n in enumerate(big_n.tolist()):
-            for array, single in zip(arrays, _snr_terms(grid, n_th, n)):
+            for array, single in zip(arrays, _snr_terms(grid, n_th, n, rise_slope=True)):
                 assert array[i].tolist() == single.tolist()
 
     def test_noise_axis_matches_scalar_calls(self):
