@@ -22,7 +22,7 @@ from itertools import repeat
 from pathlib import Path
 
 from . import __version__
-from .photon_stats import SourceKind, SourceParams, build_pmf
+from .photon_stats import PmfTruncationError, SourceKind, SourceParams, build_pmf
 from .rangefinder_sim import SimConfig, estimate_ratio, run_simulation
 from .snr_analysis import find_boundary, find_optima, log_grid, snr_report, sweep_ratio
 
@@ -183,7 +183,10 @@ def _cmd_pmf(args) -> int:
             flag = f"--{name.replace('_', '-')}"
             raise ValueError(f"{flag} is {'required for' if needed else 'not used by'} kind {kind.value}")
     params = SourceParams(args.n_p or 0.0, args.n_th or 0.0)
-    pmf = build_pmf(kind, params, args.tolerance, args.n_max)
+    try:
+        pmf = build_pmf(kind, params, args.tolerance, args.n_max)
+    except PmfTruncationError as exc:
+        raise ValueError(f"--{exc.name.replace('_', '-')} {exc.value!r}: {exc.detail}") from None
     manifest = _manifest("pmf", {
         "kind": kind.value, "n_p_mean": params.n_p_mean, "n_th_mean": params.n_th_mean,
         "n_max": pmf.n_max, "tolerance": args.tolerance, "residual": pmf.residual,

@@ -27,12 +27,11 @@ from a generator keyed by (seed, key), for each of a sequence of keys.
 
 from __future__ import annotations
 
-import bisect
 import itertools
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Any, Callable, Iterable, Iterator
+from typing import Any, Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 from numpy.typing import ArrayLike
@@ -66,10 +65,25 @@ _ROW_LOOP_WIDTH = 128
 # sampler draws from, tabulated once: math.lgamma costs about 150 ns a call,
 # and each block of log-space rows needs one per row.  Deeper rows call it.
 _LOG_FACTORIALS = np.fromiter(map(math.lgamma, range(1, 1025)), float, 1024)
+# Rows a table may hold: a table whose tail bound asks for more, or a fixed
+# n_max past it, is refused before its first row is made.  A row costs about
+# 41 B in build_pmf (a float and its list and tuple slots) and about 220 B
+# in all as a `pmf` command's table (traced peaks of 41 and 222 MB at a
+# Poisson mean of 1e6, 1.007e6 rows), so this bounds the command to about 0.5 GB.
+_ROW_BUDGET = 2**21
 
 
 class PmfTruncationError(RuntimeError):
-    """Truncation bound exceeded the hard cap before reaching tolerance."""
+    """A table past the row budget, refused before any row is made.
+
+    ``name`` is the parameter that asks for the rows: ``"n_p"`` or ``"n_th"``,
+    the mean whose tail needs more of them, or ``"n_max"``; ``value`` is its
+    value and ``detail`` the rest of the message.
+    """
+
+    def __init__(self, name: str, value: float, detail: str) -> None:
+        super().__init__(f"{name} = {value!r}: {detail}")
+        self.name, self.value, self.detail = name, value, detail
 
 
 class SourceKind(Enum):
@@ -105,7 +119,12 @@ class SourceParams:
 
 @dataclass(frozen=True)
 class PhotonPmf:
-    """Truncated photon-number PMF with explicit residual tail mass."""
+    """Truncated photon-number PMF: rows 0..n_max and the law's mass beyond them.
+
+    ``residual`` is that mass, R = x p(n_max) / (1 - x) + P_poisson(n > n_max),
+    summed in positive terms (see :func:`build_pmf`), so it keeps its
+    relative precision however small it is.
+    """
 
     kind: SourceKind
     params: SourceParams
@@ -445,13 +464,24 @@ def build_pmf(
 
     Every kind runs p(n) = x p(n-1) + (1 - x) p_p(n) in order over blocks of
     rows of ``_poisson_rows`` (thermal light has n_p = 0, Poisson light
-    x = 0).  The residual is the mass beyond n_max: x^(n_max+1) for thermal
-    light, 1 - sum(probs) (at least 0) otherwise.  Without a fixed n_max the
-    bound is capped at 10 * (n_p + n_th) + 200; hitting the cap raises
-    :class:`PmfTruncationError` rather than returning a PMF that silently
-    misses mass.  Where the thermal part alone leaves more than the
-    tolerance beyond the cap, x^(cap+1) > tolerance, the refusal comes
-    before any row is made.
+    x = 0).  The residual is the law's mass beyond the last row m: where the
+    table holds more than half the mass, the sum of :func:`_overflow_weights`,
+    x p(m) / (1 - x) + p_p(m+1), p_p(m+2), ..., added one at a time upward;
+    elsewhere (a table that ends below the Poisson median, or x rounding to
+    1) one minus the table's sum, which is then at least 1/2 and cannot
+    cancel, and needs no walk out to a far mean.
+
+    Without a fixed n_max, a bound on the law's tail sizes the table before
+    its first row: the Poisson part passes row a with probability at most
+    tolerance / 2, by the Chernoff bound in Bernstein's closed form,
+    P_poisson(n >= n_p + t) <= exp(-t^2 / (2 (n_p + t/3))), and the
+    geometric part passes b rows with probability x^(b+1) <= tolerance / 2,
+    so at most the tolerance lies beyond row a + b.  The table is made to
+    that row, its residual taken there, and rows are dropped from the end
+    while the residual plus the dropped cell, the mass beyond the row before,
+    stays within the tolerance.  A table past _ROW_BUDGET rows, by the bound
+    or by a fixed n_max, raises :class:`PmfTruncationError` before any row
+    is made.
     """
     tolerance = float(tolerance)
     if not 0.0 < tolerance < 1.0:
@@ -460,42 +490,28 @@ def build_pmf(
         raise ValueError(f"n_max must be a nonnegative integer, got {n_max!r}")
     kind = SourceKind(kind)
     n_p, x = _law(kind, params)
-    cap = int(10.0 * (params.n_p_mean + params.n_th_mean)) + 200 if n_max is None else int(n_max)
-    if n_max is None and x ** (cap + 1) > tolerance:
-        # the thermal mass beyond the cap, x^(cap+1), is all of a thermal
-        # residual there and a lower bound on a mixed one: refuse before tabulating
-        bound = "" if kind is SourceKind.THERMAL else "at least "
-        raise PmfTruncationError(
-            f"residual {bound}{x ** (cap + 1):.3e} still above tolerance {tolerance:.3e} at the hard cap n_max = {cap}"
-        )
-    probs, sums, q, w = [], [], 0.0, 1.0 - x
-    for block in _poisson_column(n_p, 0, cap + 1, 64 if n_max is None else cap + 1):
-        start = len(probs)
+    if n_max is None:
+        log_bound = math.log(2.0) - math.log(tolerance)  # each part leaves tolerance / 2 = e^-log_bound
+        poisson_rows = n_p + log_bound / 3.0 + math.sqrt(log_bound * (log_bound / 9.0 + 2.0 * n_p)) if n_p else 0.0
+        # x^(b+1) <= e^-log_bound from b + 1 >= log_bound / log(1/x)
+        thermal_rows = 0.0 if x == 0.0 else math.inf if x == 1.0 else math.ceil(log_bound / -math.log(x)) - 1.0
+        top = poisson_rows + thermal_rows  # thermal_rows is a whole number
+        name, value = ("n_p", params.n_p_mean) if poisson_rows >= thermal_rows else ("n_th", params.n_th_mean)
+        size = f"a table to tolerance {tolerance:.3e} takes {top + 1:.4g} rows by its tail bound,"
+    else:
+        top, name, value, size = n_max, "n_max", n_max, f"a table of {int(n_max) + 1} rows is"
+    if top >= _ROW_BUDGET:
+        raise PmfTruncationError(name, value, f"{size} past the budget of {_ROW_BUDGET} rows")
+    probs, q, w, top = [], 0.0, 1.0 - x, int(top)
+    for block in _poisson_column(n_p, 0, top + 1, top + 1):
         probs += [q := x * q + w * p for p in block]  # q runs on from block to block
-        if n_max is None:
-            # Each block's fsum is within half an ulp of its exact sum, so 1 - fsum(sums)
-            # is within about 5e-16 of the residual: the table's fsum (slow on long
-            # tables) runs only where it may reach tolerance, at most once a block.
-            sums.append(math.fsum(probs[start:]))
-            if kind is not SourceKind.THERMAL and 1.0 - math.fsum(sums) > tolerance + 1e-15:
-                continue
-            if _residual(kind, params, probs) <= tolerance:
-                # the residual only falls as rows are added: keep the first that reaches tolerance
-                reached = lambda n: _residual(kind, params, probs[: n + 1]) <= tolerance
-                del probs[bisect.bisect_left(range(len(probs)), True, lo=start, key=reached) + 1 :]
-                break
-    residual = _residual(kind, params, probs)
-    if n_max is None and residual > tolerance:
-        raise PmfTruncationError(
-            f"residual {residual:.3e} still above tolerance {tolerance:.3e} at the hard cap n_max = {cap}"
-        )
+    head = math.fsum(probs)
+    # the running totals of the weights only grow: the last, their max, is the mass beyond the table
+    residual = 1.0 - head if head <= 0.5 else max(itertools.accumulate(_overflow_weights(n_p, x, probs)))
+    # in tolerance mode, the mass beyond row m - 1 is that beyond m plus p(m), all positive terms
+    while n_max is None and len(probs) > 1 and residual + probs[-1] <= tolerance:
+        residual += probs.pop()
     return PhotonPmf(kind, params, tuple(probs), len(probs) - 1, residual)
-
-
-def _residual(kind: SourceKind, params: SourceParams, probs: list[float]) -> float:
-    if kind is SourceKind.THERMAL:
-        return params.x ** len(probs)
-    return max(0.0, 1.0 - math.fsum(probs))
 
 
 def _check_count(n: int) -> int:
@@ -530,24 +546,24 @@ def sample_histogram(
     Yields ``(values, counts)`` for each key in order: ``counts[i]`` draws
     equal ``values[i]``, values ascending.  One multinomial places the
     draws in the cells 0..n_max of the table plus an overflow cell that
-    holds the law's mass beyond n_max, the sum of the weights of
-    :func:`_overflow_weights`; each overflow draw is then resolved from
-    those weights and the law's geometric part, so values may reach past
-    n_max and no count is clamped.  Once per call, when the first
-    histogram is taken, the arguments are checked, the overflow weights
-    tabulated, the cell weights sorted and normalised for the multinomial,
-    the table's support 0..n_max built and one generator built; a key then
-    costs re-keying that generator (about 1 us) and one multinomial, and a
-    key with overflow draws also its draws past n_max (the overflow weights
-    are sorted and normalised at the first).  Keys without overflow draws
-    all yield that one support array, read-only.  Each histogram is drawn
-    as it is taken, so a caller that folds them in holds one at a time.
-    Each key's stream is that of ``Philox(key=[seed mod 2**64, key])`` from
-    counter 0, the counter-based design of Salmon et al. (SC'11), in which
-    distinct keys give independent streams: equal arguments give equal
-    histograms.  The seed is any integer; keys must be integers in
-    [0, 2**64), one Philox key word each.  Poisson means above 1e5 are
-    refused.
+    holds the law's mass beyond n_max, ``pmf.residual``; each overflow draw
+    is then resolved from the weights of :func:`_overflow_weights` and the
+    law's geometric part, so values may reach past n_max and no count is
+    clamped.  Once per call, when the first histogram is taken, the
+    arguments are checked, the cell weights sorted and normalised for the
+    multinomial, the table's support 0..n_max built and one generator
+    built; a key then costs re-keying that generator (about 1 us) and one
+    multinomial, and a key with overflow draws also its draws past n_max
+    (the overflow weights are tabulated, sorted and normalised at the
+    first).  Keys without overflow draws all yield that one support array,
+    read-only.  Each histogram is drawn as it is taken, so a caller that
+    folds them in holds one at a time.  Each key's stream is that of
+    ``Philox(key=[seed mod 2**64, key])`` from counter 0, the counter-based
+    design of Salmon et al. (SC'11), in which distinct keys give independent
+    streams: equal arguments give equal histograms.  The seed is any
+    integer; keys must be integers in [0, 2**64), one Philox key word each.
+    Laws the sampler cannot draw from are refused: x rounding to 1, or a
+    Poisson mean above 1e5.
     """
     # numpy.random is not loaded by `import numpy`; importing it here keeps
     # its cost out of the analysis commands.
@@ -561,10 +577,16 @@ def sample_histogram(
     for key in keys:
         if key != int(key) or not 0 <= key <= _SEED_MASK:
             raise ValueError(f"key must be an integer in [0, 2**64), got {key!r}")
-    draws, seed = int(draws), int(seed) & _SEED_MASK
-    weights, overflow_mass = _overflow_weights(pmf)
-    x, m = _law(pmf.kind, pmf.params)[1], pmf.n_max
-    draw_cells, draw_bases = _multinomial(np.append(pmf.probs, overflow_mass)), None
+    n_p, x = _law(pmf.kind, pmf.params)
+    if x == 1.0:
+        raise ValueError(f"thermal mean {pmf.params.n_th_mean!r} too large to sample: x rounds to 1")
+    if n_p > _MAX_SAMPLED_POISSON_MEAN:
+        raise ValueError(
+            f"signal mean {n_p!r} too large to sample: the sampler takes Poisson means "
+            f"up to {_MAX_SAMPLED_POISSON_MEAN:g}"
+        )
+    draws, seed, m = int(draws), int(seed) & _SEED_MASK, pmf.n_max
+    draw_cells, draw_bases = _multinomial(np.append(pmf.probs, pmf.residual)), None
     support = np.arange(m + 1)
     support.flags.writeable = False
     bitgen = Philox(key=seed)  # the key [seed, 0], re-keyed for each key below
@@ -576,8 +598,9 @@ def sample_histogram(
         if cells[-1]:
             # each overflow draw is a base from the weights plus a geometric draw
             k = int(cells[-1])
-            draw_bases = draw_bases or _multinomial(np.asarray(weights))
-            drawn = np.repeat(np.arange(m + 1, m + 1 + len(weights)), draw_bases(rng, k))
+            draw_bases = draw_bases or _multinomial(np.fromiter(_overflow_weights(n_p, x, pmf.probs), float))
+            per_base = draw_bases(rng, k)
+            drawn = np.repeat(m + 1 + np.arange(per_base.size), per_base)
             if x > 0.0:
                 drawn += rng.geometric(1.0 - x, size=k) - 1
             beyond, beyond_counts = np.unique(drawn, return_counts=True)
@@ -606,8 +629,9 @@ def _law(kind: SourceKind, params: SourceParams) -> tuple[float, float]:
     return params.n_p_mean, params.x
 
 
-def _overflow_weights(pmf: PhotonPmf) -> tuple[list[float], float]:
-    """Weights of the bases m+1, m+2, ... of draws beyond m = n_max, and their sum.
+def _overflow_weights(n_p: float, x: float, probs: Sequence[float]) -> Iterator[float]:
+    """Weights of the bases m+1, m+2, ... of draws beyond the table ``probs``
+    (rows 0..m) of the law with Poisson mean ``n_p`` and thermal ratio x < 1.
 
     With P the Poisson part, a draw exceeds m with weight pois(P) for
     P > m and pois(P) x^(m+1-P) for P <= m (the geometric part must make up
@@ -618,30 +642,21 @@ def _overflow_weights(pmf: PhotonPmf) -> tuple[list[float], float]:
     base b > m+1 has pois(b).  The Poisson cells are rows of
     ``_poisson_rows`` from m+1 on, read until a cell past the mean falls
     below 2^-60 of the running total, far below the precision of the
-    weights themselves; that total, summed a cell at a time, is the mass
-    beyond the table.  Laws the sampler cannot draw from are refused: x
-    rounding to 1, or a Poisson mean above 1e5.
+    weights themselves.  That total, the weights added one at a time in
+    order, is the mass beyond the table: :func:`build_pmf`'s residual where
+    the table holds more than half the mass.
     """
-    n_p, x = _law(pmf.kind, pmf.params)
-    if x == 1.0:
-        raise ValueError(f"thermal mean {pmf.params.n_th_mean!r} too large to sample: x rounds to 1")
-    if n_p > _MAX_SAMPLED_POISSON_MEAN:
-        raise ValueError(
-            f"signal mean {n_p!r} too large to sample: the sampler takes Poisson means "
-            f"up to {_MAX_SAMPLED_POISSON_MEAN:g}"
-        )
-    m = pmf.n_max
+    m = len(probs) - 1
     # the walk ends about 9 standard deviations past the mean: one block to there
     rows = max(int(n_p + 10.0 * math.sqrt(n_p)) - m, 16)
     terms = itertools.chain.from_iterable(_poisson_column(n_p, m + 1, math.inf, rows))
-    weights = [x * pmf.probs[m] / (1.0 - x) + next(terms)]
-    total = weights[0]
+    total = x * probs[m] / (1.0 - x) + next(terms)
+    yield total
     for base, term in zip(itertools.count(m + 2), terms):
         if base > n_p and term <= total * 2.0**-60:
-            break
-        weights.append(term)
+            return
+        yield term
         total += term
-    return weights, total
 
 
 def _multinomial(weights: np.ndarray) -> Callable[[Any, int], np.ndarray]:

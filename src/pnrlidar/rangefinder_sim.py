@@ -175,9 +175,10 @@ _TABLE_CAP = 2**14
 def _count_table(params: SourceParams) -> PhotonPmf:
     """A bin's PMF table for the sampler."""
     # Any n_max gives exact draws, since the sampler resolves the mass beyond
-    # the table from the law.  This one leaves about 1e-13 of it there, or,
-    # for laws wider than the cap, leaves the sampler O(draws) work instead
-    # of an O(width) table.
+    # the table from the law.  This one leaves little of it there, the
+    # table's residual: 4.3e-19 on the fig-4 noise law (n_th = 1) down to
+    # 2.8e-25 at its n_p = 10 target.  For laws wider than the cap it leaves
+    # the sampler O(draws) work instead of an O(width) table.
     n_p, n_th = params.n_p_mean, params.n_th_mean
     n_max = min(int(n_p + 8.0 * math.sqrt(n_p) + 30.0 * n_th) + 30, _TABLE_CAP)
     return build_pmf(SourceKind.MIXED, params, n_max=n_max)

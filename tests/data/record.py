@@ -4,12 +4,15 @@ Each recorder rebuilds its file from the current code over the case list
 stored in the file itself and returns the new text, so a re-record keeps
 every case: cases can be added to a file, never dropped by a recorder.
 
-    PYTHONPATH=src python tests/data/record.py boundary cli           # rewrite both
-    PYTHONPATH=src python tests/data/record.py --report boundary cli  # print what would move
+    PYTHONPATH=src python tests/data/record.py boundary cli sampler_tables           # rewrite all three
+    PYTHONPATH=src python tests/data/record.py --report boundary cli sampler_tables  # print what would move
 
 The report prints each boundary point that would move, with its old and new
 |ratio - 1| by 40-digit mpmath (the tests' oracle), then a summary; for the
-CLI file it names each argv whose exit code or stdout would change.
+CLI file it names each argv whose exit code or stdout would change; for the
+sampler tables it prints each law whose n_max, residual or cells would move,
+with the old and new residual's relative error against the mass beyond the
+table by 40-digit mpmath.
 """
 
 from __future__ import annotations
@@ -23,6 +26,7 @@ import sys
 from pathlib import Path
 
 from pnrlidar.cli import main
+from pnrlidar.photon_stats import SourceKind, SourceParams, _law, _overflow_weights, build_pmf
 from pnrlidar.snr_analysis import find_boundary, log_grid
 
 DATA = Path(__file__).parent
@@ -39,6 +43,14 @@ CLI_ABOUT = (
     "main(argv) stdout and exit code per argv, the manifest's timestamp line dropped from structured "
     "output; recorded by tests/data/record.py with numpy 2.4.6 on x86_64; the boundary rows from the "
     "Newton root search, each ratio 1 to rounding"
+)
+
+SAMPLER_ABOUT = (
+    "build_pmf(kind, SourceParams(n_p, n_th), **args) and _overflow_weights of that table, as float.hex: "
+    "the rangefinder's tables (n_max as rangefinder_sim._count_table sets it) for the fig-4 laws (noise and "
+    "targets at n_th = 1) and perfbench/strong_target.cfg's targets, and one tolerance-mode table per kind; "
+    "each residual the law's mass beyond n_max, summed in positive terms; recorded by tests/data/record.py "
+    "with numpy 2.4.6 on x86_64"
 )
 
 
@@ -89,6 +101,23 @@ def record_cli() -> str:
     return _dumps({"about": CLI_ABOUT, "cases": cases})
 
 
+def sampler_table(law: dict) -> dict:
+    """One law's table and overflow weights, as the file stores them: every float as float.hex."""
+    pmf = build_pmf(SourceKind(law["kind"]), SourceParams(law["n_p"], law["n_th"]), **law["args"])
+    weights = _overflow_weights(*_law(pmf.kind, pmf.params), pmf.probs)
+    return {"n_max": pmf.n_max, "residual": pmf.residual.hex(), "probs": [p.hex() for p in pmf.probs],
+            "weights": [w.hex() for w in weights]}
+
+
+def record_sampler_tables() -> str:
+    """The text of sampler_tables_reference.json, its laws re-tabulated; a law's lists on one line each."""
+    laws = []
+    for law in json.loads((DATA / "sampler_tables_reference.json").read_text())["laws"]:
+        fields = {**{key: law[key] for key in ("kind", "n_p", "n_th", "args")}, **sampler_table(law)}
+        laws.append("  {\n" + ",\n".join(f"   {json.dumps(k)}: {json.dumps(v)}" for k, v in fields.items()) + "\n  }")
+    return '{\n "about": ' + json.dumps(SAMPLER_ABOUT) + ',\n "laws": [\n' + ",\n".join(laws) + "\n ]\n}\n"
+
+
 def report_boundary(new_text: str) -> None:
     """Print each moved boundary point with its old and new |ratio - 1| by mpmath, then a summary."""
     from test_snr_analysis import ratio_mp
@@ -127,10 +156,37 @@ def report_cli(new_text: str) -> None:
     print(f"cli: {len(moved)} of {len(new_cases)} argvs moved")
 
 
+def report_sampler_tables(new_text: str) -> None:
+    """Print each law whose table would move, with its old and new residual's error against mpmath."""
+    from test_photon_stats import tail_beyond_mp
+
+    old_laws = json.loads((DATA / "sampler_tables_reference.json").read_text())["laws"]
+    new_laws = json.loads(new_text)["laws"]
+    moved = 0
+    for old, new in zip(old_laws, new_laws):
+        if all(old.get(key) == value for key, value in new.items()):
+            continue
+        moved += 1
+        kind, n_p, n_th = old["kind"], old["n_p"], old["n_th"]
+        print(f"{kind} n_p = {n_p!r}, n_th = {n_th!r}, {old['args']}:")
+        for name, law in (("old", old), ("new", new)):
+            residual = float.fromhex(law["residual"])
+            exact = tail_beyond_mp(SourceKind(kind), n_p, n_th, law["n_max"])
+            error = abs(residual - exact) / exact if exact else abs(residual)
+            print(f"  {name}: n_max {law['n_max']}, residual {residual:.6e} ({law['residual']}), "
+                  f"mpmath {float(exact):.6e}, relative error {float(error):.2e}")
+        shared = min(len(old["probs"]), len(new["probs"]))
+        changed = sum(a != b for a, b in zip(old["probs"][:shared], new["probs"][:shared]))
+        print(f"  cells: {changed} of the {shared} shared rows moved; overflow weights "
+              f"{'unchanged' if old['weights'] == new['weights'] else 'moved'}")
+    print(f"sampler_tables: {moved} of {len(new_laws)} laws moved")
+
+
 # name: (file, recorder, report)
 RECORDERS = {
     "boundary": ("boundary_reference.json", record_boundary, report_boundary),
     "cli": ("cli_reference.json", record_cli, report_cli),
+    "sampler_tables": ("sampler_tables_reference.json", record_sampler_tables, report_sampler_tables),
 }
 
 

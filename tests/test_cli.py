@@ -9,6 +9,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -62,28 +63,45 @@ class TestPmfCommand:
     @pytest.mark.parametrize(
         "argv,refusal",
         [
-            (("--kind", "thermal", "--n-th", "1e8"), "residual 4.540e-05 still above tolerance 1.000e-12 "
-             "at the hard cap n_max = 1000000200"),
-            (("--kind", "mixed", "--n-p", "1", "--n-th", "1e8"), "residual at least 4.540e-05 still above "
-             "tolerance 1.000e-12 at the hard cap n_max = 1000000210"),
-            (("--kind", "thermal", "--n-th", "20"), "residual 3.185e-09 still above tolerance 1.000e-12 "
-             "at the hard cap n_max = 400"),
+            pytest.param(("--kind", "thermal", "--n-th", "1e8"), "--n-th 100000000.0: a table to tolerance "
+                         "1.000e-12 takes 2.832e+09 rows by its tail bound, past the budget of 2097152 rows",
+                         id="thermal-1e8"),
+            pytest.param(("--kind", "mixed", "--n-p", "1", "--n-th", "1e8"), "--n-th 100000000.0: a table to "
+                         "tolerance 1.000e-12 takes 2.832e+09 rows by its tail bound, past the budget of 2097152 "
+                         "rows", id="mixed-1-1e8"),
+            pytest.param(("--kind", "poisson", "--n-p", "1e8"), "--n-p 100000000.0: a table to tolerance "
+                         "1.000e-12 takes 1.001e+08 rows by its tail bound, past the budget of 2097152 rows",
+                         id="poisson-1e8"),
+            pytest.param(("--kind", "mixed", "--n-p", "1e300", "--n-th", "1e-20"), "--n-p 1e+300: a table to "
+                         "tolerance 1.000e-12 takes 1e+300 rows by its tail bound, past the budget of 2097152 rows",
+                         id="mixed-1e300"),
+            pytest.param(("--kind", "poisson", "--n-p", "5", "--n-max", "3000000"), "--n-max 3000000: a table of "
+                         "3000001 rows is past the budget of 2097152 rows", id="n-max-3e6"),
         ],
     )
     def test_unreachable_tolerance_refused_before_tabulating(self, capsys, argv, refusal):
-        # x^(cap+1) > tolerance settles the refusal: at n_th = 1e8, tabulating
-        # to the cap of 1e9 rows first would hold about 32 GB.  The thermal
-        # message is the one the walk to the cap gave.
+        # the tail bound settles the refusal before any row is made: at
+        # n_th = 1e8 the table would take 2.8e9 rows, about 110 GB
         tracemalloc.start()
+        start = time.perf_counter()
         try:
             assert run_cli("pmf", *argv) == 1
-            peak = tracemalloc.get_traced_memory()[1]
+            elapsed, peak = time.perf_counter() - start, tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 1e6
+        assert peak < 1e6 and elapsed < 1.0
         captured = capsys.readouterr()
         assert captured.err == f"pnrlidar: error: {refusal}\n"
         assert captured.out == ""
+
+    def test_wide_thermal_table_ends_within_tolerance(self, capsys):
+        # x = 20/21: the first row past which at most 1e-12 is left is 566
+        assert run_cli("pmf", "--kind", "thermal", "--n-th", "20", "--format", "structured") == 0
+        data = json.loads(capsys.readouterr().out)["data"]
+        x = 20.0 / 21.0
+        assert data["n_max"] == 566 == len(data["rows"]) - 1
+        assert x**567 <= 1e-12 < x**566
+        assert data["residual"] == pytest.approx(x**567, rel=1e-13)
 
     def test_manifest_carries_residual(self, tmp_path):
         out = tmp_path / "pmf.csv"

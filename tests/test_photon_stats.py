@@ -8,6 +8,7 @@ import operator
 import tracemalloc
 from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -16,7 +17,6 @@ from numpy.random import Generator, Philox
 from scipy import stats
 
 from pnrlidar.photon_stats import (
-    PmfTruncationError,
     SourceKind,
     SourceParams,
     build_pmf,
@@ -28,7 +28,9 @@ from pnrlidar.photon_stats import (
     thermal_pmf,
     thermal_tail,
 )
-from pnrlidar.photon_stats import _TAIL_STEPPED, _mixed_tail, _multinomial, _overflow_weights, _poisson_rows, _rekey
+from pnrlidar.photon_stats import (
+    _TAIL_STEPPED, _law, _mixed_tail, _multinomial, _overflow_weights, _poisson_rows, _rekey,
+)
 from pnrlidar import photon_stats
 
 MEAN_GRID = (0.0, 0.5, 1.0, 3.0, 10.0)
@@ -37,6 +39,30 @@ MEAN_GRID = (0.0, 0.5, 1.0, 3.0, 10.0)
 def convolved_pmf(n, n_p, n_th):
     """Defining convolution of the Poisson and thermal laws (test oracle)."""
     return math.fsum(poisson_pmf(m, n_p) * thermal_pmf(n - m, n_th) for m in range(n + 1))
+
+
+def tail_beyond(kind, params, n_max):
+    """The law's mass beyond row n_max by total probability over the Poisson
+    part P: P > n_max, or P = k <= n_max and the geometric part reaches
+    n_max + 1 - k (scipy oracle)."""
+    mean, x = _law(kind, params)
+    geometric = 0.0
+    if x:
+        k = np.arange(n_max + 1)
+        geometric = math.fsum(stats.poisson.pmf(k, mean) * x ** (n_max + 1 - k))
+    return stats.poisson.sf(n_max, mean) + geometric
+
+
+def tail_beyond_mp(kind, n_p, n_th, n_max, digits=40):
+    """:func:`tail_beyond` in mpmath, with the regularized incomplete gamma
+    function for the Poisson tail and the exact thermal ratio (oracle)."""
+    with mpmath.workdps(digits):
+        mean = 0 if kind is SourceKind.THERMAL else mpmath.mpf(n_p)
+        x = 0 if kind is SourceKind.POISSON else mpmath.mpf(n_th) / (mpmath.mpf(n_th) + 1)
+        poisson = mpmath.gammainc(n_max + 1, 0, mean, regularized=True) if mean else 0
+        return poisson + mpmath.fsum(
+            mpmath.exp(-mean) * mean**k / mpmath.factorial(k) * x ** (n_max + 1 - k) for k in range(n_max + 1)
+        )
 
 
 class TestThermalPmf:
@@ -186,11 +212,16 @@ class TestBuildPmf:
         assert pmf.residual == pytest.approx(mixed_tail(31, params), abs=1e-15)
 
     def test_fixed_bound_reaches_past_the_cap(self):
-        # a tolerance walk would need more terms than the cap allows
-        with pytest.raises(PmfTruncationError):
-            build_pmf(SourceKind.MIXED, SourceParams(1.0, 40.0), 1e-12)
-        pmf = build_pmf(SourceKind.MIXED, SourceParams(1.0, 40.0), n_max=1500)
-        assert pmf.residual < 1e-12
+        # a wide geometric part: the tolerance-mode table ends at the first row
+        # within tolerance, and a fixed bound far past it holds its tail mass
+        params = SourceParams(1.0, 40.0)
+        pmf = build_pmf(SourceKind.MIXED, params, 1e-12)
+        assert tail_beyond(SourceKind.MIXED, params, pmf.n_max) <= 1e-12
+        assert tail_beyond(SourceKind.MIXED, params, pmf.n_max - 1) > 1e-12
+        wide = build_pmf(SourceKind.MIXED, params, n_max=1500)
+        assert wide.probs[: pmf.n_max + 1] == pmf.probs
+        for table in (pmf, wide):
+            assert table.residual == pytest.approx(tail_beyond(SourceKind.MIXED, params, table.n_max), rel=1e-12)
 
     @pytest.mark.parametrize("bad", [-1, 2.5])
     def test_fixed_bound_domain(self, bad):
@@ -202,22 +233,46 @@ class TestBuildPmf:
             with pytest.raises(ValueError):
                 build_pmf(SourceKind.THERMAL, SourceParams(0.0, 1.0), bad)
 
-    def test_cap_exceeded_raises(self):
-        # n_th = 10 needs ~362 terms for 1e-15 but the cap allows only 300
-        with pytest.raises(PmfTruncationError):
-            build_pmf(SourceKind.THERMAL, SourceParams(0.0, 10.0), 1e-15)
+    def test_deep_thermal_table_reaches_tolerance(self):
+        # n_th = 10 needs 362 rows for 1e-15: x^363 <= 1e-15 < x^362
+        x = SourceParams(0.0, 10.0).x
+        pmf = build_pmf(SourceKind.THERMAL, SourceParams(0.0, 10.0), 1e-15)
+        assert pmf.n_max == 362
+        assert x**363 <= 1e-15 < x**362
+        assert pmf.residual == pytest.approx(x**363, rel=1e-13)
 
     def test_tolerance_walk_sums_each_block_once(self, monkeypatch):
-        # the terms' sum never comes within 1e-15 of 1; an fsum of the whole
-        # table at each row past the running sum's slack made 8956 calls
+        # one fsum a table, for the side its residual is summed from; the
+        # residual is the tail mass itself, so Poisson 1000 reaches 1e-15
+        # although its log-space cells sum to about 1 - 2.5e-13
         calls = []
         monkeypatch.setattr(math, "fsum", lambda values, fsum=math.fsum: calls.append(1) or fsum(values))
-        with pytest.raises(PmfTruncationError) as refusal:
-            build_pmf(SourceKind.POISSON, SourceParams(1000.0, 0.0), 1e-15)
-        assert str(refusal.value) == (
-            "residual 2.508e-13 still above tolerance 1.000e-15 at the hard cap n_max = 10200"
-        )
-        assert len(calls) <= 64
+        pmf = build_pmf(SourceKind.POISSON, SourceParams(1000.0, 0.0), 1e-15)
+        assert len(calls) == 1
+        assert stats.poisson.sf(pmf.n_max, 1000.0) <= 1e-15 < stats.poisson.sf(pmf.n_max - 1, 1000.0)
+        assert pmf.residual == pytest.approx(stats.poisson.sf(pmf.n_max, 1000.0), rel=1e-6)
+
+    @pytest.mark.parametrize(
+        "kind,n_p,n_th",
+        [(SourceKind.POISSON, n_p, 0.0) for n_p in (1e2, 1e3, 1e4, 1e5, 1e6)] + [(SourceKind.MIXED, 1e4, 2.0)],
+    )
+    def test_residual_is_the_tail_mass(self, kind, n_p, n_th):
+        # the mass beyond n_max in positive terms, not 1 - sum(probs), which
+        # inherits every cell's error and at 1e4 and up hides the tail
+        params = SourceParams(n_p, n_th)
+        pmf = build_pmf(kind, params, 1e-12)
+        assert pmf.residual <= 1e-12
+        assert pmf.residual == pytest.approx(tail_beyond(kind, params, pmf.n_max), rel=1e-6)
+
+    @pytest.mark.parametrize("kind", list(SourceKind))
+    def test_tolerance_table_ends_at_the_first_row_within_tolerance(self, kind):
+        laws = [SourceParams(n_p, n_th) for n_p in MEAN_GRID for n_th in MEAN_GRID]
+        if kind is SourceKind.POISSON:
+            laws += [SourceParams(500.0, 0.0), SourceParams(2000.0, 0.0)]
+        for params in laws:
+            pmf = build_pmf(kind, params, 1e-12)
+            assert tail_beyond(kind, params, pmf.n_max) <= 1e-12, params
+            assert pmf.n_max == 0 or tail_beyond(kind, params, pmf.n_max - 1) > 1e-12, params
 
 
 class TestTails:
@@ -641,19 +696,15 @@ class TestSampling:
                 params = SourceParams(n_p, n_th)
                 for n_max in (0, 4, 30, 100):
                     pmf = build_pmf(kind, params, n_max=n_max)
-                    k = np.arange(n_max + 1)
-                    mean = 0.0 if kind is SourceKind.THERMAL else n_p
-                    x = 0.0 if kind is SourceKind.POISSON else params.x
-                    oracle = stats.poisson.sf(n_max, mean) + math.fsum(
-                        stats.poisson.pmf(k, mean) * x ** (n_max + 1 - k)
-                    )
-                    mass = _overflow_weights(pmf)[1]
-                    np.testing.assert_allclose(mass, oracle, rtol=1e-12, atol=0.0, err_msg=str(pmf.params))
+                    oracle = tail_beyond(kind, params, n_max)
+                    np.testing.assert_allclose(pmf.residual, oracle, rtol=1e-12, atol=0.0, err_msg=str(pmf.params))
 
     @pytest.mark.parametrize("n_p,n_max", [(50.0, 20), (500.0, 700), (3e4, 16383)])
     def test_overflow_weights_match_the_scalar_walk(self, n_p, n_max):
         # the walk with poisson_pmf's cells: the geometric share plus pois(m+1),
-        # then pois(b) until a cell past the mean is below 2^-60 of the total
+        # then pois(b) until a cell past the mean is below 2^-60 of the total;
+        # where the table holds over half the mass, their total one cell at a
+        # time in order is the residual, the sampler's overflow cell
         pmf = build_pmf(SourceKind.MIXED, SourceParams(n_p, 1.0), n_max=n_max)
         x = pmf.params.x
         want = [x * pmf.probs[n_max] / (1.0 - x) + poisson_pmf(n_max + 1, n_p)]
@@ -664,24 +715,29 @@ class TestSampling:
                 break
             want.append(term)
             running += term
-        weights, total = _overflow_weights(pmf)
+        weights = list(_overflow_weights(n_p, x, pmf.probs))
         assert len(weights) == len(want)
         np.testing.assert_allclose(weights, want, rtol=1e-13, atol=0.0)
-        assert total == functools.reduce(operator.add, weights)  # one cell at a time, in order
+        head = math.fsum(pmf.probs)
+        assert pmf.residual == (functools.reduce(operator.add, weights) if head > 0.5 else 1.0 - head)
 
     def test_tables_match_recorded_reference(self):
         # stored bits of the sampler's tables and overflow weights: the
         # rangefinder's fig-4 and strong-target laws and a tolerance-mode
-        # table per kind; a change to the Poisson rows or the recurrence moves them
+        # table per kind; a change to the Poisson rows or the recurrence moves
+        # them.  Each residual is the mass beyond its table by mpmath.
         reference = json.loads((Path(__file__).parent / "data" / "sampler_tables_reference.json").read_text())
         for law in reference["laws"]:
-            pmf = build_pmf(SourceKind(law["kind"]), SourceParams(law["n_p"], law["n_th"]), **law["args"])
-            weights, total = _overflow_weights(pmf)
+            kind = SourceKind(law["kind"])
+            pmf = build_pmf(kind, SourceParams(law["n_p"], law["n_th"]), **law["args"])
+            weights = _overflow_weights(*_law(kind, pmf.params), pmf.probs)
             assert pmf.n_max == law["n_max"], law["args"]
             got = {"residual": pmf.residual.hex(), "probs": [p.hex() for p in pmf.probs],
-                   "weights": [w.hex() for w in weights], "total": total.hex()}
+                   "weights": [w.hex() for w in weights]}
             for name, value in got.items():
                 assert value == law[name], (law["kind"], law["n_p"], law["n_th"], name)
+            exact = tail_beyond_mp(kind, law["n_p"], law["n_th"], pmf.n_max)
+            assert abs(pmf.residual - exact) <= 1e-12 * exact, (law["kind"], law["n_p"], law["n_th"])
 
     def test_negative_seed_is_reproducible(self):
         pmf = build_pmf(SourceKind.MIXED, SourceParams(1.0, 1.0))
@@ -718,7 +774,7 @@ class TestSampling:
     def test_each_key_draws_from_its_philox_key(self):
         # key k under seed s draws what Generator(Philox(key=[s mod 2**64, k])) draws from its start
         pmf = build_pmf(SourceKind.MIXED, SourceParams(1.0, 1.0))
-        draw_cells = _multinomial(np.append(pmf.probs, _overflow_weights(pmf)[1]))
+        draw_cells = _multinomial(np.append(pmf.probs, pmf.residual))
         keys = [7, 0, 3, 2**32, 2**64 - 1]
         for seed in (99, -1234, 2**64 - 1):
             for key, (values, counts) in zip(keys, sample_histogram(pmf, 1000, seed, keys)):
