@@ -4,15 +4,16 @@ Each recorder rebuilds its file from the current code over the case list
 stored in the file itself and returns the new text, so a re-record keeps
 every case: cases can be added to a file, never dropped by a recorder.
 
-    PYTHONPATH=src python tests/data/record.py boundary cli sampler_tables           # rewrite all three
-    PYTHONPATH=src python tests/data/record.py --report boundary cli sampler_tables  # print what would move
+    PYTHONPATH=src python tests/data/record.py boundary cli sampler_tables simulation           # rewrite all four
+    PYTHONPATH=src python tests/data/record.py --report boundary cli sampler_tables simulation  # print what would move
 
 The report prints each boundary point that would move, with its old and new
 |ratio - 1| by 40-digit mpmath (the tests' oracle), then a summary; for the
 CLI file it names each argv whose exit code or stdout would change; for the
 sampler tables it prints each law whose n_max, residual or cells would move,
 with the old and new residual's relative error against the mass beyond the
-table by 40-digit mpmath.
+table by 40-digit mpmath; for the simulations it names each case and bin
+whose channels would move, with the bin's old and new count sum.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ import sys
 from pathlib import Path
 
 from pnrlidar.cli import main
+from pnrlidar.rangefinder_sim import SimConfig, run_simulation
 from pnrlidar.photon_stats import SourceKind, SourceParams, _law, _overflow_weights, build_pmf
 from pnrlidar.snr_analysis import find_boundary, log_grid
 
@@ -50,6 +52,12 @@ SAMPLER_ABOUT = (
     "the rangefinder's tables (n_max as rangefinder_sim._count_table sets it) for the fig-4 laws (noise and "
     "targets at n_th = 1) and perfbench/strong_target.cfg's targets, and one tolerance-mode table per kind; "
     "each residual the law's mass beyond n_max, summed in positive terms; recorded by tests/data/record.py "
+    "with numpy 2.4.6 on x86_64"
+)
+SIMULATION_ABOUT = (
+    "run_simulation(SimConfig(**config)) raw channels, the square sums as float.hex: paper_fig4 at R = 5 and "
+    "200000, seeds 1 and 2; the strong-target layout (targets 10:50 and 30:500, 100k repetitions); noise 1e8 at "
+    "1000 repetitions, whose square sums pass 2^53; and noise 1e5, wider than the sampler's table cap; recorded "
     "with numpy 2.4.6 on x86_64"
 )
 
@@ -111,11 +119,31 @@ def sampler_table(law: dict) -> dict:
 
 def record_sampler_tables() -> str:
     """The text of sampler_tables_reference.json, its laws re-tabulated; a law's lists on one line each."""
-    laws = []
-    for law in json.loads((DATA / "sampler_tables_reference.json").read_text())["laws"]:
-        fields = {**{key: law[key] for key in ("kind", "n_p", "n_th", "args")}, **sampler_table(law)}
-        laws.append("  {\n" + ",\n".join(f"   {json.dumps(k)}: {json.dumps(v)}" for k, v in fields.items()) + "\n  }")
-    return '{\n "about": ' + json.dumps(SAMPLER_ABOUT) + ',\n "laws": [\n' + ",\n".join(laws) + "\n ]\n}\n"
+    laws = [{**{key: law[key] for key in ("kind", "n_p", "n_th", "args")}, **sampler_table(law)}
+            for law in json.loads((DATA / "sampler_tables_reference.json").read_text())["laws"]]
+    return _lines(SAMPLER_ABOUT, "laws", laws)
+
+
+def _lines(about: str, name: str, items: list[dict]) -> str:
+    """A document of ``about`` and the list ``name``, each item's fields on one line each."""
+    texts = ["  {\n" + ",\n".join(f"   {json.dumps(k)}: {json.dumps(v)}" for k, v in item.items()) + "\n  }"
+             for item in items]
+    return '{\n "about": ' + json.dumps(about) + f',\n "{name}": [\n' + ",\n".join(texts) + "\n ]\n}\n"
+
+
+def simulation_channels(config: dict) -> dict:
+    """One run's raw channels, as the file stores them: the square sums as float.hex."""
+    result = run_simulation(SimConfig(**{**config, "targets": tuple(map(tuple, config["targets"]))}))
+    return {"intensity_raw": result.intensity_raw.tolist(),
+            "intensity_sq_raw": [float(v).hex() for v in result.intensity_sq_raw],
+            "threshold_raw": {str(n): raw.tolist() for n, raw in result.threshold_raw.items()}}
+
+
+def record_simulation() -> str:
+    """The text of simulation_reference.json, its configs re-run; a case's lists on one line each."""
+    cases = [{"config": case["config"], **simulation_channels(case["config"])}
+             for case in _cases("simulation_reference.json")]
+    return _lines(SIMULATION_ABOUT, "cases", cases)
 
 
 def report_boundary(new_text: str) -> None:
@@ -182,11 +210,28 @@ def report_sampler_tables(new_text: str) -> None:
     print(f"sampler_tables: {moved} of {len(new_laws)} laws moved")
 
 
+def report_simulation(new_text: str) -> None:
+    """Name each case and bin whose channels would move, with the bin's old and new count sum."""
+    old_cases, new_cases = _cases("simulation_reference.json"), json.loads(new_text)["cases"]
+    moved = 0
+    for old, new in zip(old_cases, new_cases):
+        bins = [b for b in range(len(new["intensity_raw"]))
+                if old["intensity_raw"][b] != new["intensity_raw"][b]
+                or old["intensity_sq_raw"][b] != new["intensity_sq_raw"][b]
+                or any(old["threshold_raw"][n][b] != counts[b] for n, counts in new["threshold_raw"].items())]
+        moved += bool(bins)
+        for b in bins:
+            print(f"simulation {json.dumps(new['config'])}: bin {b} count sum "
+                  f"{old['intensity_raw'][b]} -> {new['intensity_raw'][b]}")
+    print(f"simulation: {moved} of {len(new_cases)} cases moved")
+
+
 # name: (file, recorder, report)
 RECORDERS = {
     "boundary": ("boundary_reference.json", record_boundary, report_boundary),
     "cli": ("cli_reference.json", record_cli, report_cli),
     "sampler_tables": ("sampler_tables_reference.json", record_sampler_tables, report_sampler_tables),
+    "simulation": ("simulation_reference.json", record_simulation, report_simulation),
 }
 
 
