@@ -22,7 +22,7 @@ from itertools import repeat
 from pathlib import Path
 
 from . import __version__
-from .photon_stats import PmfTruncationError, SourceKind, SourceParams, build_pmf
+from .photon_stats import PmfTruncationError, SourceParams, build_pmf
 from .rangefinder_sim import SimConfig, estimate_ratio, run_simulation
 from .snr_analysis import find_boundary, find_optima, log_grid, snr_report, sweep_ratio
 
@@ -175,20 +175,20 @@ def _distinct(grid, options, lo, hi, points) -> list[float]:
 
 
 def _cmd_pmf(args) -> int:
-    kind = SourceKind(args.kind)
-    needs = {SourceKind.THERMAL: ("n_th",), SourceKind.POISSON: ("n_p",), SourceKind.MIXED: ("n_p", "n_th")}
+    needs = {"thermal": ("n_th",), "poisson": ("n_p",), "mixed": ("n_p", "n_th")}[args.kind]
     for name in ("n_p", "n_th"):
-        needed = name in needs[kind]
+        needed = name in needs
         if needed != (getattr(args, name) is not None):
             flag = f"--{name.replace('_', '-')}"
-            raise ValueError(f"{flag} is {'required for' if needed else 'not used by'} kind {kind.value}")
+            raise ValueError(f"{flag} is {'required for' if needed else 'not used by'} kind {args.kind}")
+    # the kind's unused mean is absent, so the law's other part is zero
     params = SourceParams(args.n_p or 0.0, args.n_th or 0.0)
     try:
-        pmf = build_pmf(kind, params, args.tolerance, args.n_max)
+        pmf = build_pmf(params, args.tolerance, args.n_max)
     except PmfTruncationError as exc:
         raise ValueError(f"--{exc.name.replace('_', '-')} {exc.value!r}: {exc.detail}") from None
     manifest = _manifest("pmf", {
-        "kind": kind.value, "n_p_mean": params.n_p_mean, "n_th_mean": params.n_th_mean,
+        "kind": args.kind, "n_p_mean": params.n_p_mean, "n_th_mean": params.n_th_mean,
         "n_max": pmf.n_max, "tolerance": args.tolerance, "residual": pmf.residual,
     })
     rows = [(n, p) for n, p in enumerate(pmf.probs)]

@@ -10,9 +10,11 @@ convolution obeys a recurrence in positive terms,
 
     p(n) = x p(n-1) + (1 - x) p_poisson(n),
 
-so a PMF table to n_max costs O(n_max).  One time bin is treated as one
-mode per repetition, so a single (n_p, n_th) pair fully describes a
-detection slot.
+so a PMF table to n_max costs O(n_max).  The thermal and Poisson laws are
+its n_p = 0 and n_th = 0 limits, so the one law of :class:`SourceParams`
+serves every table and the sampler.  One time bin is treated as one mode
+per repetition, so a single (n_p, n_th) pair fully describes a detection
+slot.
 
 The Poisson terms p_p(m) of every table (the one array kernel
 :func:`mixed_tail_parts`, :func:`mixed_tail`'s sum, :func:`build_pmf` and the
@@ -30,14 +32,12 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from enum import Enum
 from typing import Any, Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 from numpy.typing import ArrayLike
 
 __all__ = [
-    "SourceKind",
     "SourceParams",
     "PhotonPmf",
     "PmfTruncationError",
@@ -86,12 +86,6 @@ class PmfTruncationError(RuntimeError):
         self.name, self.value, self.detail = name, value, detail
 
 
-class SourceKind(Enum):
-    THERMAL = "thermal"
-    POISSON = "poisson"
-    MIXED = "mixed"
-
-
 def _check_mean(value: float, name: str) -> float:
     value = float(value)
     if not math.isfinite(value) or value < 0.0:
@@ -126,7 +120,6 @@ class PhotonPmf:
     relative precision however small it is.
     """
 
-    kind: SourceKind
     params: SourceParams
     probs: tuple[float, ...]
     n_max: int
@@ -169,7 +162,7 @@ def mixed_pmf(n: int, params: SourceParams) -> float:
     n_p == 0 limits are the pure Poisson and pure thermal laws.
     """
     n = _check_count(n)
-    return build_pmf(SourceKind.MIXED, params, n_max=n).probs[n]
+    return build_pmf(params, n_max=n).probs[n]
 
 
 def thermal_tail(threshold_n: int, n_th_mean: float) -> float:
@@ -456,13 +449,11 @@ def _upper_poisson_tail(lam: np.ndarray, first: np.ndarray, start: np.ndarray) -
     return np.minimum(total, 1.0, out=total)
 
 
-def build_pmf(
-    kind: SourceKind, params: SourceParams, tolerance: float = 1e-12, n_max: int | None = None
-) -> PhotonPmf:
-    """Tabulate a PMF out to a fixed n_max, or else to the smallest n_max
-    whose residual <= tolerance.
+def build_pmf(params: SourceParams, tolerance: float = 1e-12, n_max: int | None = None) -> PhotonPmf:
+    """Tabulate the law of ``params`` out to a fixed n_max, or else to the
+    smallest n_max whose residual <= tolerance.
 
-    Every kind runs p(n) = x p(n-1) + (1 - x) p_p(n) in order over blocks of
+    The law runs p(n) = x p(n-1) + (1 - x) p_p(n) in order over blocks of
     rows of ``_poisson_rows`` (thermal light has n_p = 0, Poisson light
     x = 0).  The residual is the law's mass beyond the last row m: where the
     table holds more than half the mass, the sum of :func:`_overflow_weights`,
@@ -488,8 +479,7 @@ def build_pmf(
         raise ValueError(f"tolerance must be in (0, 1), got {tolerance!r}")
     if n_max is not None and (n_max != int(n_max) or n_max < 0):
         raise ValueError(f"n_max must be a nonnegative integer, got {n_max!r}")
-    kind = SourceKind(kind)
-    n_p, x = _law(kind, params)
+    n_p, x = params.n_p_mean, params.x
     if n_max is None:
         log_bound = math.log(2.0) - math.log(tolerance)  # each part leaves tolerance / 2 = e^-log_bound
         poisson_rows = n_p + log_bound / 3.0 + math.sqrt(log_bound * (log_bound / 9.0 + 2.0 * n_p)) if n_p else 0.0
@@ -507,11 +497,11 @@ def build_pmf(
         probs += [q := x * q + w * p for p in block]  # q runs on from block to block
     head = math.fsum(probs)
     # the running totals of the weights only grow: the last, their max, is the mass beyond the table
-    residual = 1.0 - head if head <= 0.5 else max(itertools.accumulate(_overflow_weights(n_p, x, probs)))
+    residual = 1.0 - head if head <= 0.5 else max(itertools.accumulate(_overflow_weights(params, probs)))
     # in tolerance mode, the mass beyond row m - 1 is that beyond m plus p(m), all positive terms
     while n_max is None and len(probs) > 1 and residual + probs[-1] <= tolerance:
         residual += probs.pop()
-    return PhotonPmf(kind, params, tuple(probs), len(probs) - 1, residual)
+    return PhotonPmf(params, tuple(probs), len(probs) - 1, residual)
 
 
 def _check_count(n: int) -> int:
@@ -577,7 +567,7 @@ def sample_histogram(
     for key in keys:
         if key != int(key) or not 0 <= key <= _SEED_MASK:
             raise ValueError(f"key must be an integer in [0, 2**64), got {key!r}")
-    n_p, x = _law(pmf.kind, pmf.params)
+    n_p, x = pmf.params.n_p_mean, pmf.params.x
     if x == 1.0:
         raise ValueError(f"thermal mean {pmf.params.n_th_mean!r} too large to sample: x rounds to 1")
     if n_p > _MAX_SAMPLED_POISSON_MEAN:
@@ -598,7 +588,7 @@ def sample_histogram(
         if cells[-1]:
             # each overflow draw is a base from the weights plus a geometric draw
             k = int(cells[-1])
-            draw_bases = draw_bases or _multinomial(np.fromiter(_overflow_weights(n_p, x, pmf.probs), float))
+            draw_bases = draw_bases or _multinomial(np.fromiter(_overflow_weights(pmf.params, pmf.probs), float))
             per_base = draw_bases(rng, k)
             drawn = np.repeat(m + 1 + np.arange(per_base.size), per_base)
             if x > 0.0:
@@ -620,18 +610,9 @@ def _rekey(bitgen: np.random.Philox, philox_key: tuple[int, int]) -> None:
                     "buffer": (0, 0, 0, 0), "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
 
 
-def _law(kind: SourceKind, params: SourceParams) -> tuple[float, float]:
-    """(n_p, x) of the Poisson and geometric parts of a kind's law."""
-    if kind is SourceKind.THERMAL:
-        return 0.0, params.x
-    if kind is SourceKind.POISSON:
-        return params.n_p_mean, 0.0
-    return params.n_p_mean, params.x
-
-
-def _overflow_weights(n_p: float, x: float, probs: Sequence[float]) -> Iterator[float]:
+def _overflow_weights(params: SourceParams, probs: Sequence[float]) -> Iterator[float]:
     """Weights of the bases m+1, m+2, ... of draws beyond the table ``probs``
-    (rows 0..m) of the law with Poisson mean ``n_p`` and thermal ratio x < 1.
+    (rows 0..m) of the law of ``params``, whose thermal ratio x is below 1.
 
     With P the Poisson part, a draw exceeds m with weight pois(P) for
     P > m and pois(P) x^(m+1-P) for P <= m (the geometric part must make up
@@ -646,7 +627,7 @@ def _overflow_weights(n_p: float, x: float, probs: Sequence[float]) -> Iterator[
     order, is the mass beyond the table: :func:`build_pmf`'s residual where
     the table holds more than half the mass.
     """
-    m = len(probs) - 1
+    n_p, x, m = params.n_p_mean, params.x, len(probs) - 1
     # the walk ends about 9 standard deviations past the mean: one block to there
     rows = max(int(n_p + 10.0 * math.sqrt(n_p)) - m, 16)
     terms = itertools.chain.from_iterable(_poisson_column(n_p, m + 1, math.inf, rows))

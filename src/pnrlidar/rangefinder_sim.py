@@ -46,7 +46,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .photon_stats import PhotonPmf, SourceKind, SourceParams, build_pmf, sample_histogram
+from .photon_stats import PhotonPmf, SourceParams, build_pmf, sample_histogram
 from .snr_analysis import ZeroNoiseError, snr_report
 
 __all__ = [
@@ -181,7 +181,7 @@ def _count_table(params: SourceParams) -> PhotonPmf:
     # the sampler O(draws) work instead of an O(width) table.
     n_p, n_th = params.n_p_mean, params.n_th_mean
     n_max = min(int(n_p + 8.0 * math.sqrt(n_p) + 30.0 * n_th) + 30, _TABLE_CAP)
-    return build_pmf(SourceKind.MIXED, params, n_max=n_max)
+    return build_pmf(params, n_max=n_max)
 
 
 def run_simulation(config: SimConfig) -> SimResult:

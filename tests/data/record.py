@@ -28,7 +28,7 @@ from pathlib import Path
 
 from pnrlidar.cli import main
 from pnrlidar.rangefinder_sim import SimConfig, run_simulation
-from pnrlidar.photon_stats import SourceKind, SourceParams, _law, _overflow_weights, build_pmf
+from pnrlidar.photon_stats import SourceParams, _overflow_weights, build_pmf
 from pnrlidar.snr_analysis import find_boundary, log_grid
 
 DATA = Path(__file__).parent
@@ -111,8 +111,8 @@ def record_cli() -> str:
 
 def sampler_table(law: dict) -> dict:
     """One law's table and overflow weights, as the file stores them: every float as float.hex."""
-    pmf = build_pmf(SourceKind(law["kind"]), SourceParams(law["n_p"], law["n_th"]), **law["args"])
-    weights = _overflow_weights(*_law(pmf.kind, pmf.params), pmf.probs)
+    pmf = build_pmf(SourceParams(law["n_p"], law["n_th"]), **law["args"])
+    weights = _overflow_weights(pmf.params, pmf.probs)
     return {"n_max": pmf.n_max, "residual": pmf.residual.hex(), "probs": [p.hex() for p in pmf.probs],
             "weights": [w.hex() for w in weights]}
 
@@ -199,7 +199,7 @@ def report_sampler_tables(new_text: str) -> None:
         print(f"{kind} n_p = {n_p!r}, n_th = {n_th!r}, {old['args']}:")
         for name, law in (("old", old), ("new", new)):
             residual = float.fromhex(law["residual"])
-            exact = tail_beyond_mp(SourceKind(kind), n_p, n_th, law["n_max"])
+            exact = tail_beyond_mp(n_p, n_th, law["n_max"])
             error = abs(residual - exact) / exact if exact else abs(residual)
             print(f"  {name}: n_max {law['n_max']}, residual {residual:.6e} ({law['residual']}), "
                   f"mpmath {float(exact):.6e}, relative error {float(error):.2e}")

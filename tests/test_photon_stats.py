@@ -17,7 +17,6 @@ from numpy.random import Generator, Philox
 from scipy import stats
 
 from pnrlidar.photon_stats import (
-    SourceKind,
     SourceParams,
     build_pmf,
     mixed_pmf,
@@ -29,7 +28,7 @@ from pnrlidar.photon_stats import (
     thermal_tail,
 )
 from pnrlidar.photon_stats import (
-    _TAIL_STEPPED, _law, _mixed_tail, _multinomial, _overflow_weights, _poisson_rows, _rekey,
+    _TAIL_STEPPED, _mixed_tail, _multinomial, _overflow_weights, _poisson_rows, _rekey,
 )
 from pnrlidar import photon_stats
 
@@ -41,11 +40,11 @@ def convolved_pmf(n, n_p, n_th):
     return math.fsum(poisson_pmf(m, n_p) * thermal_pmf(n - m, n_th) for m in range(n + 1))
 
 
-def tail_beyond(kind, params, n_max):
+def tail_beyond(params, n_max):
     """The law's mass beyond row n_max by total probability over the Poisson
     part P: P > n_max, or P = k <= n_max and the geometric part reaches
     n_max + 1 - k (scipy oracle)."""
-    mean, x = _law(kind, params)
+    mean, x = params.n_p_mean, params.x
     geometric = 0.0
     if x:
         k = np.arange(n_max + 1)
@@ -53,12 +52,12 @@ def tail_beyond(kind, params, n_max):
     return stats.poisson.sf(n_max, mean) + geometric
 
 
-def tail_beyond_mp(kind, n_p, n_th, n_max, digits=40):
+def tail_beyond_mp(n_p, n_th, n_max, digits=40):
     """:func:`tail_beyond` in mpmath, with the regularized incomplete gamma
     function for the Poisson tail and the exact thermal ratio (oracle)."""
     with mpmath.workdps(digits):
-        mean = 0 if kind is SourceKind.THERMAL else mpmath.mpf(n_p)
-        x = 0 if kind is SourceKind.POISSON else mpmath.mpf(n_th) / (mpmath.mpf(n_th) + 1)
+        mean = mpmath.mpf(n_p)
+        x = mpmath.mpf(n_th) / (mpmath.mpf(n_th) + 1)
         poisson = mpmath.gammainc(n_max + 1, 0, mean, regularized=True) if mean else 0
         return poisson + mpmath.fsum(
             mpmath.exp(-mean) * mean**k / mpmath.factorial(k) * x ** (n_max + 1 - k) for k in range(n_max + 1)
@@ -180,33 +179,34 @@ class TestMixedPmf:
 
 class TestBuildPmf:
     def test_zero_noise_thermal_is_vacuum(self):
-        pmf = build_pmf(SourceKind.THERMAL, SourceParams(0.0, 0.0), 1e-12)
+        pmf = build_pmf(SourceParams(0.0, 0.0), 1e-12)
         assert pmf.probs == (1.0,)
         assert pmf.residual == 0.0
         assert pmf.n_max == 0
 
     def test_unit_noise_truncation_bound(self):
         # geometric tail 2^-(n_max+1) first reaches 1e-12 at n_max = 39
-        pmf = build_pmf(SourceKind.THERMAL, SourceParams(0.0, 1.0), 1e-12)
+        pmf = build_pmf(SourceParams(0.0, 1.0), 1e-12)
         assert pmf.n_max == 39
         assert pmf.residual == pytest.approx(2.0**-40)
 
     def test_poisson_mass_captured(self):
-        pmf = build_pmf(SourceKind.POISSON, SourceParams(10.0, 0.0), 1e-12)
+        pmf = build_pmf(SourceParams(10.0, 0.0), 1e-12)
         assert math.fsum(pmf.probs) >= 1.0 - 1e-12
 
-    @pytest.mark.parametrize("kind", list(SourceKind))
+    @pytest.mark.parametrize("tolerance", [1e-9, 1e-12, 1e-15])
     @pytest.mark.parametrize("n_p", MEAN_GRID)
     @pytest.mark.parametrize("n_th", MEAN_GRID)
-    def test_normalization_with_residual(self, kind, n_p, n_th):
-        pmf = build_pmf(kind, SourceParams(n_p, n_th), 1e-12)
-        assert pmf.residual <= 1e-12
+    def test_normalization_with_residual(self, tolerance, n_p, n_th):
+        # n_p = 0 is the thermal law, n_th = 0 the Poisson law
+        pmf = build_pmf(SourceParams(n_p, n_th), tolerance)
+        assert pmf.residual <= tolerance
         assert math.fsum(pmf.probs) + pmf.residual == pytest.approx(1.0, abs=1e-12)
         assert all(0.0 <= p <= 1.0 for p in pmf.probs)
 
     def test_fixed_bound_table(self):
         params = SourceParams(2.0, 1.0)
-        pmf = build_pmf(SourceKind.MIXED, params, n_max=30)
+        pmf = build_pmf(params, n_max=30)
         assert pmf.n_max == 30 and len(pmf.probs) == 31
         assert list(pmf.probs) == [mixed_pmf(n, params) for n in range(31)]
         assert pmf.residual == pytest.approx(mixed_tail(31, params), abs=1e-15)
@@ -215,28 +215,28 @@ class TestBuildPmf:
         # a wide geometric part: the tolerance-mode table ends at the first row
         # within tolerance, and a fixed bound far past it holds its tail mass
         params = SourceParams(1.0, 40.0)
-        pmf = build_pmf(SourceKind.MIXED, params, 1e-12)
-        assert tail_beyond(SourceKind.MIXED, params, pmf.n_max) <= 1e-12
-        assert tail_beyond(SourceKind.MIXED, params, pmf.n_max - 1) > 1e-12
-        wide = build_pmf(SourceKind.MIXED, params, n_max=1500)
+        pmf = build_pmf(params, 1e-12)
+        assert tail_beyond(params, pmf.n_max) <= 1e-12
+        assert tail_beyond(params, pmf.n_max - 1) > 1e-12
+        wide = build_pmf(params, n_max=1500)
         assert wide.probs[: pmf.n_max + 1] == pmf.probs
         for table in (pmf, wide):
-            assert table.residual == pytest.approx(tail_beyond(SourceKind.MIXED, params, table.n_max), rel=1e-12)
+            assert table.residual == pytest.approx(tail_beyond(params, table.n_max), rel=1e-12)
 
     @pytest.mark.parametrize("bad", [-1, 2.5])
     def test_fixed_bound_domain(self, bad):
         with pytest.raises(ValueError):
-            build_pmf(SourceKind.THERMAL, SourceParams(0.0, 1.0), n_max=bad)
+            build_pmf(SourceParams(0.0, 1.0), n_max=bad)
 
     def test_tolerance_domain(self):
         for bad in (0.0, 1.0, -0.1, 2.0):
             with pytest.raises(ValueError):
-                build_pmf(SourceKind.THERMAL, SourceParams(0.0, 1.0), bad)
+                build_pmf(SourceParams(0.0, 1.0), bad)
 
     def test_deep_thermal_table_reaches_tolerance(self):
         # n_th = 10 needs 362 rows for 1e-15: x^363 <= 1e-15 < x^362
         x = SourceParams(0.0, 10.0).x
-        pmf = build_pmf(SourceKind.THERMAL, SourceParams(0.0, 10.0), 1e-15)
+        pmf = build_pmf(SourceParams(0.0, 10.0), 1e-15)
         assert pmf.n_max == 362
         assert x**363 <= 1e-15 < x**362
         assert pmf.residual == pytest.approx(x**363, rel=1e-13)
@@ -247,32 +247,28 @@ class TestBuildPmf:
         # although its log-space cells sum to about 1 - 2.5e-13
         calls = []
         monkeypatch.setattr(math, "fsum", lambda values, fsum=math.fsum: calls.append(1) or fsum(values))
-        pmf = build_pmf(SourceKind.POISSON, SourceParams(1000.0, 0.0), 1e-15)
+        pmf = build_pmf(SourceParams(1000.0, 0.0), 1e-15)
         assert len(calls) == 1
         assert stats.poisson.sf(pmf.n_max, 1000.0) <= 1e-15 < stats.poisson.sf(pmf.n_max - 1, 1000.0)
         assert pmf.residual == pytest.approx(stats.poisson.sf(pmf.n_max, 1000.0), rel=1e-6)
 
-    @pytest.mark.parametrize(
-        "kind,n_p,n_th",
-        [(SourceKind.POISSON, n_p, 0.0) for n_p in (1e2, 1e3, 1e4, 1e5, 1e6)] + [(SourceKind.MIXED, 1e4, 2.0)],
-    )
-    def test_residual_is_the_tail_mass(self, kind, n_p, n_th):
+    @pytest.mark.parametrize("n_p,n_th", [(n_p, 0.0) for n_p in (1e2, 1e3, 1e4, 1e5, 1e6)] + [(1e4, 2.0)])
+    def test_residual_is_the_tail_mass(self, n_p, n_th):
         # the mass beyond n_max in positive terms, not 1 - sum(probs), which
         # inherits every cell's error and at 1e4 and up hides the tail
         params = SourceParams(n_p, n_th)
-        pmf = build_pmf(kind, params, 1e-12)
+        pmf = build_pmf(params, 1e-12)
         assert pmf.residual <= 1e-12
-        assert pmf.residual == pytest.approx(tail_beyond(kind, params, pmf.n_max), rel=1e-6)
+        assert pmf.residual == pytest.approx(tail_beyond(params, pmf.n_max), rel=1e-6)
 
-    @pytest.mark.parametrize("kind", list(SourceKind))
-    def test_tolerance_table_ends_at_the_first_row_within_tolerance(self, kind):
-        laws = [SourceParams(n_p, n_th) for n_p in MEAN_GRID for n_th in MEAN_GRID]
-        if kind is SourceKind.POISSON:
-            laws += [SourceParams(500.0, 0.0), SourceParams(2000.0, 0.0)]
-        for params in laws:
-            pmf = build_pmf(kind, params, 1e-12)
-            assert tail_beyond(kind, params, pmf.n_max) <= 1e-12, params
-            assert pmf.n_max == 0 or tail_beyond(kind, params, pmf.n_max - 1) > 1e-12, params
+    @pytest.mark.parametrize(
+        "n_p,n_th", [(n_p, n_th) for n_p in MEAN_GRID for n_th in MEAN_GRID] + [(500.0, 0.0), (2000.0, 0.0)]
+    )
+    def test_tolerance_table_ends_at_the_first_row_within_tolerance(self, n_p, n_th):
+        params = SourceParams(n_p, n_th)
+        pmf = build_pmf(params, 1e-12)
+        assert tail_beyond(params, pmf.n_max) <= 1e-12
+        assert pmf.n_max == 0 or tail_beyond(params, pmf.n_max - 1) > 1e-12
 
 
 class TestTails:
@@ -598,12 +594,10 @@ class TestSourceParams:
             SourceParams(1.0, math.inf)
 
 
-def oracle_pmf(kind, params, width):
+def oracle_pmf(params, width):
     """Law on 0..width-1 from scipy's Poisson pmf convolved with the geometric law."""
-    n = np.arange(width)
-    n_p = 0.0 if kind is SourceKind.THERMAL else params.n_p_mean
-    x = 0.0 if kind is SourceKind.POISSON else params.x
-    return np.convolve(stats.poisson.pmf(n, n_p), (1.0 - x) * x**n)[:width]
+    n, x = np.arange(width), params.x
+    return np.convolve(stats.poisson.pmf(n, params.n_p_mean), (1.0 - x) * x**n)[:width]
 
 
 def sampled(pmf, draws, seed, key):
@@ -617,68 +611,52 @@ def sampled(pmf, draws, seed, key):
 
 class TestSampling:
     def test_identical_streams_identical_sequences(self):
-        pmf = build_pmf(SourceKind.MIXED, SourceParams(3.0, 1.0))
+        pmf = build_pmf(SourceParams(3.0, 1.0))
         a = sampled(pmf, 2000, 987654321, 11)
         b = sampled(pmf, 2000, 987654321, 11)
         assert np.array_equal(a, b)
 
     def test_draw_order_does_not_matter(self):
-        pmf = build_pmf(SourceKind.MIXED, SourceParams(2.0, 0.5))
+        pmf = build_pmf(SourceParams(2.0, 0.5))
         forward = [sampled(pmf, 100, 5, key) for key in range(6)]
         backward = [sampled(pmf, 100, 5, key) for key in reversed(range(6))][::-1]
         assert all(np.array_equal(a, b) for a, b in zip(forward, backward))
 
     def test_streams_differ_by_id_and_seed(self):
-        pmf = build_pmf(SourceKind.THERMAL, SourceParams(0.0, 1.0))
+        pmf = build_pmf(SourceParams(0.0, 1.0))
         base = sampled(pmf, 500, 1, 0)
         assert not np.array_equal(base, sampled(pmf, 500, 1, 1))
         assert not np.array_equal(base, sampled(pmf, 500, 2, 0))
 
     def test_degenerate_sources_draw_zero(self):
-        thermal = build_pmf(SourceKind.THERMAL, SourceParams(0.0, 0.0))
-        poisson = build_pmf(SourceKind.POISSON, SourceParams(0.0, 5.0))
-        for pmf in (thermal, poisson):
-            hist = sampled(pmf, 200, 3, 0)
-            assert hist[0] == 200 and not hist[1:].any()
+        # thermal light at n_th = 0 and Poisson light at n_p = 0 are both the vacuum
+        hist = sampled(build_pmf(SourceParams(0.0, 0.0)), 200, 3, 0)
+        assert hist[0] == 200 and not hist[1:].any()
 
     def test_histogram_counts_every_draw(self):
-        pmf = build_pmf(SourceKind.MIXED, SourceParams(3.0, 1.0))
+        pmf = build_pmf(SourceParams(3.0, 1.0))
         for draws in (0, 1, 12345):
             assert sampled(pmf, draws, 9, 4).sum() == draws
 
-    @pytest.mark.parametrize(
-        "kind,params",
-        [
-            (SourceKind.THERMAL, SourceParams(0.0, 1.0)),
-            (SourceKind.POISSON, SourceParams(3.0, 0.0)),
-            (SourceKind.MIXED, SourceParams(3.0, 1.0)),
-        ],
-    )
-    def test_empirical_distribution_close_to_analytic(self, kind, params):
-        pmf = build_pmf(kind, params, 1e-13)
+    @pytest.mark.parametrize("params", [SourceParams(0.0, 1.0), SourceParams(3.0, 0.0), SourceParams(3.0, 1.0)])
+    def test_empirical_distribution_close_to_analytic(self, params):
+        pmf = build_pmf(params, 1e-13)
         hist = sampled(pmf, 150_000, 777, 0)
-        analytic = oracle_pmf(kind, params, hist.size)
+        analytic = oracle_pmf(params, hist.size)
         tv = 0.5 * np.abs(hist / hist.sum() - analytic).sum() + 0.5 * (1.0 - analytic.sum())
         assert tv < 0.015
 
-    @pytest.mark.parametrize(
-        "kind,params",
-        [
-            (SourceKind.THERMAL, SourceParams(0.0, 3.0)),
-            (SourceKind.POISSON, SourceParams(10.0, 0.0)),
-            (SourceKind.MIXED, SourceParams(3.0, 1.0)),
-        ],
-    )
-    def test_overflow_draws_follow_the_law(self, kind, params):
+    @pytest.mark.parametrize("params", [SourceParams(0.0, 3.0), SourceParams(10.0, 0.0), SourceParams(3.0, 1.0)])
+    def test_overflow_draws_follow_the_law(self, params):
         # a 5-cell table leaves much of the mass to the overflow cell, whose
         # draws must land beyond n_max with the law's own tail
         reps = 150_000
-        pmf = build_pmf(kind, params, n_max=4)
+        pmf = build_pmf(params, n_max=4)
         hist = sampled(pmf, reps, 2024, 0)
         assert hist.sum() == reps and hist.size > 6
         checked = 0
         for big_n in range(5, hist.size):
-            p = mixed_tail(big_n, params)  # each kind's params carry a zero mean for the other part
+            p = mixed_tail(big_n, params)
             if reps * min(p, 1.0 - p) < 25.0:
                 continue
             sigma = math.sqrt(p * (1.0 - p) / reps)
@@ -686,18 +664,18 @@ class TestSampling:
             checked += 1
         assert checked >= 4
 
-    @pytest.mark.parametrize("kind", list(SourceKind))
-    def test_overflow_mass_matches_total_probability(self, kind):
+    @pytest.mark.parametrize("n_max", [0, 4, 30, 100])
+    def test_overflow_mass_matches_total_probability(self, n_max):
         # P(count > m) by total probability over the Poisson part P: P > m,
         # or P = k <= m and the geometric part reaches m + 1 - k.  Includes
-        # tables that end below the mean.
+        # tables that end below the mean, and the thermal (n_p = 0) and
+        # Poisson (n_th = 0) laws.
         for n_p in (0.0, 0.3, 3.0, 40.0, 700.0):
             for n_th in (0.0, 0.5, 4.0, 40.0):
                 params = SourceParams(n_p, n_th)
-                for n_max in (0, 4, 30, 100):
-                    pmf = build_pmf(kind, params, n_max=n_max)
-                    oracle = tail_beyond(kind, params, n_max)
-                    np.testing.assert_allclose(pmf.residual, oracle, rtol=1e-12, atol=0.0, err_msg=str(pmf.params))
+                pmf = build_pmf(params, n_max=n_max)
+                oracle = tail_beyond(params, n_max)
+                np.testing.assert_allclose(pmf.residual, oracle, rtol=1e-12, atol=0.0, err_msg=str(pmf.params))
 
     @pytest.mark.parametrize("n_p,n_max", [(50.0, 20), (500.0, 700), (3e4, 16383)])
     def test_overflow_weights_match_the_scalar_walk(self, n_p, n_max):
@@ -705,7 +683,7 @@ class TestSampling:
         # then pois(b) until a cell past the mean is below 2^-60 of the total;
         # where the table holds over half the mass, their total one cell at a
         # time in order is the residual, the sampler's overflow cell
-        pmf = build_pmf(SourceKind.MIXED, SourceParams(n_p, 1.0), n_max=n_max)
+        pmf = build_pmf(SourceParams(n_p, 1.0), n_max=n_max)
         x = pmf.params.x
         want = [x * pmf.probs[n_max] / (1.0 - x) + poisson_pmf(n_max + 1, n_p)]
         running = want[0]
@@ -715,7 +693,7 @@ class TestSampling:
                 break
             want.append(term)
             running += term
-        weights = list(_overflow_weights(n_p, x, pmf.probs))
+        weights = list(_overflow_weights(pmf.params, pmf.probs))
         assert len(weights) == len(want)
         np.testing.assert_allclose(weights, want, rtol=1e-13, atol=0.0)
         head = math.fsum(pmf.probs)
@@ -724,29 +702,28 @@ class TestSampling:
     def test_tables_match_recorded_reference(self):
         # stored bits of the sampler's tables and overflow weights: the
         # rangefinder's fig-4 and strong-target laws and a tolerance-mode
-        # table per kind; a change to the Poisson rows or the recurrence moves
+        # table per law; a change to the Poisson rows or the recurrence moves
         # them.  Each residual is the mass beyond its table by mpmath.
         reference = json.loads((Path(__file__).parent / "data" / "sampler_tables_reference.json").read_text())
         for law in reference["laws"]:
-            kind = SourceKind(law["kind"])
-            pmf = build_pmf(kind, SourceParams(law["n_p"], law["n_th"]), **law["args"])
-            weights = _overflow_weights(*_law(kind, pmf.params), pmf.probs)
+            pmf = build_pmf(SourceParams(law["n_p"], law["n_th"]), **law["args"])
+            weights = _overflow_weights(pmf.params, pmf.probs)
             assert pmf.n_max == law["n_max"], law["args"]
             got = {"residual": pmf.residual.hex(), "probs": [p.hex() for p in pmf.probs],
                    "weights": [w.hex() for w in weights]}
             for name, value in got.items():
                 assert value == law[name], (law["kind"], law["n_p"], law["n_th"], name)
-            exact = tail_beyond_mp(kind, law["n_p"], law["n_th"], pmf.n_max)
+            exact = tail_beyond_mp(law["n_p"], law["n_th"], pmf.n_max)
             assert abs(pmf.residual - exact) <= 1e-12 * exact, (law["kind"], law["n_p"], law["n_th"])
 
     def test_negative_seed_is_reproducible(self):
-        pmf = build_pmf(SourceKind.MIXED, SourceParams(1.0, 1.0))
+        pmf = build_pmf(SourceParams(1.0, 1.0))
         a = sampled(pmf, 1000, -7, 2)
         assert np.array_equal(a, sampled(pmf, 1000, -7, 2))
         assert not np.array_equal(a, sampled(pmf, 1000, 7, 2))
 
     def test_rejects_negative_identifiers(self):
-        pmf = build_pmf(SourceKind.THERMAL, SourceParams(0.0, 1.0))
+        pmf = build_pmf(SourceParams(0.0, 1.0))
         with pytest.raises(ValueError):
             sampled(pmf, 10, 1, -1)
         with pytest.raises(ValueError):
@@ -773,7 +750,7 @@ class TestSampling:
 
     def test_each_key_draws_from_its_philox_key(self):
         # key k under seed s draws what Generator(Philox(key=[s mod 2**64, k])) draws from its start
-        pmf = build_pmf(SourceKind.MIXED, SourceParams(1.0, 1.0))
+        pmf = build_pmf(SourceParams(1.0, 1.0))
         draw_cells = _multinomial(np.append(pmf.probs, pmf.residual))
         keys = [7, 0, 3, 2**32, 2**64 - 1]
         for seed in (99, -1234, 2**64 - 1):
