@@ -55,12 +55,6 @@ __all__ = [
 _RECURRENCE_CUTOFF = 30
 # Table cells (rows x columns) per block of a walk down a table's rows.
 _TABLE_BLOCK = 24576
-# Tables at least this many columns wide add their sums a row at a time;
-# narrower ones in one accumulate down the rows.  A row's np.add costs about
-# 0.7 us, numpy's accumulate about 3.3 ns a cell (it walks column by column):
-# on 21 rows, 19 columns took 3.9 us by accumulate against 14 by rows, 200
-# columns 28 against 16.
-_ROW_LOOP_WIDTH = 128
 # log(m!) = lgamma(m + 1) for m below 1024, the rows of the tables the
 # sampler draws from, tabulated once: math.lgamma costs about 150 ns a call,
 # and each block of log-space rows needs one per row.  Deeper rows call it.
@@ -290,9 +284,7 @@ def _table_reads(at: np.ndarray, top: int, lam: np.ndarray, x: np.ndarray, shift
     one pass over ``at``, which the block's cells about match, so the reads
     cost in proportion to the elements and cells over the whole walk.  The
     reads are made after the first block's rows, once their
-    temporaries are freed.  A table under _ROW_LOOP_WIDTH columns takes its
-    sums in one accumulate down the rows, a wider one a row at a time, with
-    the same bits.
+    temporaries are freed.  The sums are added a row at a time.
     """
     width = lam.size
     rows = max(1, min(top + 1, max(_TABLE_BLOCK, at.size) // width - 2))
@@ -310,14 +302,9 @@ def _table_reads(at: np.ndarray, top: int, lam: np.ndarray, x: np.ndarray, shift
         # exponent -1 as a reciprocal, rounded differently from its power loop.
         cells[:, 1] = p
         np.multiply(p, np.power(np.full((count, x.size), x), np.full((count, x.size), -m)), out=cells[:, 2])
-        if width >= _ROW_LOOP_WIDTH:
-            for row in range(2, 2 + min(count, top - start)):  # no threshold reads row max(N)'s sums
-                sums = table[row, 1:]
-                np.add(table[row - 1, 1:], sums, out=sums)
-        else:
-            # the same sums: accumulate adds the rows in order, one at a time
-            sums = table[1 : 2 + count, 1:]
-            np.add.accumulate(sums, axis=0, out=sums)
+        for row in range(2, 2 + min(count, top - start)):  # no threshold reads row max(N)'s sums
+            sums = table[row, 1:]
+            np.add(table[row - 1, 1:], sums, out=sums)
         reads = reads or [np.empty(at.size) for _ in shifts]
         if count > top:
             # one block: straight into the reads, without the masked index of
