@@ -92,17 +92,21 @@ class SourceParams:
     """Mean photon numbers of the coherent signal and the thermal background.
 
     ``x`` is the derived thermal ratio n_th / (n_th + 1); the probability
-    that a thermal draw reaches at least N photons is x^N.
+    that a thermal draw reaches at least N photons is x^N.  ``w`` is
+    1 - x, derived as 1 / (n_th + 1): 1 minus a rounded x would lose about
+    log10(n_th) of its digits.
     """
 
     n_p_mean: float
     n_th_mean: float
     x: float = field(init=False)
+    w: float = field(init=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "n_p_mean", _check_mean(self.n_p_mean, "n_p_mean"))
         object.__setattr__(self, "n_th_mean", _check_mean(self.n_th_mean, "n_th_mean"))
         object.__setattr__(self, "x", self.n_th_mean / (self.n_th_mean + 1.0))
+        object.__setattr__(self, "w", 1.0 / (self.n_th_mean + 1.0))
 
 
 @dataclass(frozen=True)
@@ -123,8 +127,8 @@ class PhotonPmf:
 def thermal_pmf(n: int, n_th_mean: float) -> float:
     """Probability of n photons from single-mode thermal light."""
     n = _check_count(n)
-    x = SourceParams(0.0, n_th_mean).x
-    return x**n * (1.0 - x)
+    params = SourceParams(0.0, n_th_mean)
+    return params.x**n * params.w
 
 
 def poisson_pmf(n: int, n_p_mean: float) -> float:
@@ -479,7 +483,7 @@ def build_pmf(params: SourceParams, tolerance: float = 1e-12, n_max: int | None 
         top, name, value, size = n_max, "n_max", n_max, f"a table of {int(n_max) + 1} rows is"
     if top >= _ROW_BUDGET:
         raise PmfTruncationError(name, value, f"{size} past the budget of {_ROW_BUDGET} rows")
-    probs, q, w, top = [], 0.0, 1.0 - x, int(top)
+    probs, q, w, top = [], 0.0, params.w, int(top)
     for block in _poisson_column(n_p, 0, top + 1, top + 1):
         probs += [q := x * q + w * p for p in block]  # q runs on from block to block
     head = math.fsum(probs)
@@ -579,7 +583,7 @@ def sample_histogram(
             per_base = draw_bases(rng, k)
             drawn = np.repeat(m + 1 + np.arange(per_base.size), per_base)
             if x > 0.0:
-                drawn += rng.geometric(1.0 - x, size=k) - 1
+                drawn += rng.geometric(pmf.params.w, size=k) - 1
             beyond, beyond_counts = np.unique(drawn, return_counts=True)
             values, counts = np.append(values, beyond), np.append(counts, beyond_counts)
         yield values, counts
@@ -618,7 +622,7 @@ def _overflow_weights(params: SourceParams, probs: Sequence[float]) -> Iterator[
     # the walk ends about 9 standard deviations past the mean: one block to there
     rows = max(int(n_p + 10.0 * math.sqrt(n_p)) - m, 16)
     terms = itertools.chain.from_iterable(_poisson_column(n_p, m + 1, math.inf, rows))
-    total = x * probs[m] / (1.0 - x) + next(terms)
+    total = x * probs[m] / params.w + next(terms)
     yield total
     for base, term in zip(itertools.count(m + 2), terms):
         if base > n_p and term <= total * 2.0**-60:

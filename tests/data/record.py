@@ -48,9 +48,10 @@ CLI_ABOUT = (
 )
 
 SAMPLER_ABOUT = (
-    "build_pmf(kind, SourceParams(n_p, n_th), **args) and _overflow_weights of that table, as float.hex: "
-    "the rangefinder's tables (n_max as rangefinder_sim._count_table sets it) for the fig-4 laws (noise and "
-    "targets at n_th = 1) and perfbench/strong_target.cfg's targets, and one tolerance-mode table per kind; "
+    "build_pmf(SourceParams(n_p, n_th), **args) and _overflow_weights of that table, as float.hex, each law "
+    "labelled by its pmf --kind: the rangefinder's tables (n_max as rangefinder_sim._count_table sets it) for the "
+    "fig-4 laws (noise and targets at n_th = 1) and perfbench/strong_target.cfg's targets, and one tolerance-mode "
+    "table per kind; "
     "each residual the law's mass beyond n_max, summed in positive terms; recorded by tests/data/record.py "
     "with numpy 2.4.6 on x86_64"
 )

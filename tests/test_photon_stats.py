@@ -64,6 +64,15 @@ def tail_beyond_mp(n_p, n_th, n_max, digits=40):
         )
 
 
+def cell_mp(n, n_p, n_th, digits=40):
+    """p(n) of the law as the convolution sum in mpmath, with the exact thermal ratio (oracle)."""
+    with mpmath.workdps(digits):
+        n_p, n_th = mpmath.mpf(n_p), mpmath.mpf(n_th)
+        x = n_th / (n_th + 1)
+        return mpmath.fsum(mpmath.exp(-n_p) * n_p**m / mpmath.factorial(m) * x ** (n - m) / (n_th + 1)
+                           for m in range(n + 1))
+
+
 class TestThermalPmf:
     def test_unit_noise_values(self):
         assert thermal_pmf(0, 1.0) == 0.5
@@ -251,6 +260,18 @@ class TestBuildPmf:
         assert len(calls) == 1
         assert stats.poisson.sf(pmf.n_max, 1000.0) <= 1e-15 < stats.poisson.sf(pmf.n_max - 1, 1000.0)
         assert pmf.residual == pytest.approx(stats.poisson.sf(pmf.n_max, 1000.0), rel=1e-6)
+
+    @pytest.mark.parametrize("n_th", [2.0, 1e3, 1e6, 1e8])
+    @pytest.mark.parametrize("n_p", [0.0, 0.5, 1.0, 3.0, 10.0])
+    def test_cells_keep_their_digits_at_wide_noise(self, n_p, n_th):
+        # the geometric weight 1 - x taken from a rounded x loses about
+        # log10(n_th) digits (5e-11 relative at n_th = 1e6); 1 / (n_th + 1) keeps them
+        cells = build_pmf(SourceParams(n_p, n_th), n_max=5).probs
+        if n_p == 0.0:
+            cells += tuple(thermal_pmf(n, n_th) for n in range(6))
+        for n, cell in enumerate(cells):
+            exact = cell_mp(n % 6, n_p, n_th)
+            assert abs(cell - exact) <= 1e-15 * exact, n
 
     @pytest.mark.parametrize("n_p,n_th", [(n_p, 0.0) for n_p in (1e2, 1e3, 1e4, 1e5, 1e6)] + [(1e4, 2.0)])
     def test_residual_is_the_tail_mass(self, n_p, n_th):
