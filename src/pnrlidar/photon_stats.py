@@ -458,7 +458,8 @@ def build_pmf(params: SourceParams, tolerance: float = 1e-12, n_max: int | None 
     tolerance / 2, by the Chernoff bound in Bernstein's closed form,
     P_poisson(n >= n_p + t) <= exp(-t^2 / (2 (n_p + t/3))), and the
     geometric part passes b rows with probability x^(b+1) <= tolerance / 2,
-    so at most the tolerance lies beyond row a + b.  The table is made to
+    so at most the tolerance lies beyond row a + b.  A law with one part
+    (n_p = 0 or x = 0) gives that part the whole tolerance.  The table is made to
     that row, its residual taken there, and rows are dropped from the end
     while the residual plus the dropped cell, the mass beyond the row before,
     stays within the tolerance.  A table past _ROW_BUDGET rows, by the bound
@@ -472,7 +473,8 @@ def build_pmf(params: SourceParams, tolerance: float = 1e-12, n_max: int | None 
         raise ValueError(f"n_max must be a nonnegative integer, got {n_max!r}")
     n_p, x = params.n_p_mean, params.x
     if n_max is None:
-        log_bound = math.log(2.0) - math.log(tolerance)  # each part leaves tolerance / 2 = e^-log_bound
+        # each part leaves e^-log_bound: tolerance / 2 of a law with both parts
+        log_bound = -math.log(tolerance / 2.0 if n_p and x else tolerance)
         poisson_rows = n_p + log_bound / 3.0 + math.sqrt(log_bound * (log_bound / 9.0 + 2.0 * n_p)) if n_p else 0.0
         # x^(b+1) <= e^-log_bound from b + 1 >= log_bound / log(1/x)
         thermal_rows = 0.0 if x == 0.0 else math.inf if x == 1.0 else math.ceil(log_bound / -math.log(x)) - 1.0

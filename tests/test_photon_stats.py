@@ -261,6 +261,24 @@ class TestBuildPmf:
         assert stats.poisson.sf(pmf.n_max, 1000.0) <= 1e-15 < stats.poisson.sf(pmf.n_max - 1, 1000.0)
         assert pmf.residual == pytest.approx(stats.poisson.sf(pmf.n_max, 1000.0), rel=1e-6)
 
+    @pytest.mark.parametrize("n_th", [0.5, 1.0, 10.0, 1e4])
+    def test_thermal_table_is_made_to_its_last_row(self, monkeypatch, n_th):
+        # a law with one part gives it the whole tolerance, so the bound asks for
+        # exactly the rows kept: at n_th = 1e4 a tolerance split between the
+        # parts made 283,256 rows for a 276,325-row table
+        stops = []
+        column = photon_stats._poisson_column
+
+        def counted(n_p, start, stop, rows):
+            if start == 0:  # the table's rows; the residual's walk starts past them
+                stops.append(stop)
+            return column(n_p, start, stop, rows)
+
+        monkeypatch.setattr(photon_stats, "_poisson_column", counted)
+        pmf = build_pmf(SourceParams(0.0, n_th), 1e-12)
+        assert stops == [pmf.n_max + 1]
+        assert pmf.residual <= 1e-12 < pmf.residual + pmf.probs[-1]
+
     @pytest.mark.parametrize("n_th", [2.0, 1e3, 1e6, 1e8])
     @pytest.mark.parametrize("n_p", [0.0, 0.5, 1.0, 3.0, 10.0])
     def test_cells_keep_their_digits_at_wide_noise(self, n_p, n_th):
