@@ -64,7 +64,7 @@ class TestPmfCommand:
         "argv,refusal",
         [
             pytest.param(("--kind", "thermal", "--n-th", "1e8"), "--n-th 100000000.0: a table to tolerance "
-                         "1.000e-12 takes 2.832e+09 rows by its tail bound, past the budget of 2097152 rows",
+                         "1.000e-12 takes 2.763e+09 rows by its tail bound, past the budget of 2097152 rows",
                          id="thermal-1e8"),
             pytest.param(("--kind", "mixed", "--n-p", "1", "--n-th", "1e8"), "--n-th 100000000.0: a table to "
                          "tolerance 1.000e-12 takes 2.832e+09 rows by its tail bound, past the budget of 2097152 "
