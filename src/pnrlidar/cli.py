@@ -270,15 +270,20 @@ def _cmd_boundary(args) -> int:
     skipped = []
     multiple = []
     sides = []  # each threshold's no_crossing sides, for the error of an empty table
+    warnings = []  # one line per flagged cell, for stderr once the table is accepted
     for n, curve in zip(args.thresholds, find_boundary(args.thresholds, grid)):
         rows.extend((n, n_th, n_p, ratio) for (n_th, n_p), ratio in zip(curve.points, curve.ratios))
         skipped.extend({"threshold_n": n, "n_th_mean": t, "side": side} for t, side in curve.no_crossing)
-        multiple.extend({"threshold_n": n, "n_th_mean": t} for t in curve.multiple_crossings)
+        multiple.extend({"threshold_n": n, "n_th_mean": t} for t, _ in curve.multiple_crossings)
         sides.append(f"N = {n} {'/'.join(dict.fromkeys(side for _, side in curve.no_crossing))}")
+        warnings += [f"N = {n}, n_th = {t!r}: no ratio == 1 crossing ({side})" for t, side in curve.no_crossing]
+        warnings += [f"N = {n}, n_th = {t!r}: {changes} sign changes of ratio - 1; the largest-n_p crossing is kept"
+                     for t, changes in curve.multiple_crossings]
     if not rows:
         raise ValueError(
             f"no threshold has a ratio == 1 crossing on the noise grid (no_crossing: {', '.join(sides)})"
         )
+    sys.stderr.writelines(f"pnrlidar: warning: {line}\n" for line in warnings)
     manifest = _manifest("boundary", {
         "thresholds": list(args.thresholds), "nth_min": args.nth_min,
         "nth_max": args.nth_max, "nth_points": args.nth_points,

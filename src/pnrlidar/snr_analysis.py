@@ -126,14 +126,15 @@ class BoundaryCurve:
     otherwise); with one, "unresolved", where the root search ended on a
     point more than BOUNDARY_RATIO_TOL from ratio == 1.
     ``multiple_crossings`` flags noise levels where the scan saw more than
-    one sign change; the largest-n_p crossing is the one kept.
+    one sign change, as (n_th_mean, sign changes) pairs; the largest-n_p
+    crossing is the one kept.
     """
 
     threshold_n: int
     points: tuple[tuple[float, float], ...]
     ratios: tuple[float, ...] = ()
     no_crossing: tuple[tuple[float, str], ...] = ()
-    multiple_crossings: tuple[float, ...] = ()
+    multiple_crossings: tuple[tuple[float, int], ...] = ()
 
 
 def _check_params(params: SourceParams) -> SourceParams:
@@ -429,7 +430,7 @@ def find_boundary(thresholds: Sequence[int], n_th_grid: Sequence[float]) -> list
             tuple(zip(levels[ok].tolist(), p[ok].tolist())),
             tuple(r[ok].tolist()),
             tuple(zip(levels[~ok].tolist(), s[~ok].tolist())),
-            tuple(levels[c > 1].tolist()),
+            tuple(zip(levels[c > 1].tolist(), c[c > 1].tolist())),
         )
         for n, ok, p, r, s, c in zip(big_n.tolist(), ~np.isnan(roots), roots, root_ratios, side, crossings)
     ]

@@ -80,7 +80,7 @@ def boundary_curves(case: dict) -> list[dict]:
             "points": [[n_th.hex(), n_p.hex()] for n_th, n_p in curve.points],
             "ratios": [ratio.hex() for ratio in curve.ratios],
             "no_crossing": [[n_th.hex(), side] for n_th, side in curve.no_crossing],
-            "multiple_crossings": [n_th.hex() for n_th in curve.multiple_crossings],
+            "multiple_crossings": [n_th.hex() for n_th, _ in curve.multiple_crossings],
         }
         for curve in find_boundary(case["thresholds"], grid)
     ]

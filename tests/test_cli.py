@@ -447,9 +447,37 @@ class TestBoundaryManifest:
         for n in (1, 2):
             curve = find_boundary([n], grid)[0]
             no_crossing += [{"threshold_n": n, "n_th_mean": t, "side": side} for t, side in curve.no_crossing]
-            multiple += [{"threshold_n": n, "n_th_mean": t} for t in curve.multiple_crossings]
+            multiple += [{"threshold_n": n, "n_th_mean": t} for t, _ in curve.multiple_crossings]
         assert params["no_crossing"] == no_crossing and no_crossing
         assert params["multiple_crossings"] == multiple and multiple
+
+    def test_flagged_cells_are_warned_on_stderr(self, tmp_path, capsys):
+        # without --output no manifest is written, so each flagged cell gets
+        # one stderr line; stdout, the exit code and the manifest are unchanged
+        argv = ("boundary", "--thresholds", "1,2", "--nth-min", "1000", "--nth-max", "10000", "--nth-points", "5")
+        assert run_cli(*argv) == 0
+        captured = capsys.readouterr()
+        lines = []
+        for n, curve in zip((1, 2), find_boundary([1, 2], log_grid(1000.0, 10000.0, 5))):
+            lines += [f"N = {n}, n_th = {t!r}: no ratio == 1 crossing ({side})" for t, side in curve.no_crossing]
+            lines += [f"N = {n}, n_th = {t!r}: {changes} sign changes of ratio - 1; the largest-n_p crossing is kept"
+                      for t, changes in curve.multiple_crossings]
+        assert len(lines) == 7 and "N = 2, n_th = 10000.0: 5 sign changes" in lines[-1]
+        assert captured.err == "".join(f"pnrlidar: warning: {line}\n" for line in lines)
+        out = tmp_path / "b.csv"
+        assert run_cli(*argv, "--output", str(out)) == 0
+        assert out.read_text() == captured.out
+        assert capsys.readouterr() == ("", captured.err)
+
+    def test_high_noise_multiple_crossing_is_warned(self, capsys):
+        # ratio - 1 at rounding level near n_th = 5000 changes sign twice on the scan
+        assert run_cli("boundary", "--thresholds", "2", "--nth-min", "1", "--nth-max", "5000",
+                       "--nth-points", "40") == 0
+        assert capsys.readouterr().err == (
+            "pnrlidar: warning: N = 2, n_th = 5000.0: 2 sign changes of ratio - 1; the largest-n_p crossing is kept\n"
+        )
+        assert run_cli("boundary") == 0  # the default grid flags nothing
+        assert capsys.readouterr().err == ""
 
     @pytest.mark.parametrize("fmt", ["csv", "structured"])
     def test_no_crossing_anywhere_is_an_error(self, tmp_path, capsys, fmt):

@@ -376,7 +376,7 @@ class TestFindBoundary:
                     "points": [[n_th.hex(), n_p.hex()] for n_th, n_p in curve.points],
                     "ratios": [ratio.hex() for ratio in curve.ratios],
                     "no_crossing": [[n_th.hex(), side] for n_th, side in curve.no_crossing],
-                    "multiple_crossings": [n_th.hex() for n_th in curve.multiple_crossings],
+                    "multiple_crossings": [n_th.hex() for n_th, _ in curve.multiple_crossings],
                 }
                 for curve in curves
             ] == case["curves"], case["thresholds"]
@@ -422,7 +422,7 @@ def per_level_boundary(threshold_n, n_th_grid):
             no_crossing.append((n_th, "above" if values[scan.size // 2] > 0.0 else "below"))
             continue
         if changes.size > 1:
-            multiple.append(n_th)
+            multiple.append((n_th, changes.size))
         lo, hi = scan[changes[-1]], scan[changes[-1] + 1]
         f_lo, root = excess(lo), None
         for _ in range(300):
