@@ -355,6 +355,21 @@ class TestOptimumBoundaryCommands:
             root = optimum_mp(float(n_th), int(big_n), best * 0.99, best * 1.01)
             assert abs(float(best / root - 1)) <= 1e-12
 
+    def test_structured_output_file_is_the_stdout_document(self, tmp_path, capsys):
+        # --format structured with --output writes the document stdout would
+        # carry, and beside it that document's manifest
+        assert run_cli("optimum", "--n-th", "1", "--format", "structured") == 0
+        printed = json.loads(capsys.readouterr().out)
+        out = tmp_path / "out.json"
+        assert run_cli("optimum", "--n-th", "1", "--format", "structured", "--output", str(out)) == 0
+        assert capsys.readouterr() == ("", "")
+        written = json.loads(out.read_text())
+        manifest = json.loads((tmp_path / "out.manifest.json").read_text())
+        assert sorted(path.name for path in tmp_path.iterdir()) == ["out.json", "out.manifest.json"]
+        for document in (printed["manifest"], written["manifest"], manifest):
+            del document["timestamp"]
+        assert written == printed and manifest == printed["manifest"]
+
     def test_optimum_without_maximum_is_an_error(self, capsys):
         assert run_cli("optimum", "--n-th", "1", "--thresholds", "3,1") == 1
         captured = capsys.readouterr()
