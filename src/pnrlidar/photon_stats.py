@@ -458,8 +458,8 @@ def build_pmf(params: SourceParams, tolerance: float = 1e-12, n_max: int | None 
     tolerance / 2, by the Chernoff bound in Bernstein's closed form,
     P_poisson(n >= n_p + t) <= exp(-t^2 / (2 (n_p + t/3))), and the
     geometric part passes b rows with probability x^(b+1) <= tolerance / 2,
-    so at most the tolerance lies beyond row a + b.  A law with one part
-    (n_p = 0 or x = 0) gives that part the whole tolerance.  The table is made to
+    so at most the tolerance lies beyond row a + b; a law with one part
+    (n_p = 0 or x = 0) gives it the whole tolerance.  The table is made to
     that row, its residual taken there, and rows are dropped from the end
     while the residual plus the dropped cell, the mass beyond the row before,
     stays within the tolerance.  A table past _ROW_BUDGET rows, by the bound

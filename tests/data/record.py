@@ -27,8 +27,8 @@ import sys
 from pathlib import Path
 
 from pnrlidar.cli import main
-from pnrlidar.rangefinder_sim import SimConfig, run_simulation
 from pnrlidar.photon_stats import SourceParams, _overflow_weights, build_pmf
+from pnrlidar.rangefinder_sim import SimConfig, run_simulation
 from pnrlidar.snr_analysis import find_boundary, log_grid
 
 DATA = Path(__file__).parent
@@ -51,9 +51,8 @@ SAMPLER_ABOUT = (
     "build_pmf(SourceParams(n_p, n_th), **args) and _overflow_weights of that table, as float.hex, each law "
     "labelled by its pmf --kind: the rangefinder's tables (n_max as rangefinder_sim._count_table sets it) for the "
     "fig-4 laws (noise and targets at n_th = 1) and perfbench/strong_target.cfg's targets, and one tolerance-mode "
-    "table per kind; "
-    "each residual the law's mass beyond n_max, summed in positive terms; recorded by tests/data/record.py "
-    "with numpy 2.4.6 on x86_64"
+    "table per kind; each residual the law's mass beyond n_max, summed in positive terms; recorded by "
+    "tests/data/record.py with numpy 2.4.6 on x86_64"
 )
 SIMULATION_ABOUT = (
     "run_simulation(SimConfig(**config)) raw channels, the square sums as float.hex: paper_fig4 at R = 5 and "
