@@ -4,13 +4,14 @@ Each recorder rebuilds its file from the current code over the case list
 stored in the file itself and returns the new text, so a re-record keeps
 every case: cases can be added to a file, never dropped by a recorder.
 
-    PYTHONPATH=src python tests/data/record.py boundary cli sampler_tables simulation           # rewrite all four
-    PYTHONPATH=src python tests/data/record.py --report boundary cli sampler_tables simulation  # print what would move
+    PYTHONPATH=src python tests/data/record.py boundary cli mixed_tail sampler_tables simulation           # rewrite all five
+    PYTHONPATH=src python tests/data/record.py --report boundary cli mixed_tail sampler_tables simulation  # print what would move
 
 The report prints each boundary point that would move, with its old and new
 |ratio - 1| by 40-digit mpmath (the tests' oracle), then a summary; for the
 CLI file it names each argv whose exit code or stdout would change; for the
-sampler tables it prints each law whose n_max, residual or cells would move,
+tail parts it prints each moved value with its old and new relative error
+against 40-digit mpmath's sums of the parts; for the sampler tables it prints each law whose n_max, residual or cells would move,
 with the old and new residual's relative error against the mass beyond the
 table by 40-digit mpmath; for the simulations it names each case and bin
 whose channels would move, with the bin's old and new count sum.
@@ -26,8 +27,10 @@ import re
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from pnrlidar.cli import main
-from pnrlidar.photon_stats import SourceParams, _overflow_weights, build_pmf
+from pnrlidar.photon_stats import SourceParams, _mixed_tail, _overflow_weights, build_pmf, mixed_tail_parts
 from pnrlidar.rangefinder_sim import SimConfig, run_simulation
 from pnrlidar.snr_analysis import find_boundary, log_grid
 
@@ -46,7 +49,11 @@ CLI_ABOUT = (
     "output; recorded by tests/data/record.py with numpy 2.4.6 on x86_64; the boundary rows from the "
     "Newton root search, each ratio 1 to rounding"
 )
-
+MIXED_TAIL_ABOUT = (
+    "the outputs poisson, scaled, last and head of mixed_tail_parts(threshold_n[:, None], n_p, x), and tail of "
+    "_mixed_tail(N, n_p, x) at each element's N, n_p and x, at the listed flat output elements, as float.hex; "
+    "recorded from the per-element Poisson walk that preceded the per-column table, numpy 2.4.6 on x86_64"
+)
 SAMPLER_ABOUT = (
     "build_pmf(SourceParams(n_p, n_th), **args) and _overflow_weights of that table, as float.hex, each law "
     "labelled by its pmf --kind: the rangefinder's tables (n_max as rangefinder_sim._count_table sets it) for the "
@@ -109,6 +116,26 @@ def record_cli() -> str:
     return _dumps({"about": CLI_ABOUT, "cases": cases})
 
 
+def mixed_tail_outputs(case: dict) -> dict:
+    """One case's outputs at its listed elements, as the file stores them: every float as float.hex."""
+    big_n = np.array(case["threshold_n"])[:, None]
+    n_p, x = (np.array([float.fromhex(h) for h in case[key]]) for key in ("n_p", "x"))
+    parts = mixed_tail_parts(big_n, n_p, x)
+    inputs = [np.broadcast_to(a, parts[0].shape).ravel()[case["elements"]].tolist() for a in (big_n, n_p, x)]
+    outputs = {"tail": [_mixed_tail(*element).hex() for element in zip(*inputs)]}
+    for name, part in zip(("poisson", "scaled", "last", "head"), parts, strict=True):
+        outputs[name] = [v.hex() for v in part.ravel()[case["elements"]].tolist()]
+    return outputs
+
+
+def record_mixed_tail() -> str:
+    """The text of mixed_tail_reference.json, its elements re-run; each output's list on one line."""
+    keys = ("threshold_n", "n_p", "x", "elements")
+    cases = [{**{key: case[key] for key in keys}, "outputs": mixed_tail_outputs(case)}
+             for case in _cases("mixed_tail_reference.json")]
+    return _lines(MIXED_TAIL_ABOUT, "cases", cases, expand="outputs")
+
+
 def sampler_table(law: dict) -> dict:
     """One law's table and overflow weights, as the file stores them: every float as float.hex."""
     pmf = build_pmf(SourceParams(law["n_p"], law["n_th"]), **law["args"])
@@ -124,10 +151,15 @@ def record_sampler_tables() -> str:
     return _lines(SAMPLER_ABOUT, "laws", laws)
 
 
-def _lines(about: str, name: str, items: list[dict]) -> str:
-    """A document of ``about`` and the list ``name``, each item's fields on one line each."""
-    texts = ["  {\n" + ",\n".join(f"   {json.dumps(k)}: {json.dumps(v)}" for k, v in item.items()) + "\n  }"
-             for item in items]
+def _lines(about: str, name: str, items: list[dict], expand: str | None = None) -> str:
+    """A document of ``about`` and the list ``name``, each item's fields on one line each, and the
+    fields of its dict ``expand`` on one line each, a level deeper."""
+    def fields(item: dict, indent: str) -> str:
+        return ",\n".join(f"{indent}{json.dumps(k)}: " + (
+            "{\n" + fields(v, indent + " ") + f"\n{indent}}}" if k == expand else json.dumps(v))
+            for k, v in item.items())
+
+    texts = ["  {\n" + fields(item, "   ") + "\n  }" for item in items]
     return '{\n "about": ' + json.dumps(about) + f',\n "{name}": [\n' + ",\n".join(texts) + "\n ]\n}\n"
 
 
@@ -184,6 +216,30 @@ def report_cli(new_text: str) -> None:
     print(f"cli: {len(moved)} of {len(new_cases)} argvs moved")
 
 
+def report_mixed_tail(new_text: str) -> None:
+    """Print each moved output with its old and new relative error against mpmath, then a summary."""
+    from test_photon_stats import relative_error, tail_parts_mp
+
+    moved, total = 0, 0
+    for old, new in zip(_cases("mixed_tail_reference.json"), json.loads(new_text)["cases"]):
+        big_n = np.array(old["threshold_n"])[:, None]
+        n_p, x = (np.array([float.fromhex(h) for h in old[key]]) for key in ("n_p", "x"))
+        inputs = [np.broadcast_to(a, np.broadcast_shapes(big_n.shape, n_p.shape, x.shape)).ravel().tolist()
+                  for a in (big_n, n_p, x)]
+        for name, values in new["outputs"].items():
+            for element, before, after in zip(old["elements"], old["outputs"][name], values):
+                total += 1
+                if before == after:
+                    continue
+                moved += 1
+                n, mean, ratio = (a[element] for a in inputs)
+                exact = tail_parts_mp(n, mean, ratio)[name]
+                errors = [relative_error(float.fromhex(h), exact) for h in (before, after)]
+                print(f"{name} at N = {n}, n_p = {mean!r}, x = {ratio!r}: {before} -> {after}, "
+                      f"relative error {errors[0]:.2e} -> {errors[1]:.2e}")
+    print(f"mixed_tail: {moved} of {total} values moved")
+
+
 def report_sampler_tables(new_text: str) -> None:
     """Print each law whose table would move, with its old and new residual's error against mpmath."""
     from test_photon_stats import tail_beyond_mp
@@ -230,6 +286,7 @@ def report_simulation(new_text: str) -> None:
 RECORDERS = {
     "boundary": ("boundary_reference.json", record_boundary, report_boundary),
     "cli": ("cli_reference.json", record_cli, report_cli),
+    "mixed_tail": ("mixed_tail_reference.json", record_mixed_tail, report_mixed_tail),
     "sampler_tables": ("sampler_tables_reference.json", record_sampler_tables, report_sampler_tables),
     "simulation": ("simulation_reference.json", record_simulation, report_simulation),
 }

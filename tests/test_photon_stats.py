@@ -73,6 +73,24 @@ def cell_mp(n, n_p, n_th, digits=40):
                            for m in range(n + 1))
 
 
+def tail_parts_mp(big_n, n_p, x, digits=40):
+    """The outputs of mixed_tail_parts and the tail P(n >= N) at one element,
+    from their defining sums over p_p(m) and the regularized incomplete gamma
+    function in mpmath; scaled and head are infinite at x == 0 (oracle)."""
+    with mpmath.workdps(digits):
+        lam, x = mpmath.mpf(n_p), mpmath.mpf(x)
+        p = [mpmath.exp(-lam) * lam**m / mpmath.factorial(m) for m in range(big_n)]
+        scaled = [p_m / x**m for m, p_m in enumerate(p)] if x else [mpmath.inf] * big_n
+        poisson = mpmath.gammainc(big_n, 0, lam, regularized=True) if lam else mpmath.mpf(0)
+        return {"tail": poisson + mpmath.fsum(p_m * x ** (big_n - m) for m, p_m in enumerate(p)),
+                "poisson": poisson, "scaled": mpmath.fsum(scaled), "last": p[-1], "head": mpmath.fsum(scaled[:-1])}
+
+
+def relative_error(value, exact):
+    """|value - exact| / |exact|, and |value| where exact is 0."""
+    return float(abs(value - exact) / abs(exact)) if exact else abs(value)
+
+
 class TestThermalPmf:
     def test_unit_noise_values(self):
         assert thermal_pmf(0, 1.0) == 0.5
@@ -477,6 +495,27 @@ class TestMixedTailTerms:
                 assert _mixed_tail(int(big_n[row]), float(n_p[col]), float(x[col])).hex() == tail, (big_n[row], col)
                 tails += 1
         assert tails == 56
+
+    def test_recorded_reference_matches_mpmath(self):
+        # the recorded bits against the parts' defining sums: within 1e-12
+        # relative (the worst is 7.7e-13, Poisson tails of 700 terms at a
+        # mean of 621), or within the smallest subnormal where the exact
+        # value underflows
+        reference = json.loads((Path(__file__).parent / "data" / "mixed_tail_reference.json").read_text())
+        checked = 0
+        for case in reference["cases"]:
+            big_n = np.array(case["threshold_n"])[:, None]
+            n_p, x = (np.array([float.fromhex(h) for h in case[key]]) for key in ("n_p", "x"))
+            shape = np.broadcast_shapes(big_n.shape, n_p.shape, x.shape)
+            inputs = [np.broadcast_to(a, shape).ravel()[case["elements"]].tolist() for a in (big_n, n_p, x)]
+            for i, element in enumerate(zip(*inputs)):
+                exact = tail_parts_mp(*element)
+                for name, values in case["outputs"].items():
+                    value = float.fromhex(values[i])
+                    assert relative_error(value, exact[name]) <= 1e-12 or abs(value - exact[name]) <= 2**-1074, (
+                        name, element)
+                    checked += 1
+        assert checked == 5 * 56
 
     _elementwise = np.random.default_rng(7)
 
