@@ -25,6 +25,20 @@ a sign change and then one root loop, shared by both: safeguarded Newton
 steps in log(n_p) on the function and its analytic slope, in lockstep over
 thresholds and noise levels.
 
+At both ends of the noise axis the advantage region has closed forms in
+the limit.  At high noise, expanding (1 + u)^m in u = 1/n_th turns the
+excess of the quantum SNR over the classical one into
+
+    u^2 E[C(min(n, N), 2)] - u E[(n - N)^+] + O(u^3 n_p^3),
+
+n the Poisson count, a difference of positive terms.  At small n_p this
+puts the boundary at n_p* -> ((N+1)! / (2 n_th))^(1/(N-1)) (3 / n_th for
+N = 2) and the maximizing signal mean at (N! / n_th)^(1/(N-1)), each to a
+relative O(n_p*).  At low noise the boundary lies on the saturated branch,
+where P_poisson(n >= N) -> 1 and S -> 0 up to e^-n_p, so the ratio
+tends to x^-N / (1 + n_p / n_th) and n_p* -> n_th ((1 + 1/n_th)^N - 1).
+The tests check the three limits against mpmath roots of the exact ratio.
+
 Every value comes from one array evaluation over whole grids
 (:func:`pnrlidar.photon_stats.mixed_tail_parts`), which tabulates the
 Poisson terms and running sums once per (n_p, n_th) point, with the term
@@ -179,7 +193,7 @@ def _snr_terms(
         if (n_th == 0.0).any():
             raise ZeroNoiseError("n_th_mean must be > 0 for SNR analysis")
         bad = n_th[~((n_th > 0.0) & (n_th < math.inf))]
-        raise ValueError(f"n_th_mean must be finite and >= 0, got {float(bad[0])!r}")
+        raise ValueError(f"n_th_mean must be finite and > 0, got {float(bad[0])!r}")
     x = n_th / (n_th + 1.0)
     poisson, scaled, *slope_parts = mixed_tail_parts(threshold_n, n_p, x, slope_parts=rise_slope)
     big_n = np.asarray(threshold_n)

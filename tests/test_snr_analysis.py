@@ -2,6 +2,7 @@
 
 import json
 import math
+import operator
 import tracemalloc
 from pathlib import Path
 
@@ -71,6 +72,17 @@ def ratio_mp(n_p, n_th, big_n, digits=40):
     with mpmath.workdps(digits):
         gain, loss = rise_terms_mp(n_p, n_th, big_n, digits)
         return (loss + gain * n_th / n_p) / (1 + mpmath.mpf(n_p) / n_th)
+
+
+def log_bisect_mp(f, lo, hi, steps=100):
+    """The root of f in [lo, hi], a bracket with f(lo) > 0 > f(hi) that it
+    checks, by bisection in log scale: 100 steps from a factor of 16 leave
+    it within 3e-30 relative (oracle)."""
+    assert f(lo) > 0 > f(hi)
+    for _ in range(steps):
+        mid = mpmath.sqrt(lo * hi)
+        lo, hi = (mid, hi) if f(mid) > 0 else (lo, mid)
+    return lo
 
 
 def central_diff(f, a, h=1e-5):
@@ -442,6 +454,36 @@ def per_level_boundary(threshold_n, n_th_grid):
         else:
             points.append((n_th, root))
     return points, no_crossing, multiple
+
+
+class TestClosedFormLimits:
+    """The advantage region's closed-form limits (snr_analysis's docstring)
+    against 60-digit mpmath roots of the exact ratio, with no package code:
+    the boundary is the root of ratio - 1, the optimum that of rise."""
+
+    @pytest.mark.parametrize("big_n", [2, 3, 5])
+    @pytest.mark.parametrize("n_th", [1e2, 1e3, 1e4, 1e5, 1e6])
+    def test_high_noise_boundary_and_optimum(self, big_n, n_th):
+        # each limit is off by O(n_p*): the boundary by about n_p*/6 (N = 2)
+        # to 0.3 n_p* (N = 3), the optimum by n_p*/3 to 0.375 n_p*
+        with mpmath.workdps(60):
+            boundary = (mpmath.factorial(big_n + 1) / (2 * n_th)) ** (mpmath.mpf(1) / (big_n - 1))
+            optimum = (mpmath.factorial(big_n) / n_th) ** (mpmath.mpf(1) / (big_n - 1))
+            root = log_bisect_mp(lambda n_p: ratio_mp(n_p, n_th, big_n, 60) - 1, boundary / 4, boundary * 4)
+            best = log_bisect_mp(lambda n_p: operator.sub(*rise_terms_mp(n_p, n_th, big_n, 60)), optimum / 4, optimum * 4)
+            assert abs(root / boundary - 1) <= boundary / 2
+            assert abs(best / optimum - 1) <= optimum / 2
+
+    @pytest.mark.parametrize("big_n", [2, 3, 5])
+    @pytest.mark.parametrize("n_th", [1e-3, 1e-2, 0.03, 0.1])
+    def test_low_noise_boundary(self, big_n, n_th):
+        # on the saturated branch the corrections are of order e^-n_p*:
+        # 7.4e-5 at N = 2, n_th = 0.1 (n_p* = 12), below the bisection's
+        # 3e-30 from n_p* = 102 up
+        with mpmath.workdps(60):
+            boundary = n_th * ((1 + 1 / mpmath.mpf(n_th)) ** big_n - 1)
+            root = log_bisect_mp(lambda n_p: ratio_mp(n_p, n_th, big_n, 60) - 1, boundary / 4, boundary * 4)
+            assert abs(root / boundary - 1) <= boundary**big_n * mpmath.exp(-boundary) + 1e-29
 
 
 class TestArrayKernel:
