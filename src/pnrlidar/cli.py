@@ -18,7 +18,7 @@ import sys
 from dataclasses import asdict, replace
 from datetime import datetime, timezone
 from importlib import resources
-from itertools import repeat
+from itertools import chain, repeat
 from pathlib import Path
 
 from . import __version__
@@ -27,6 +27,9 @@ from .rangefinder_sim import SimConfig, estimate_ratio, run_simulation
 from .snr_analysis import find_boundary, find_optima, log_grid, snr_report, sweep_ratio
 
 __all__ = ["main", "ConfigError", "parse_sim_config", "bundled_config_path"]
+
+# Rows of a `pmf` table formatted at a time in CSV.
+_PMF_BLOCK = 2**16
 
 
 class ConfigError(ValueError):
@@ -52,20 +55,6 @@ def _csv_block(*columns) -> str:
     return block.replace(".0,", ",").replace(".0\n", "\n")
 
 
-def _rows(rows):
-    """A table's source: its rows of values, or with ``text`` its CSV lines as one block."""
-    def source(text):
-        return [_csv_block(*zip(*rows))] if text else iter(rows)
-
-    return source
-
-
-def _write_csv(stream, columns, text) -> None:
-    # Every field is a number or a column name, so none needs quoting.
-    stream.write(",".join(columns) + "\n")
-    stream.writelines(text)
-
-
 def _manifest(subcommand: str, parameters: dict, seed=None) -> dict:
     return {
         "tool": "pnrlidar",
@@ -77,53 +66,41 @@ def _manifest(subcommand: str, parameters: dict, seed=None) -> dict:
     }
 
 
-def _emit(
-    args,
-    manifest: dict,
-    tables: dict[str, tuple[list, list]],
-    data: dict | None = None,
-    default_format: str = "csv",
-) -> int:
-    """Write CSV table(s) or one structured JSON document, plus the manifest.
+def _emit(args, manifest: dict, tables: dict[str, tuple], data: dict | None = None,
+          default_format: str = "csv") -> int:
+    """Write the tables as CSV, or as one structured JSON document, to stdout
+    or to ``--output`` with the JSON manifest beside it.
 
-    ``tables`` maps a suffix ("" for the primary file) to (columns, source),
-    where ``source(False)`` yields the rows of values, for JSON, and
-    ``source(True)`` the CSV text in pieces of whole lines, each value as
-    ``_csv_block`` writes it.  Structured mode folds everything into a single
-    JSON document.
+    ``tables`` maps each table's JSON name to ``(columns, rows)`` or
+    ``(columns, rows, text)``: ``rows`` holds or yields the rows of values,
+    and ``text``, where given, yields the CSV lines in pieces of whole lines,
+    each value as ``_csv_block`` writes it.  The structured document holds
+    ``{name: {"columns", "rows"}}``, or ``data`` where a command passes it.
+    In CSV the first table is the primary file, and every other table takes
+    its name as a suffix of the file name.
     """
     if (args.format or default_format) == "structured":
         payload = data if data is not None else {
-            name or "table": {"columns": cols, "rows": list(source(False))}
-            for name, (cols, source) in tables.items()
+            name: {"columns": table[0], "rows": list(table[1])} for name, table in tables.items()
         }
-        text = json.dumps({"manifest": manifest, "data": payload}, indent=2) + "\n"
-        if args.output is None:
-            sys.stdout.write(text)
-            return 0
-        Path(args.output).write_text(text)
-        _write_manifest(args.output, manifest)
-        return 0
-
+        files = {"": [json.dumps({"manifest": manifest, "data": payload}, indent=2) + "\n"]}
+    else:
+        # Every field is a number or a column name, so none needs quoting.
+        files = {
+            f"_{name}" if i else "": chain([",".join(table[0]) + "\n"],
+                                         table[2] if len(table) > 2 else [_csv_block(*zip(*table[1]))])
+            for i, (name, table) in enumerate(tables.items())
+        }
     if args.output is None:
-        for name in sorted(tables):
-            cols, source = tables[name]
-            _write_csv(sys.stdout, cols, source(True))
+        for pieces in files.values():
+            sys.stdout.writelines(pieces)
         return 0
     out = Path(args.output)
-    for name, (cols, source) in tables.items():
-        path = out if not name else out.with_name(out.stem + f"_{name}" + out.suffix)
-        with path.open("w", newline="") as fh:
-            _write_csv(fh, cols, source(True))
-    _write_manifest(args.output, manifest)
+    for suffix, pieces in files.items():
+        with (out.with_name(out.stem + suffix + out.suffix) if suffix else out).open("w", newline="") as fh:
+            fh.writelines(pieces)
+    out.with_name(out.stem + ".manifest.json").write_text(json.dumps(manifest, indent=2) + "\n")
     return 0
-
-
-def _write_manifest(output_path, manifest: dict) -> None:
-    path = Path(output_path)
-    path.with_name(path.stem + ".manifest.json").write_text(
-        json.dumps(manifest, indent=2) + "\n"
-    )
 
 
 def _parse_thresholds(text: str) -> tuple[int, ...]:
@@ -191,10 +168,14 @@ def _cmd_pmf(args) -> int:
         "kind": args.kind, "n_p_mean": params.n_p_mean, "n_th_mean": params.n_th_mean,
         "n_max": pmf.n_max, "tolerance": args.tolerance, "residual": pmf.residual,
     })
-    rows = [(n, p) for n, p in enumerate(pmf.probs)]
-    data = {"columns": ["n", "probability"], "rows": rows,
-            "n_max": pmf.n_max, "residual": pmf.residual}
-    return _emit(args, manifest, {"": (["n", "probability"], _rows(rows))}, data)
+    columns = ["n", "probability"]
+    if args.format == "structured":
+        data = {"columns": columns, "rows": list(enumerate(pmf.probs)), "n_max": pmf.n_max, "residual": pmf.residual}
+        return _emit(args, manifest, {}, data)
+    # the CSV text in blocks of rows, so no row tuples or whole-table string are made
+    text = (_csv_block(range(start, start + _PMF_BLOCK), pmf.probs[start:start + _PMF_BLOCK])
+            for start in range(0, len(pmf.probs), _PMF_BLOCK))
+    return _emit(args, manifest, {"table": (columns, (), text)})
 
 
 def _cmd_snr(args) -> int:
@@ -213,7 +194,7 @@ def _cmd_snr(args) -> int:
     return _emit(
         args,
         manifest,
-        {"": (["threshold_n", "classical_snr", "quantum_snr", "snr_ratio"], _rows(rows))},
+        {"table": (["threshold_n", "classical_snr", "quantum_snr", "snr_ratio"], rows)},
         data,
         default_format="structured",
     )
@@ -222,13 +203,13 @@ def _cmd_snr(args) -> int:
 def _cmd_sweep(args) -> int:
     grid = _grid(args)
     table = sweep_ratio(args.n_th, args.thresholds, grid)
-    ratios = table.tolist()
 
-    def rows(text):
-        if not text:
-            for n, values in zip(args.thresholds, ratios):
-                yield from zip(grid, repeat(n), values)
-            return
+    # each threshold's ratios become Python floats one row at a time
+    def rows():
+        for n, values in zip(args.thresholds, table):
+            yield from zip(grid, repeat(n), values.tolist())
+
+    def text():
         # One text block per threshold from one template of "g,\0,%r" lines,
         # each grid value formatted once: %r is a float's repr, and repr puts
         # ".0" only at the end of an integral float, so _csv_block's rule is
@@ -236,8 +217,8 @@ def _cmd_sweep(args) -> int:
         # (the replace scans the block at about 0.85 ns a byte).
         template = _csv_block(grid).replace("\n", ",\0,%r\n")
         integral = (table == table.round()).any(axis=1).tolist()
-        for n, values, dot_zero in zip(args.thresholds, ratios, integral):
-            block = template.replace("\0", str(n)) % tuple(values)
+        for n, values, dot_zero in zip(args.thresholds, table, integral):
+            block = template.replace("\0", str(n)) % tuple(values.tolist())
             yield block.replace(".0\n", "\n") if dot_zero else block
 
     manifest = _manifest("sweep", {
@@ -245,7 +226,7 @@ def _cmd_sweep(args) -> int:
         "grid_min": args.grid_min, "grid_max": args.grid_max,
         "grid_points": args.grid_points, "grid_scale": args.grid_scale,
     })
-    return _emit(args, manifest, {"": (["n_p_mean", "threshold_n", "ratio"], rows)})
+    return _emit(args, manifest, {"table": (["n_p_mean", "threshold_n", "ratio"], rows(), text())})
 
 
 def _cmd_optimum(args) -> int:
@@ -255,7 +236,7 @@ def _cmd_optimum(args) -> int:
     ]
     manifest = _manifest("optimum", {"n_th_mean": args.n_th, "thresholds": list(args.thresholds)})
     columns = ["threshold_n", "n_th_mean", "best_n_p_mean", "best_ratio"]
-    return _emit(args, manifest, {"": (columns, _rows(rows))})
+    return _emit(args, manifest, {"table": (columns, rows)})
 
 
 def _cmd_boundary(args) -> int:
@@ -289,7 +270,7 @@ def _cmd_boundary(args) -> int:
         "nth_max": args.nth_max, "nth_points": args.nth_points,
         "no_crossing": skipped, "multiple_crossings": multiple,
     })
-    return _emit(args, manifest, {"": (["threshold_n", "n_th_mean", "n_p_mean", "ratio"], _rows(rows))})
+    return _emit(args, manifest, {"table": (["threshold_n", "n_th_mean", "n_p_mean", "ratio"], rows)})
 
 
 def _cmd_simulate(args) -> int:
@@ -303,12 +284,7 @@ def _cmd_simulate(args) -> int:
     ratio_cols = ["bin", "signal_mean", "threshold_n", "intensity_norm", "threshold_norm",
                   "ratio", "intensity_se", "threshold_se"]
     manifest = _manifest("simulate", asdict(config), seed=config.seed)
-    data = {
-        "bins": {"columns": bin_cols, "rows": bin_rows},
-        "ratios": {"columns": ratio_cols, "rows": ratio_rows},
-    }
-    tables = {"": (bin_cols, _rows(bin_rows)), "ratios": (ratio_cols, _rows(ratio_rows))}
-    return _emit(args, manifest, tables, data)
+    return _emit(args, manifest, {"bins": (bin_cols, bin_rows), "ratios": (ratio_cols, ratio_rows)})
 
 
 def _simulation_rows(config: SimConfig) -> tuple[list, list]:
@@ -371,8 +347,8 @@ def parse_sim_config(text: str, source: str = "<config>") -> SimConfig:
             raise ConfigError(f"{source}:{lineno}: duplicate key {key!r}")
         try:
             values[key] = _CONFIG_PARSERS[key](val)
-        except (ValueError, IndexError):
-            raise ConfigError(f"{source}:{lineno}: cannot parse value {val!r} for {key!r}") from None
+        except ValueError as exc:
+            raise ConfigError(f"{source}:{lineno}: cannot parse value {val!r} for {key!r}: {exc}") from None
     missing = [k for k in ("repetitions", "seed") if k not in values]
     if missing:
         raise ConfigError(f"{source}: missing required key(s): {', '.join(missing)}")

@@ -1,6 +1,7 @@
 """CLI surface: tables, manifests, config handling, reproducibility."""
 
 import argparse
+import contextlib
 import csv
 import inspect
 import json
@@ -29,6 +30,22 @@ def run_cli(*argv):
 def read_csv(path):
     with open(path, newline="") as fh:
         return list(csv.DictReader(fh))
+
+
+class LineCounter:
+    """A stdout, written in whole lines, that keeps only its line count and last line."""
+
+    def __init__(self):
+        self.lines, self.last = 0, ""
+
+    def write(self, text):
+        self.lines += text.count("\n")
+        self.last = text.rstrip("\n").rpartition("\n")[2] or self.last
+        return len(text)
+
+    def writelines(self, pieces):
+        for piece in pieces:
+            self.write(piece)
 
 
 class TestPmfCommand:
@@ -93,6 +110,23 @@ class TestPmfCommand:
         captured = capsys.readouterr()
         assert captured.err == f"pnrlidar: error: {refusal}\n"
         assert captured.out == ""
+
+    def test_wide_table_streams_its_csv(self):
+        # the CSV is formatted in blocks of rows, with no row tuples and no
+        # whole-table string: Poisson 1e5 (102,234 rows) peaked at 22.9 MB
+        # traced when it was; it now takes about 9.0 MB, most of it
+        # build_pmf's table
+        stdout = LineCounter()
+        tracemalloc.start()
+        try:
+            with contextlib.redirect_stdout(stdout):
+                assert run_cli("pmf", "--kind", "poisson", "--n-p", "1e5") == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 22.9e6 / 2
+        assert stdout.lines == 1 + 102_234
+        assert stdout.last.startswith("102233,")
 
     def test_wide_thermal_table_ends_within_tolerance(self, capsys):
         # x = 20/21: the first row past which at most 1e-12 is left is 566
@@ -414,6 +448,18 @@ class TestOptimumBoundaryCommands:
             assert abs(float(line.split(",")[3]) - 1.0) <= 1e-5
 
 
+class TestNoiseDomain:
+    @pytest.mark.parametrize("argv, value", [
+        (("optimum", "--n-th", "inf"), "inf"),
+        (("sweep", "--n-th", "-1"), "-1.0"),
+    ])
+    def test_noise_outside_the_domain_is_one_error_line(self, capsys, argv, value):
+        assert run_cli(*argv) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"pnrlidar: error: n_th_mean must be finite and > 0, got {value}\n"
+        assert captured.out == ""
+
+
 class TestSeedOption:
     @pytest.mark.parametrize("argv", [
         ("pmf", "--kind", "thermal", "--n-th", "1"),
@@ -592,6 +638,18 @@ class TestSimulateCommand:
         assert run_cli("simulate", "--config", "/nonexistent.cfg") == 1
         assert "not found" in capsys.readouterr().err
 
+    def test_config_without_targets_gives_an_empty_ratios_table(self, tmp_path, capsys):
+        config = tmp_path / "noise.cfg"
+        config.write_text("num_bins = 4\nnoise_mean = 1.0\nthresholds = 2\nrepetitions = 20\nseed = 3\n")
+        out = tmp_path / "run.csv"
+        assert run_cli("simulate", "--config", str(config), "--output", str(out)) == 0
+        assert len(read_csv(out)) == 4
+        assert (tmp_path / "run_ratios.csv").read_text() == (
+            "bin,signal_mean,threshold_n,intensity_norm,threshold_norm,ratio,intensity_se,threshold_se\n")
+        assert run_cli("simulate", "--config", str(config), "--format", "structured") == 0
+        data = json.loads(capsys.readouterr().out)["data"]
+        assert data["ratios"]["rows"] == [] and len(data["bins"]["rows"]) == 4
+
 
 class TestConfigParsing:
     def test_line_precise_unknown_key(self):
@@ -603,6 +661,21 @@ class TestConfigParsing:
         text = "# comment\nrepetitions = many\nseed = 1\n"
         with pytest.raises(ConfigError, match=r"demo\.cfg:2"):
             parse_sim_config(text, "demo.cfg")
+
+    def test_empty_target_entries_are_skipped(self):
+        text = "targets = 10:0.5,,20:1,\nrepetitions = 5\nseed = 1\n"
+        assert parse_sim_config(text, "demo.cfg").targets == ((10, 0.5), (20, 1.0))
+
+    def test_target_without_a_mean_names_the_form(self):
+        text = "targets = 10\nrepetitions = 5\nseed = 1\n"
+        with pytest.raises(ConfigError) as info:
+            parse_sim_config(text, "demo.cfg")
+        assert str(info.value) == "demo.cfg:1: cannot parse value '10' for 'targets': expected 'bin:mean', got '10'"
+
+    def test_line_without_equals_sign(self):
+        with pytest.raises(ConfigError) as info:
+            parse_sim_config("seed = 1\nrepetitions 5\n", "demo.cfg")
+        assert str(info.value) == "demo.cfg:2: expected 'key = value', got 'repetitions 5'"
 
     def test_missing_required_keys(self):
         with pytest.raises(ConfigError, match="missing required"):
