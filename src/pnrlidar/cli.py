@@ -204,7 +204,8 @@ def _cmd_sweep(args) -> int:
     grid = _grid(args)
     table = sweep_ratio(args.n_th, args.thresholds, grid)
 
-    # each threshold's ratios become Python floats one row at a time
+    # rows() and text() turn one threshold's ratios into Python floats at a
+    # time, not the whole table at once
     def rows():
         for n, values in zip(args.thresholds, table):
             yield from zip(grid, repeat(n), values.tolist())

@@ -11,9 +11,10 @@ The report prints each boundary point that would move, with its old and new
 |ratio - 1| by 40-digit mpmath (the tests' oracle), then a summary; for the
 CLI file it names each argv whose exit code or stdout would change; for the
 tail parts it prints each moved value with its old and new relative error
-against 40-digit mpmath's sums of the parts; for the sampler tables it prints each law whose n_max, residual or cells would move,
-with the old and new residual's relative error against the mass beyond the
-table by 40-digit mpmath; for the simulations it names each case and bin
+against 40-digit mpmath's sums of the parts; for the sampler tables it
+prints each law whose n_max, residual or cells would move, with the old and
+new residual's relative error against the mass beyond the table by 40-digit
+mpmath; for the simulations it names each case and bin
 whose channels would move, with the bin's old and new count sum.
 """
 
@@ -116,14 +117,20 @@ def record_cli() -> str:
     return _dumps({"about": CLI_ABOUT, "cases": cases})
 
 
-def mixed_tail_outputs(case: dict) -> dict:
-    """One case's outputs at its listed elements, as the file stores them: every float as float.hex."""
+def mixed_tail_inputs(case: dict) -> tuple[tuple[np.ndarray, ...], list[tuple]]:
+    """One case's arrays (the thresholds as a column, n_p and x) and the (N, n_p, x) of each listed element."""
     big_n = np.array(case["threshold_n"])[:, None]
     n_p, x = (np.array([float.fromhex(h) for h in case[key]]) for key in ("n_p", "x"))
-    parts = mixed_tail_parts(big_n, n_p, x)
-    inputs = [np.broadcast_to(a, parts[0].shape).ravel()[case["elements"]].tolist() for a in (big_n, n_p, x)]
-    outputs = {"tail": [_mixed_tail(*element).hex() for element in zip(*inputs)]}
-    for name, part in zip(("poisson", "scaled", "last", "head"), parts, strict=True):
+    shape = np.broadcast_shapes(big_n.shape, n_p.shape, x.shape)
+    columns = (np.broadcast_to(a, shape).ravel()[case["elements"]].tolist() for a in (big_n, n_p, x))
+    return (big_n, n_p, x), list(zip(*columns))
+
+
+def mixed_tail_outputs(case: dict) -> dict:
+    """One case's outputs at its listed elements, as the file stores them: every float as float.hex."""
+    arrays, elements = mixed_tail_inputs(case)
+    outputs = {"tail": [_mixed_tail(*element).hex() for element in elements]}
+    for name, part in zip(("poisson", "scaled", "last", "head"), mixed_tail_parts(*arrays), strict=True):
         outputs[name] = [v.hex() for v in part.ravel()[case["elements"]].tolist()]
     return outputs
 
@@ -222,17 +229,13 @@ def report_mixed_tail(new_text: str) -> None:
 
     moved, total = 0, 0
     for old, new in zip(_cases("mixed_tail_reference.json"), json.loads(new_text)["cases"]):
-        big_n = np.array(old["threshold_n"])[:, None]
-        n_p, x = (np.array([float.fromhex(h) for h in old[key]]) for key in ("n_p", "x"))
-        inputs = [np.broadcast_to(a, np.broadcast_shapes(big_n.shape, n_p.shape, x.shape)).ravel().tolist()
-                  for a in (big_n, n_p, x)]
+        elements = mixed_tail_inputs(old)[1]
         for name, values in new["outputs"].items():
-            for element, before, after in zip(old["elements"], old["outputs"][name], values):
+            for (n, mean, ratio), before, after in zip(elements, old["outputs"][name], values, strict=True):
                 total += 1
                 if before == after:
                     continue
                 moved += 1
-                n, mean, ratio = (a[element] for a in inputs)
                 exact = tail_parts_mp(n, mean, ratio)[name]
                 errors = [relative_error(float.fromhex(h), exact) for h in (before, after)]
                 print(f"{name} at N = {n}, n_p = {mean!r}, x = {ratio!r}: {before} -> {after}, "

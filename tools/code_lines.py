@@ -19,27 +19,19 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = "src/pnrlidar"
-_LAYOUT = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT, tokenize.DEDENT,
-           tokenize.ENCODING, tokenize.ENDMARKER}
-_STATEMENT_START = {tokenize.NEWLINE, tokenize.INDENT, tokenize.DEDENT, tokenize.ENCODING, tokenize.NL}
+_LAYOUT = {tokenize.NL, tokenize.NEWLINE, tokenize.INDENT, tokenize.DEDENT, tokenize.ENDMARKER}
+_STATEMENT_START = {tokenize.NEWLINE, tokenize.INDENT, tokenize.DEDENT, tokenize.NL}
 
 
 def code_lines(source: str) -> int:
     """The number of lines of ``source`` that hold code."""
-    tokens = [t for t in tokenize.generate_tokens(io.StringIO(source).readline)]
+    tokens = [t for t in tokenize.generate_tokens(io.StringIO(source).readline) if t.type != tokenize.COMMENT]
     lines = set()
-    previous = tokenize.ENCODING
-    for i, token in enumerate(tokens):
-        if token.type in _LAYOUT:
-            if token.type != tokenize.COMMENT:
-                previous = token.type
-            continue
-        following = next((t.type for t in tokens[i + 1:] if t.type != tokenize.COMMENT), tokenize.NEWLINE)
-        docstring = (token.type == tokenize.STRING and previous in _STATEMENT_START
-                     and following in (tokenize.NEWLINE, tokenize.ENDMARKER))
-        if not docstring:
+    for previous, token, following in zip([None, *tokens], tokens, [*tokens[1:], None]):
+        docstring = (token.type == tokenize.STRING and (previous is None or previous.type in _STATEMENT_START)
+                     and (following is None or following.type in (tokenize.NEWLINE, tokenize.ENDMARKER)))
+        if token.type not in _LAYOUT and not docstring:
             lines.update(range(token.start[0], token.end[0] + 1))
-        previous = token.type
     return len(lines)
 
 
