@@ -113,9 +113,9 @@ class TestPmfCommand:
 
     def test_wide_table_streams_its_csv(self):
         # the CSV is formatted in blocks of rows, with no row tuples and no
-        # whole-table string: Poisson 1e5 (102,234 rows) peaked at 22.9 MB
-        # traced when it was; it now takes about 9.0 MB, most of it
-        # build_pmf's table
+        # whole-table string: Poisson 1e5 (102,234 rows) takes about 9.0 MB
+        # traced, most of it build_pmf's table, where row tuples and one
+        # string took 22.9 MB
         stdout = LineCounter()
         tracemalloc.start()
         try:
