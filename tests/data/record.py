@@ -14,8 +14,11 @@ tail parts it prints each moved value with its old and new relative error
 against 40-digit mpmath's sums of the parts; for the sampler tables it
 prints each law whose n_max, residual or cells would move, with the old and
 new residual's relative error against the mass beyond the table by 40-digit
-mpmath; for the simulations it names each case and bin
-whose channels would move, with the bin's old and new count sum.
+mpmath, and for its cells, residual and overflow weights how many moved;
+for the simulations it names each case and bin whose channels would move,
+with the bin's old and new count sum.  The tail parts' and sampler tables'
+summaries end with how many moved values came closer to mpmath, stayed as
+close or moved away, and the worst moved error before and after.
 """
 
 from __future__ import annotations
@@ -227,7 +230,7 @@ def report_mixed_tail(new_text: str) -> None:
     """Print each moved output with its old and new relative error against mpmath, then a summary."""
     from test_photon_stats import relative_error, tail_parts_mp
 
-    moved, total = 0, 0
+    moved, total = [], 0
     for old, new in zip(_cases("mixed_tail_reference.json"), json.loads(new_text)["cases"]):
         elements = mixed_tail_inputs(old)[1]
         for name, values in new["outputs"].items():
@@ -235,38 +238,63 @@ def report_mixed_tail(new_text: str) -> None:
                 total += 1
                 if before == after:
                     continue
-                moved += 1
                 exact = tail_parts_mp(n, mean, ratio)[name]
-                errors = [relative_error(float.fromhex(h), exact) for h in (before, after)]
+                moved.append([relative_error(float.fromhex(h), exact) for h in (before, after)])
                 print(f"{name} at N = {n}, n_p = {mean!r}, x = {ratio!r}: {before} -> {after}, "
-                      f"relative error {errors[0]:.2e} -> {errors[1]:.2e}")
-    print(f"mixed_tail: {moved} of {total} values moved")
+                      f"relative error {moved[-1][0]:.2e} -> {moved[-1][1]:.2e}")
+    print(f"mixed_tail: {len(moved)} of {total} values moved; {_tally(moved)}")
 
 
 def report_sampler_tables(new_text: str) -> None:
     """Print each law whose table would move, with its old and new residual's error against mpmath."""
-    from test_photon_stats import tail_beyond_mp
+    import mpmath
+    from test_photon_stats import cell_mp, relative_error, tail_beyond_mp
+
+    def weight_mp(i, n_p, n_th, m):
+        """Overflow weight i of a table to row m in 40-digit mpmath: x p(m) / (1 - x) + pois(m + 1)
+        at i = 0, then pois(m + 1 + i)."""
+        with mpmath.workdps(40):
+            lam, base = mpmath.mpf(n_p), m + 1 + i
+            pois = mpmath.exp(-lam) * lam**base / mpmath.factorial(base)
+            return pois + (mpmath.mpf(n_th) * cell_mp(m, n_p, n_th) if i == 0 else 0)
 
     old_laws = json.loads((DATA / "sampler_tables_reference.json").read_text())["laws"]
     new_laws = json.loads(new_text)["laws"]
-    moved = 0
+    moved_laws, moved = 0, []
     for old, new in zip(old_laws, new_laws):
         if all(old.get(key) == value for key, value in new.items()):
             continue
-        moved += 1
+        moved_laws += 1
         kind, n_p, n_th = old["kind"], old["n_p"], old["n_th"]
         print(f"{kind} n_p = {n_p!r}, n_th = {n_th!r}, {old['args']}:")
         for name, law in (("old", old), ("new", new)):
             residual = float.fromhex(law["residual"])
             exact = tail_beyond_mp(n_p, n_th, law["n_max"])
-            error = abs(residual - exact) / exact if exact else abs(residual)
             print(f"  {name}: n_max {law['n_max']}, residual {residual:.6e} ({law['residual']}), "
-                  f"mpmath {float(exact):.6e}, relative error {float(error):.2e}")
-        shared = min(len(old["probs"]), len(new["probs"]))
-        changed = sum(a != b for a, b in zip(old["probs"][:shared], new["probs"][:shared]))
-        print(f"  cells: {changed} of the {shared} shared rows moved; overflow weights "
-              f"{'unchanged' if old['weights'] == new['weights'] else 'moved'}")
-    print(f"sampler_tables: {moved} of {len(new_laws)} laws moved")
+                  f"mpmath {float(exact):.6e}, relative error {relative_error(residual, exact):.2e}")
+        # each moved value of the rows both tables hold, against mpmath; the residual and the
+        # overflow weights are the same quantities only where the tables end at the same row
+        oracles = {"probs": lambda n: cell_mp(n, n_p, n_th)}
+        if old["n_max"] == new["n_max"]:
+            oracles["residual"] = lambda _: tail_beyond_mp(n_p, n_th, new["n_max"])
+            oracles["weights"] = lambda i: weight_mp(i, n_p, n_th, new["n_max"])
+        for name, oracle in oracles.items():
+            values = [[law[name]] if name == "residual" else law[name] for law in (old, new)]
+            errors = [[relative_error(float.fromhex(h), oracle(i)) for h in (a, b)]
+                      for i, (a, b) in enumerate(zip(*values)) if a != b]
+            moved += errors
+            print(f"  {name}: {len(errors)} of the {min(map(len, values))} shared values moved; {_tally(errors)}")
+    print(f"sampler_tables: {moved_laws} of {len(new_laws)} laws moved; {_tally(moved)}")
+
+
+def _tally(moved: list[list[float]]) -> str:
+    """How many moved values came closer to mpmath, stayed as close or moved away, from their
+    [old, new] relative errors, and the worst error before and after."""
+    closer = sum(new < old for old, new in moved)
+    away = sum(new > old for old, new in moved)
+    worst = [max((errors[i] for errors in moved), default=0.0) for i in (0, 1)]
+    return (f"{closer} closer to mpmath, {len(moved) - closer - away} as close, {away} farther; "
+            f"worst moved error {worst[0]:.2e} -> {worst[1]:.2e}")
 
 
 def report_simulation(new_text: str) -> None:
