@@ -56,14 +56,16 @@ CLI_ABOUT = (
 MIXED_TAIL_ABOUT = (
     "the outputs poisson, scaled, last and head of mixed_tail_parts(threshold_n[:, None], n_p, x), and tail of "
     "_mixed_tail(N, n_p, x) at each element's N, n_p and x, at the listed flat output elements, as float.hex; "
-    "recorded from the per-element Poisson walk that preceded the per-column table, numpy 2.4.6 on x86_64"
+    "recorded by tests/data/record.py from Poisson rows that recur from e^-mean at every row below 1024 for "
+    "means up to 30 and take log space for larger means, numpy 2.4.6 on x86_64"
 )
 SAMPLER_ABOUT = (
     "build_pmf(SourceParams(n_p, n_th), **args) and _overflow_weights of that table, as float.hex, each law "
     "labelled by its pmf --kind: the rangefinder's tables (n_max as rangefinder_sim._count_table sets it) for the "
     "fig-4 laws (noise and targets at n_th = 1) and perfbench/strong_target.cfg's targets, and one tolerance-mode "
-    "table per kind; each residual the law's mass beyond n_max, summed in positive terms; recorded by "
-    "tests/data/record.py with numpy 2.4.6 on x86_64"
+    "table per kind; each residual the law's mass beyond n_max, summed in positive terms; the Poisson rows of "
+    "means up to 30 recur from e^-mean at every row below 1024; recorded by tests/data/record.py with numpy "
+    "2.4.6 on x86_64"
 )
 SIMULATION_ABOUT = (
     "run_simulation(SimConfig(**config)) raw channels, the square sums as float.hex: paper_fig4 at R = 5 and "

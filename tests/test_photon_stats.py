@@ -5,6 +5,7 @@ import itertools
 import json
 import math
 import operator
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -62,6 +63,20 @@ def tail_beyond_mp(n_p, n_th, n_max, digits=40):
         return poisson + mpmath.fsum(
             mpmath.exp(-mean) * mean**k / mpmath.factorial(k) * x ** (n_max + 1 - k) for k in range(n_max + 1)
         )
+
+
+def poisson_mp(n, n_p, digits=40):
+    """p_p(n) in mpmath, as a float (oracle)."""
+    with mpmath.workdps(digits):
+        mean = mpmath.mpf(n_p)
+        return float(mpmath.exp(-mean) * mean**n / mpmath.factorial(n))
+
+
+def log_space_pmf(n, n_p):
+    """p_p(n) = exp(n log(n_p) - n_p - log(n!)) in math's exp, log and lgamma, for n_p > 0: the
+    scalar form of the tables' rows for a mean above 30, where its relative error is a few
+    ulps of the log's terms (reference)."""
+    return math.exp(n * math.log(n_p) - n_p - math.lgamma(n + 1))
 
 
 def cell_mp(n, n_p, n_th, digits=40):
@@ -137,34 +152,92 @@ class TestPoissonPmf:
         with pytest.raises(ValueError):
             poisson_pmf(1, -0.5)
 
+    def test_is_a_cell_of_the_rows(self):
+        # one value per term: the scalar reads the tables' rows, bit for bit
+        means = np.array([0.0, 1e-160, 0.05, 3.0, 7.0, 30.0, 31.0, 450.0, 3e4])
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            rows = _poisson_rows(np.empty((1024, means.size)), means, 0)
+            for n in (0, 1, 7, 30, 31, 100, 480, 500, 1023, 1024, 1500, 29_990):
+                cells = rows[n] if n < 1024 else _poisson_rows(np.empty((1, means.size)), means, n)[0]
+                for mean, cell in zip(means.tolist(), cells.tolist()):
+                    assert poisson_pmf(n, mean).hex() == cell.hex(), (n, mean)
+
+    def test_deep_row_is_read_without_a_walk(self):
+        # from row 1024 on a cell is read alone, in log space, however deep
+        elapsed = []
+        for _ in range(5):
+            start = time.perf_counter()
+            assert poisson_pmf(10**9, 1.0) == 0.0
+            elapsed.append(time.perf_counter() - start)
+        assert min(elapsed) < 1e-3
+
 
 class TestPoissonRows:
-    # poisson_pmf is the scalar reference: the rows take np.exp and np.log
-    # where it takes math.exp and math.log, so they agree to about an ulp.
-    MEANS = np.array([0.0, 1e-160, 1.0, 30.0, 31.0, 500.0, 3e4])
+    # Each regime against an oracle of its own: a mean up to 30 recurs
+    # from e^-mean at every row below 1024, checked against 40-digit mpmath;
+    # a larger mean takes log space at every row, checked against that
+    # formula in math's exp, log and lgamma.
+    MEANS = np.array([0.0, 1e-160, 0.05, 1.0, 7.5, 30.0, 31.0, 500.0, 3e4])
+    SMALL = MEANS <= 30.0
 
     def rows(self, start, count, before=None):
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             return _poisson_rows(np.empty((count, self.MEANS.size)), self.MEANS, start, before)
 
-    def assert_scalar_rows(self, p, start):
-        want = [[poisson_pmf(start + i, mean) for mean in self.MEANS.tolist()] for i in range(len(p))]
-        np.testing.assert_allclose(p, want, rtol=1e-13, atol=0.0)  # a 0 of poisson_pmf is an exact 0
+    def column_rows(self, start, count):
+        # through _poisson_column, which walks a start below 1024 from row 0
+        return np.array([list(itertools.chain(*photon_stats._poisson_column(mean, start, start + count, count)))
+                         for mean in self.MEANS.tolist()]).T
 
-    def test_rows_match_the_scalar_reference(self):
-        self.assert_scalar_rows(self.rows(0, 40), 0)
+    def assert_rows(self, p, start):
+        # within 1e-14 of mpmath down to underflow: below the smallest normal
+        # double, within 1e-14 of it
+        tiny = np.finfo(float).tiny
+        for i, row in enumerate(p[:, self.SMALL].tolist()):
+            for got, mean in zip(row, self.MEANS[self.SMALL].tolist()):
+                exact = poisson_mp(start + i, mean)
+                assert abs(got - exact) <= 1e-14 * max(exact, tiny), (start + i, mean, got)
+        want = [[log_space_pmf(start + i, mean) for mean in self.MEANS[~self.SMALL].tolist()] for i in range(len(p))]
+        np.testing.assert_allclose(p[:, ~self.SMALL], want, rtol=1e-13, atol=0.0)  # a 0 there is an exact 0
+
+    def test_rows_match_their_oracles(self):
+        self.assert_rows(self.rows(0, 1100), 0)
         for start in (480, 29_990):
-            self.assert_scalar_rows(self.rows(start, 40), start)
+            self.assert_rows(self.column_rows(start, 40), start)
 
     def test_blocks_continue_the_recurrence(self):
-        # rows 29..32 cross the switch to log space; each block after the
-        # first starts from the row before it, and the bits do not move
-        whole, blocks, start = self.rows(0, 40), [], 0
-        for count in (29, 4, 7):
+        # each block after the first starts from the row before it, and the
+        # bits do not move; the last block crosses row 1024, past which a
+        # mean up to 30 takes log space, where its cells are 0
+        whole, blocks, start = self.rows(0, 1030), [], 0
+        for count in (29, 4, 990, 7):
             blocks.append(self.rows(start, count, blocks[-1][-1] if blocks else None))
             start += count
-        self.assert_scalar_rows(blocks[1], 29)
+        self.assert_rows(blocks[1], 29)
+        assert not blocks[-1][-6:, self.SMALL].any()
         assert np.concatenate(blocks).view(np.int64).tolist() == whole.view(np.int64).tolist()
+
+    def test_upper_tail_continues_the_rows(self):
+        # one value per Poisson term: for a mean up to 30, the recurrence the
+        # upper tail takes from row N gives the bits of rows N + 1, N + 2, ...,
+        # and an upper element's Poisson tail is those rows summed in order
+        lam = np.geomspace(0.05, 30.0, 40)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            rows = _poisson_rows(np.empty((1024, lam.size)), lam, 0)
+        for big_n in range(1, 61):
+            term, continued = rows[big_n], []
+            for m in range(big_n + 1, 1024):
+                term = term * (lam / m)
+                continued.append(term)
+            assert np.array(continued).view(np.int64).tolist() == rows[big_n + 1 :].view(np.int64).tolist(), big_n
+        big_n = np.arange(1, 61)[:, None]
+        poisson = mixed_tail_parts(big_n, lam, 0.5, slope_parts=False)[0]
+        mass = np.minimum(np.add.accumulate(rows, axis=0), 1.0)[big_n - 1, np.arange(lam.size)]
+        upper = mass >= 0.5
+        in_order = np.array([[functools.reduce(operator.add, rows[n:, c].tolist()) for c in range(lam.size)]
+                             for n in big_n.ravel().tolist()])
+        assert upper.sum() > 500
+        assert poisson[upper].view(np.int64).tolist() == in_order[upper].view(np.int64).tolist()
 
 
 class TestMixedPmf:
@@ -216,6 +289,13 @@ class TestBuildPmf:
         pmf = build_pmf(SourceParams(0.0, 1.0), 1e-12)
         assert pmf.n_max == 39
         assert pmf.residual == pytest.approx(2.0**-40)
+
+    def test_poisson_cells_keep_their_digits(self):
+        # every cell of a mean up to 30 recurs from e^-mean: within 1e-15 of
+        # mpmath out to row 200, where log-space rows past row 30 were 1.8e-13 off
+        pmf = build_pmf(SourceParams(20.0, 0.0), n_max=200)
+        worst = max(relative_error(p, poisson_mp(n, 20.0)) for n, p in enumerate(pmf.probs))
+        assert worst <= 1e-15
 
     def test_poisson_mass_captured(self):
         pmf = build_pmf(SourceParams(10.0, 0.0), 1e-12)
@@ -438,14 +518,17 @@ class TestMixedTailTerms:
                 assert array[i].tolist() == np.broadcast_to(single, array[i].shape).tolist()
 
     def test_last_term_is_the_poisson_pmf_below_threshold(self):
-        # last = p_p(N - 1), in both regimes of poisson_pmf, and each
-        # element of a threshold-axis call is the one-threshold value
+        # last = p_p(N - 1), for means up to 30 and above, within 1e-13 of
+        # mpmath down to underflow, and each element of a threshold-axis call
+        # is the one-threshold value
         signal = np.array([0.0, *self.SIGNAL.tolist()])
         big_n = np.random.default_rng(1).permutation(np.arange(1, 51))
         last = mixed_tail_parts(big_n[:, None], signal, 0.5)[2]
+        tiny = np.finfo(float).tiny
         for i, n in enumerate(big_n.tolist()):
-            pmf = [poisson_pmf(n - 1, n_p) for n_p in signal.tolist()]
-            np.testing.assert_allclose(last[i], pmf, rtol=1e-13, atol=0.0)
+            for got, n_p in zip(last[i].tolist(), signal.tolist()):
+                exact = poisson_mp(n - 1, n_p)
+                assert abs(got - exact) <= 1e-13 * max(exact, tiny), (n, n_p, got)
             assert last[i].tolist() == mixed_tail_parts(n, signal, 0.5)[2].tolist()
 
     def test_stepped_upper_tail_matches_one_element_calls(self):
