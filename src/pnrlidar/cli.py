@@ -83,7 +83,8 @@ def _emit(args, manifest: dict, tables: dict[str, tuple], data: dict | None = No
         payload = data if data is not None else {
             name: {"columns": table[0], "rows": list(table[1])} for name, table in tables.items()
         }
-        files = {"": [json.dumps({"manifest": manifest, "data": payload}, indent=2) + "\n"]}
+        # the document in the encoder's pieces, so no whole-document string is made
+        files = {"": chain(json.JSONEncoder(indent=2).iterencode({"manifest": manifest, "data": payload}), ["\n"])}
     else:
         # Every field is a number or a column name, so none needs quoting.
         files = {

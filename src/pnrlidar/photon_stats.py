@@ -78,10 +78,11 @@ _LOG_FACTORIALS = np.fromiter(map(math.lgamma, range(1, 1025)), float, 1024)
 # Rows a table may hold: a table whose tail bound asks for more, or a fixed
 # n_max past it, is refused before its first row is made.  A row costs about
 # 41 B in build_pmf (a float and its list and tuple slots), and the `pmf`
-# command's CSV, formatted in blocks of rows, adds little to it: traced peaks
-# of 41.4 MB for the CSV and 400 MB for --format structured at a Poisson
-# mean of 1e6 (1.007e6 rows).  So this bounds the command to about 90 MB,
-# and 0.85 GB in structured form.
+# command's CSV, formatted in blocks of rows, adds little to it; its
+# structured document, written in the JSON encoder's pieces, adds a list of
+# (n, p) row tuples: traced peaks of 41.6 MB for the CSV and 125.4 MB for
+# --format structured at a Poisson mean of 1e6 (1.007e6 rows).  So this
+# bounds the command to about 90 MB, and 265 MB in structured form.
 _ROW_BUDGET = 2**21
 
 

@@ -33,14 +33,16 @@ def read_csv(path):
 
 
 class LineCounter:
-    """A stdout, written in whole lines, that keeps only its line count and last line."""
+    """A stdout that keeps only its line count, its last line where it is
+    written in whole lines, and its last 256 characters."""
 
     def __init__(self):
-        self.lines, self.last = 0, ""
+        self.lines, self.last, self.tail = 0, "", ""
 
     def write(self, text):
         self.lines += text.count("\n")
         self.last = text.rstrip("\n").rpartition("\n")[2] or self.last
+        self.tail = (self.tail + text)[-256:]
         return len(text)
 
     def writelines(self, pieces):
@@ -127,6 +129,23 @@ class TestPmfCommand:
         assert peak < 22.9e6 / 2
         assert stdout.lines == 1 + 102_234
         assert stdout.last.startswith("102233,")
+
+    def test_wide_structured_table_streams_its_document(self):
+        # the document goes out in the JSON encoder's pieces, with no
+        # whole-document string: Poisson 1e5 takes about 12.9 MB traced,
+        # where one json.dumps string took 40.7 MB
+        stdout = LineCounter()
+        tracemalloc.start()
+        try:
+            with contextlib.redirect_stdout(stdout):
+                assert run_cli("pmf", "--kind", "poisson", "--n-p", "1e5", "--format", "structured") == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 40.7e6 / 2
+        assert stdout.lines == 27 + 4 * 102_234  # each row a list of 4 lines at indent 2
+        assert stdout.tail.endswith('[\n        102233,\n        2.2296185981525063e-14\n      ]\n    ],\n'
+                                    '    "n_max": 102233,\n    "residual": 9.791445149544674e-13\n  }\n}\n')
 
     def test_wide_thermal_table_ends_within_tolerance(self, capsys):
         # x = 20/21: the first row past which at most 1e-12 is left is 566
