@@ -74,6 +74,16 @@ def ratio_mp(n_p, n_th, big_n, digits=40):
         return (loss + gain * n_th / n_p) / (1 + mpmath.mpf(n_p) / n_th)
 
 
+def same_mode_pmf_mp(n, n_p, n_th):
+    """p(n) of signal and background in one mode, a displaced thermal state, at mpmath's working
+    precision: the Glauber-Lachs law n_th^n / (n_th + 1)^(n+1) e^(-n_p / (n_th + 1))
+    L_n(-n_p / (n_th (n_th + 1))), L_n the Laguerre polynomial (oracle of the model the package
+    does not take)."""
+    n_p, n_th = mpmath.mpf(n_p), mpmath.mpf(n_th)
+    return (n_th**n / (n_th + 1) ** (n + 1) * mpmath.exp(-n_p / (n_th + 1))
+            * mpmath.laguerre(n, 0, -n_p / (n_th * (n_th + 1))))
+
+
 def log_bisect_mp(f, lo, hi, steps=100):
     """The root of f in [lo, hi], a bracket with f(lo) > 0 > f(hi) that it
     checks, by bisection in log scale: 100 steps from a factor of 16 leave
@@ -484,6 +494,45 @@ class TestClosedFormLimits:
             boundary = n_th * ((1 + 1 / mpmath.mpf(n_th)) ** big_n - 1)
             root = log_bisect_mp(lambda n_p: ratio_mp(n_p, n_th, big_n, 60) - 1, boundary / 4, boundary * 4)
             assert abs(root / boundary - 1) <= boundary**big_n * mpmath.exp(-boundary) + 1e-29
+
+
+class TestSameModeBackground:
+    """The package's law is a convolution: signal and background in
+    separate modes (photon_stats' docstring).  In one mode the count
+    follows the Glauber-Lachs law, whose signal-background beat raises the
+    variance.  Its 40-digit oracle is checked, and with it the SNR ratio's
+    verdict, which the mode model flips at the fig-4 noise level."""
+
+    @pytest.mark.parametrize("n_p,n_th", [(1.0, 1.0), (3.0, 0.5), (0.5, 4.0)])
+    def test_mass_mean_and_variance(self, n_p, n_th):
+        with mpmath.workdps(40):
+            p = []  # out past the mean, to a term below 1e-45
+            while len(p) <= n_p + n_th or p[-1] >= mpmath.mpf(10) ** -45:
+                p.append(same_mode_pmf_mp(len(p), n_p, n_th))
+            mean = mpmath.fsum(n * q for n, q in enumerate(p))
+            variance = mpmath.fsum(n * n * q for n, q in enumerate(p)) - mean**2
+            assert abs(mpmath.fsum(p) - 1) < 1e-31
+            assert abs(mean - (n_p + n_th)) < 1e-31
+            assert abs(variance - (n_th * (1 + n_th) + n_p * (1 + 2 * n_th))) < 1e-31
+
+    def test_no_signal_is_the_thermal_law(self):
+        with mpmath.workdps(40):
+            for n in range(20):
+                assert abs(same_mode_pmf_mp(n, 0, 2) - mpmath.mpf(2) ** n / 3 ** (n + 1)) < 1e-38
+
+    def test_verdict_flips_at_the_fig4_noise(self):
+        # n_th = 1, n_p = 1: with the modes apart N = 2 beats intensity
+        # detection, with them together it loses; N = 5 wins under both
+        def same_mode_ratio(big_n):
+            with mpmath.workdps(40):
+                tail = 1 - mpmath.fsum(same_mode_pmf_mp(n, 1, 1) for n in range(big_n))
+                return float(tail * 2**big_n / 2)  # (tail / x^N) / (1 + n_p / n_th), x = 1/2
+
+        params = SourceParams(1.0, 1.0)
+        assert snr_ratio(params, 2) == pytest.approx(1.0803, abs=1e-4)
+        assert same_mode_ratio(2) == pytest.approx(0.9386, abs=1e-4)
+        assert snr_ratio(params, 5) == pytest.approx(1.346, abs=1e-3)
+        assert same_mode_ratio(5) == pytest.approx(2.011, abs=1e-3)
 
 
 class TestArrayKernel:
