@@ -82,7 +82,7 @@ _LOG_FACTORIALS = np.fromiter(map(math.lgamma, range(1, 1025)), float, 1024)
 # structured document, written in the JSON encoder's pieces, adds a list of
 # (n, p) row tuples: traced peaks of 41.6 MB for the CSV and 125.4 MB for
 # --format structured at a Poisson mean of 1e6 (1.007e6 rows).  So this
-# bounds the command to about 90 MB, and 265 MB in structured form.
+# bounds the command to about 90 MB, and 260 MB in structured form.
 _ROW_BUDGET = 2**21
 
 
@@ -156,8 +156,8 @@ def poisson_pmf(n: int, n_p_mean: float) -> float:
     One cell of the tables' rows (``_poisson_rows``), so it has their bits:
     for a mean up to 30 and n below 1024, the recurrence
     p(n) = p(n-1) mean / n walked from e^-mean at row 0; otherwise log
-    space, one cell alone.  About 20 us at n = 7 and 45 us at n = 500
-    (2-core Xeon, numpy 2.4).
+    space, one cell alone.  About 10 us at n = 7 and 21 us at n = 500
+    (best of 7, 2-core Xeon, numpy 2.4).
     """
     n = _check_count(n)
     return next(_poisson_column(_check_mean(n_p_mean, "n_p_mean"), n, n + 1, 1))[0]

@@ -29,7 +29,7 @@ from pnrlidar.photon_stats import (
     thermal_tail,
 )
 from pnrlidar.photon_stats import (
-    _TAIL_STEPPED, _mixed_tail, _multinomial, _overflow_weights, _poisson_rows, _rekey,
+    _TAIL_STEPPED, _mixed_tail, _multinomial, _overflow_weights, _poisson_column, _poisson_rows, _rekey,
 )
 from pnrlidar import photon_stats
 
@@ -186,7 +186,7 @@ class TestPoissonRows:
 
     def column_rows(self, start, count):
         # through _poisson_column, which walks a start below 1024 from row 0
-        return np.array([list(itertools.chain(*photon_stats._poisson_column(mean, start, start + count, count)))
+        return np.array([list(itertools.chain(*_poisson_column(mean, start, start + count, count)))
                          for mean in self.MEANS.tolist()]).T
 
     def assert_rows(self, p, start):
@@ -292,7 +292,7 @@ class TestBuildPmf:
 
     def test_poisson_cells_keep_their_digits(self):
         # every cell of a mean up to 30 recurs from e^-mean: within 1e-15 of
-        # mpmath out to row 200, where log-space rows past row 30 were 1.8e-13 off
+        # mpmath out to row 200, where log-space rows past row 30 are 1.8e-13 off
         pmf = build_pmf(SourceParams(20.0, 0.0), n_max=200)
         worst = max(relative_error(p, poisson_mp(n, 20.0)) for n, p in enumerate(pmf.probs))
         assert worst <= 1e-15
