@@ -302,7 +302,7 @@ def _table_reads(at: np.ndarray, top: int, lam: np.ndarray, x: np.ndarray, shift
     temporaries are freed.  The sums are added a row at a time.
     """
     width = lam.size
-    rows = max(1, min(top + 1, max(_TABLE_BLOCK, at.size) // width - 2))
+    rows = max(1, min(top + 1, max(_TABLE_BLOCK, at.size) // max(width, 1) - 2))
     table = np.zeros((rows + 2, 3, width))
     flat = table.reshape(-1)
     reads = []
@@ -342,21 +342,22 @@ def _poisson_rows(p: np.ndarray, lam: np.ndarray, start: int, before: np.ndarray
 
     For a mean up to 30, at rows below 1024, p(m) = p(m - 1) mean / m in
     order from e^-mean or from ``before`` (row start - 1, needed for a start
-    from 1 to 1023): the steps of :func:`_upper_poisson_tail`, so its terms
-    are these cells.  For a larger mean, and from row 1024 on, where such a
-    cell is 0 either way, log space, set to 0 below e^-746.  A cell's bits
-    depend on its mean and row alone.  Run under np.errstate that ignores
-    divide, over and invalid.
+    from 1 to 1023 where some mean is up to 30): the steps of
+    :func:`_upper_poisson_tail`, so its terms are these cells.  For a larger
+    mean, and from row 1024 on, where such a cell is 0 either way, log
+    space, set to 0 below e^-746.  A cell's bits depend on its mean and row
+    alone.  Run under np.errstate that ignores divide, over and invalid.
     """
     count = len(p)
     m = np.arange(start, start + count, dtype=float)[:, None]
     large = lam > _RECURRENCE_CUTOFF
-    recurring = max(0, min(count, _LOG_FACTORIALS.size - start))
+    larges = np.count_nonzero(large)
+    recurring = 0 if larges == lam.size else max(0, min(count, _LOG_FACTORIALS.size - start))
     if recurring:
         np.divide(lam, m[:recurring], out=p[:recurring])
         p[0] = p[0] * before if start else np.exp(-lam)
         np.multiply.accumulate(p[:recurring], axis=0, out=p[:recurring])
-    if count > recurring or large.any():
+    if count > recurring or larges:
         # log p(m) = m log(mean) - mean - log(m!) for a mean past the cutoff or a row past the recurrence
         logged = True if not recurring else large if recurring == count else (m >= _LOG_FACTORIALS.size) | large
         log_p = np.multiply(m, np.log(lam))

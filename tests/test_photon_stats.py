@@ -217,6 +217,16 @@ class TestPoissonRows:
         assert not blocks[-1][-6:, self.SMALL].any()
         assert np.concatenate(blocks).view(np.int64).tolist() == whole.view(np.int64).tolist()
 
+    def test_large_means_need_no_row_before(self):
+        # where every mean is above 30 no column recurs, so a start from 1 to
+        # 1023 needs no row before it, and gives the cells of the column walk
+        lam = np.array([31.0, 40.0, 500.0, 3e4])
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            p = _poisson_rows(np.empty((40, lam.size)), lam, 480)
+        walked = np.array([list(itertools.chain(*_poisson_column(mean, 480, 520, 40))) for mean in lam.tolist()]).T
+        assert p.view(np.int64).tolist() == walked.view(np.int64).tolist()
+        assert p[:, 2].all()
+
     def test_upper_tail_continues_the_rows(self):
         # one value per Poisson term: for a mean up to 30, the recurrence the
         # upper tail takes from row N gives the bits of rows N + 1, N + 2, ...,
@@ -722,6 +732,12 @@ class TestMixedTailTerms:
         poisson = mixed_tail_parts([2, 3, 2], 1e-160, 0.5)[0]
         assert poisson.tolist() == [poisson_pmf(2, 1e-160), 0.0, poisson_pmf(2, 1e-160)]
         assert poisson[0] > 0.0
+
+    def test_empty_signal_grid_gives_empty_parts(self):
+        # a table of no columns: empty parts of the broadcast shape
+        for big_n, n_p, shape in ((2, np.empty(0), (0,)), ([[2], [3]], np.empty(0), (2, 0)),
+                                  (np.empty((0, 1), int), np.empty((0, 3)), (0, 3))):
+            assert [a.shape for a in mixed_tail_parts(big_n, n_p, 0.5)] == [shape] * 4
 
     def test_domain(self):
         for bad in ([-1.0], [math.nan], [math.inf]):
