@@ -23,7 +23,9 @@ which has the sign of d(ratio)/d(n_p), and a boundary point is a root of
 ratio - 1, whose slope is a multiple of rise.  Both searches are a scan for
 a sign change and then one root loop, shared by both: safeguarded Newton
 steps in log(n_p) on the function and its analytic slope, in lockstep over
-thresholds and noise levels.
+thresholds and noise levels.  The optimum's scan runs coarse to fine, since
+rise changes sign at most once on its grid; the boundary's reads every
+point, since it counts every sign change.
 
 At both ends of the noise axis the advantage region has closed forms in
 the limit.  At high noise, expanding (1 + u)^m in u = 1/n_th turns the
@@ -86,7 +88,15 @@ __all__ = [
 # Search and root-finding tolerances; module-wide so tables are reproducible.
 OPTIMUM_RELATIVE_TOL = 1e-6
 OPTIMUM_BRACKET = (1e-3, 1e3)
+# The optimum's cells: a log grid of OPTIMUM_BRACKET_POINTS over the bracket,
+# which the scan reads coarse to fine (every _OPTIMUM_COARSE_STEP-th point and
+# the last, then the points of each threshold's bracketing coarse cell).
 OPTIMUM_BRACKET_POINTS = 200
+# At n_th = 1 and N = 2..20, steps 2, 3, 4, 5, 6, 8 and 13 gave find_optima
+# traced peaks of 161, 172, 154, 145, 140, 162 and 265 KB (260 KB reading
+# every point), and at N = 2..40 steps 4, 5 and 6 gave 272, 349 and 427 KB:
+# the fine call's kernel floor grows with its elements (Xeon, numpy 2.4).
+_OPTIMUM_COARSE_STEP = 4
 BOUNDARY_RATIO_TOL = 1e-5
 BOUNDARY_SCAN_RANGE = (1e-4, 1e4)
 BOUNDARY_SCAN_POINTS = 300
@@ -342,12 +352,23 @@ def find_optima(n_th_mean: float, thresholds: Sequence[int]) -> list[OptimumPoin
     """Signal mean maximizing the SNR ratio at fixed noise, per threshold.
 
     The maximum is the root of ``rise`` (see ``_snr_terms``), which has the
-    sign of d(ratio)/d(n_p).  One log-spaced scan of OPTIMUM_BRACKET_POINTS
-    over the bracket brackets each threshold's root by its first cell where
-    rise turns from positive to not positive; a threshold without one has
-    no interior maximum: SearchError, for the first such threshold in input
-    order.  The bracket is OPTIMUM_BRACKET, its lower end lowered to
-    0.1 / n_th above n_th = 100, where N = 2's optimum nears 2 / n_th.
+    sign of d(ratio)/d(n_p).  Each threshold's root is bracketed by the
+    first cell of a log-spaced grid of OPTIMUM_BRACKET_POINTS over the
+    bracket where rise turns from positive to not positive, found coarse
+    to fine.  A coarse scan reads every _OPTIMUM_COARSE_STEP-th grid point
+    and the last; a threshold without a positive to not positive coarse
+    cell has no interior maximum: SearchError, for the first such threshold
+    in input order.  A second call reads the grid points inside each
+    threshold's first such coarse cell, whose ends it takes from the coarse
+    scan, and keeps the first positive to not positive grid cell there.
+    Rise changes sign at most once on this grid (the tests check it over
+    the bracket and noise levels from 1e-2 to 1e6), so the first such cell
+    of the whole grid lies in the first such coarse cell, and a kernel
+    element's bits do not depend on the other elements of its call: the
+    cell, its ends' values and every bit below are those of a scan of the
+    whole grid, from about a quarter of its elements.  The bracket is
+    OPTIMUM_BRACKET, its lower end lowered to 0.1 / n_th above n_th = 100,
+    where N = 2's optimum nears 2 / n_th.
     The root loop that the boundary search shares (``_lockstep_roots``)
     refines each root from that cell by safeguarded Newton steps in
     log(n_p) on rise and its analytic slope, from the scan's values at the
@@ -364,20 +385,30 @@ def find_optima(n_th_mean: float, thresholds: Sequence[int]) -> list[OptimumPoin
     bracket = (min(OPTIMUM_BRACKET[0], low), OPTIMUM_BRACKET[1])
     big_n = np.asarray(thresholds)
     grid = np.array(log_grid(*bracket, OPTIMUM_BRACKET_POINTS))
-    rise = _snr_terms(grid, n_th_mean, big_n[:, None])[3]
+    coarse = np.r_[0 : grid.size - 1 : _OPTIMUM_COARSE_STEP, grid.size - 1]
+    rise = _snr_terms(grid[coarse], n_th_mean, big_n[:, None])[3]
     peak = (rise[:, :-1] > 0.0) & (rise[:, 1:] <= 0.0)
     found = peak.any(axis=1)
     if not found.all():
         n = int(big_n[np.argmin(found)])
         raise SearchError(f"no interior ratio maximum for N={n}, n_th={n_th_mean} in bracket {bracket}")
 
+    # each threshold's first falling coarse cell at its grid points: its ends
+    # from the coarse scan, the points inside from a second call (the last
+    # cell is shorter, and repeats its upper end)
+    wide = np.argmax(peak, axis=1)
+    at = np.minimum(coarse[wide, None] + np.arange(_OPTIMUM_COARSE_STEP + 1), coarse[wide + 1, None])
+    ends = np.take_along_axis(rise, wide[:, None] + [0, 1], axis=1)
+    inner = _snr_terms(grid[at[:, 1:-1]], n_th_mean, big_n[:, None])[3]
+    rise = np.hstack((ends[:, :1], inner, ends[:, 1:]))
+    step = np.argmax((rise[:, :-1] > 0.0) & (rise[:, 1:] <= 0.0), axis=1)[:, None] + [0, 1]
+
     def terms(n_p, live):
         _, ratio, _, rise, rise_slope = _snr_terms(n_p, n_th_mean, big_n[live], rise_slope=True)
         return rise, n_p * rise_slope, ratio
 
-    cell = np.argmax(peak, axis=1)
-    ends = np.take_along_axis(rise, cell[:, None] + [0, 1], axis=1)
-    best_n_p, best_ratio = _lockstep_roots(terms, grid[cell], grid[cell + 1], *ends.T)
+    cell = grid[np.take_along_axis(at, step, axis=1)]
+    best_n_p, best_ratio = _lockstep_roots(terms, *cell.T, *np.take_along_axis(rise, step, axis=1).T)
     return [
         OptimumPoint(int(n), float(n_th_mean), p, r)
         for n, p, r in zip(big_n.tolist(), best_n_p.tolist(), best_ratio.tolist())

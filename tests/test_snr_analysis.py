@@ -22,6 +22,7 @@ from pnrlidar.snr_analysis import (
     OPTIMUM_BRACKET_POINTS,
     OPTIMUM_RELATIVE_TOL,
     BoundaryCurve,
+    OptimumPoint,
     SearchError,
     ZeroNoiseError,
     classical_snr,
@@ -34,7 +35,7 @@ from pnrlidar.snr_analysis import (
     snr_report,
     sweep_ratio,
 )
-from pnrlidar.snr_analysis import _snr_terms
+from pnrlidar.snr_analysis import _lockstep_roots, _snr_terms
 
 BOUNDARY_REFERENCE = json.loads((Path(__file__).parent / "data" / "boundary_reference.json").read_text())["cases"]
 SIGNAL_GRID = (0.0, 0.5, 1.0, 3.0, 10.0)
@@ -82,6 +83,37 @@ def same_mode_pmf_mp(n, n_p, n_th):
     n_p, n_th = mpmath.mpf(n_p), mpmath.mpf(n_th)
     return (n_th**n / (n_th + 1) ** (n + 1) * mpmath.exp(-n_p / (n_th + 1))
             * mpmath.laguerre(n, 0, -n_p / (n_th * (n_th + 1))))
+
+
+def optimum_grid(n_th):
+    """find_optima's bracket at n_th, OPTIMUM_BRACKET with its lower end
+    lowered to 0.1 / n_th above n_th = 100, and its grid."""
+    bracket = (min(OPTIMUM_BRACKET[0], 0.1 / n_th), OPTIMUM_BRACKET[1])
+    return bracket, np.array(log_grid(*bracket, OPTIMUM_BRACKET_POINTS))
+
+
+def full_scan_optima(n_th, thresholds):
+    """find_optima's search with rise read at every point of its grid: the
+    first positive to not positive cell there, refined by the same root loop
+    from the cell's scanned ends (reference)."""
+    bracket, grid = optimum_grid(n_th)
+    big_n = np.asarray(thresholds)
+    rise = _snr_terms(grid, n_th, big_n[:, None])[3]
+    peak = (rise[:, :-1] > 0.0) & (rise[:, 1:] <= 0.0)
+    found = peak.any(axis=1)
+    if not found.all():
+        n = int(big_n[np.argmin(found)])
+        raise SearchError(f"no interior ratio maximum for N={n}, n_th={n_th} in bracket {bracket}")
+
+    def terms(n_p, live):
+        _, ratio, _, rise, rise_slope = _snr_terms(n_p, n_th, big_n[live], rise_slope=True)
+        return rise, n_p * rise_slope, ratio
+
+    cell = np.argmax(peak, axis=1)
+    ends = np.take_along_axis(rise, cell[:, None] + [0, 1], axis=1)
+    best_n_p, best_ratio = _lockstep_roots(terms, grid[cell], grid[cell + 1], *ends.T)
+    return [OptimumPoint(int(n), float(n_th), p, r)
+            for n, p, r in zip(big_n.tolist(), best_n_p.tolist(), best_ratio.tolist())]
 
 
 def log_bisect_mp(f, lo, hi, steps=100):
@@ -347,6 +379,21 @@ class TestFindOptimum:
     def test_zero_noise_rejected(self):
         with pytest.raises(ZeroNoiseError):
             find_optima(0.0, [3])
+
+    def test_scan_memory_is_bounded(self):
+        # the scan reads 51 points of the 200-point grid and 3 more per
+        # threshold: N = 2..20 peaks at about 154 KB traced, where reading
+        # every point took 260 KB
+        tracemalloc.start()
+        try:
+            find_optima(1.0, range(2, 21))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 200e3
+
+    def test_no_thresholds_no_optima(self):
+        assert find_optima(1.0, []) == []
 
     # (3000, 50) and (1e4, 30) converge slowest: a search that stops after
     # a Newton step of OPTIMUM_RELATIVE_TOL, not its square, is 2e-12 off there.
@@ -693,18 +740,38 @@ class TestProperties:
     @PROPERTY_SETTINGS
     @given(
         st.integers(2, 50),
-        st.floats(math.log(0.05), math.log(3000.0)).map(math.exp),
+        st.floats(math.log(1e-2), math.log(1e6)).map(math.exp),
         st.floats(*map(math.log, OPTIMUM_BRACKET)).map(math.exp),
     )
     def test_rise_brackets_one_root(self, big_n, n_th, n_p):
-        # the optimum scan sees at most one sign change of rise, and rise
-        # has mpmath's sign wherever its terms differ by more than rounding
-        scan = np.array(log_grid(*OPTIMUM_BRACKET, OPTIMUM_BRACKET_POINTS))
-        rise = _snr_terms(scan, n_th, big_n)[3]
+        # rise changes sign at most once on the grid of find_optima's
+        # bracket, lowered above n_th = 100, which its coarse-to-fine scan
+        # rests on; and rise has mpmath's sign wherever its terms differ by
+        # more than rounding
+        rise = _snr_terms(optimum_grid(n_th)[1], n_th, big_n)[3]
         assert np.count_nonzero((rise[1:] > 0.0) != (rise[:-1] > 0.0)) <= 1
         gain, loss = rise_terms_mp(n_p, n_th, big_n, 40)
         assume(abs(gain - loss) > 1e-10 * (gain + loss))
         assert (_snr_terms(n_p, n_th, big_n)[3][0] > 0.0) == (gain > loss)
+
+    @PROPERTY_SETTINGS
+    @given(
+        st.floats(math.log(1e-2), math.log(1e6)).map(math.exp),
+        st.lists(st.integers(2, 40), min_size=1, max_size=8),
+        st.none() | st.integers(0, 8),
+    )
+    def test_optima_are_the_full_scans(self, n_th, thresholds, single_at):
+        # the coarse-to-fine scan finds the full scan's cells, so every
+        # field of every optimum has its bits, and an N = 1 has its refusal
+        if single_at is not None:
+            thresholds.insert(single_at, 1)
+            with pytest.raises(SearchError) as want:
+                full_scan_optima(n_th, thresholds)
+            with pytest.raises(SearchError) as got:
+                find_optima(n_th, thresholds)
+            assert str(got.value) == str(want.value)
+        else:
+            assert repr(find_optima(n_th, thresholds)) == repr(full_scan_optima(n_th, thresholds))
 
     @PROPERTY_SETTINGS
     @given(st.floats(0.0, 0.99), st.floats(1e-3, 1.0), noise, st.integers(2, 8))
