@@ -18,7 +18,9 @@ mpmath, and for its cells, residual and overflow weights how many moved;
 for the simulations it names each case and bin whose channels would move,
 with the bin's old and new count sum.  The tail parts' and sampler tables'
 summaries end with how many moved values came closer to mpmath, stayed as
-close or moved away, and the worst moved error before and after.
+close or moved away, and the worst moved error before and after.  The mpmath
+references are the tests' own, from tests/oracles.py, which this module puts
+on the import path when it runs as a script.
 """
 
 from __future__ import annotations
@@ -39,6 +41,9 @@ from pnrlidar.rangefinder_sim import SimConfig, run_simulation
 from pnrlidar.snr_analysis import find_boundary, log_grid
 
 DATA = Path(__file__).parent
+if str(DATA.parent) not in sys.path:  # run as a script: the oracles live in tests/
+    sys.path.insert(0, str(DATA.parent))
+from oracles import cell_mp, ratio_mp, relative_error, tail_beyond_mp, tail_parts_mp, weight_mp
 
 BOUNDARY_ABOUT = (
     "find_boundary curves on log_grid(nth_min, nth_max, nth_points), one per threshold in input order, "
@@ -192,8 +197,6 @@ def record_simulation() -> str:
 
 def report_boundary(new_text: str) -> None:
     """Print each moved boundary point with its old and new |ratio - 1| by mpmath, then a summary."""
-    from test_snr_analysis import ratio_mp
-
     def excess(n_p, n_th, big_n):
         return abs(float(ratio_mp(float.fromhex(n_p), float.fromhex(n_th), big_n) - 1))
 
@@ -230,8 +233,6 @@ def report_cli(new_text: str) -> None:
 
 def report_mixed_tail(new_text: str) -> None:
     """Print each moved output with its old and new relative error against mpmath, then a summary."""
-    from test_photon_stats import relative_error, tail_parts_mp
-
     moved, total = [], 0
     for old, new in zip(_cases("mixed_tail_reference.json"), json.loads(new_text)["cases"]):
         elements = mixed_tail_inputs(old)[1]
@@ -249,17 +250,6 @@ def report_mixed_tail(new_text: str) -> None:
 
 def report_sampler_tables(new_text: str) -> None:
     """Print each law whose table would move, with its old and new residual's error against mpmath."""
-    import mpmath
-    from test_photon_stats import cell_mp, relative_error, tail_beyond_mp
-
-    def weight_mp(i, n_p, n_th, m):
-        """Overflow weight i of a table to row m in 40-digit mpmath: x p(m) / (1 - x) + pois(m + 1)
-        at i = 0, then pois(m + 1 + i)."""
-        with mpmath.workdps(40):
-            lam, base = mpmath.mpf(n_p), m + 1 + i
-            pois = mpmath.exp(-lam) * lam**base / mpmath.factorial(base)
-            return pois + (mpmath.mpf(n_th) * cell_mp(m, n_p, n_th) if i == 0 else 0)
-
     old_laws = json.loads((DATA / "sampler_tables_reference.json").read_text())["laws"]
     new_laws = json.loads(new_text)["laws"]
     moved_laws, moved = 0, []
@@ -340,5 +330,4 @@ def run(argv=None) -> None:
 
 
 if __name__ == "__main__":
-    sys.path.insert(0, str(DATA.parent))  # the tests' oracles, for --report
     run()

@@ -20,7 +20,7 @@ import pnrlidar
 from pnrlidar import photon_stats, snr_analysis
 from pnrlidar.cli import ConfigError, _csv_block, bundled_config_path, load_sim_config, main, parse_sim_config
 from pnrlidar.snr_analysis import find_boundary, find_optima, log_grid
-from test_snr_analysis import optimum_mp
+from oracles import optimum_mp
 
 
 def run_cli(*argv):

@@ -9,7 +9,6 @@ import time
 import tracemalloc
 from pathlib import Path
 
-import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -32,6 +31,7 @@ from pnrlidar.photon_stats import (
     _TAIL_STEPPED, _mixed_tail, _multinomial, _overflow_weights, _poisson_column, _poisson_rows, _rekey,
 )
 from pnrlidar import photon_stats
+from oracles import cell_mp, poisson_mp, relative_error, tail_beyond_mp, tail_parts_mp
 
 MEAN_GRID = (0.0, 0.5, 1.0, 3.0, 10.0)
 
@@ -53,57 +53,11 @@ def tail_beyond(params, n_max):
     return stats.poisson.sf(n_max, mean) + geometric
 
 
-def tail_beyond_mp(n_p, n_th, n_max, digits=40):
-    """:func:`tail_beyond` in mpmath, with the regularized incomplete gamma
-    function for the Poisson tail and the exact thermal ratio (oracle)."""
-    with mpmath.workdps(digits):
-        mean = mpmath.mpf(n_p)
-        x = mpmath.mpf(n_th) / (mpmath.mpf(n_th) + 1)
-        poisson = mpmath.gammainc(n_max + 1, 0, mean, regularized=True) if mean else 0
-        return poisson + mpmath.fsum(
-            mpmath.exp(-mean) * mean**k / mpmath.factorial(k) * x ** (n_max + 1 - k) for k in range(n_max + 1)
-        )
-
-
-def poisson_mp(n, n_p, digits=40):
-    """p_p(n) in mpmath, as a float (oracle)."""
-    with mpmath.workdps(digits):
-        mean = mpmath.mpf(n_p)
-        return float(mpmath.exp(-mean) * mean**n / mpmath.factorial(n))
-
-
 def log_space_pmf(n, n_p):
     """p_p(n) = exp(n log(n_p) - n_p - log(n!)) in math's exp, log and lgamma, for n_p > 0: the
     scalar form of the tables' rows for a mean above 30, where its relative error is a few
     ulps of the log's terms (reference)."""
     return math.exp(n * math.log(n_p) - n_p - math.lgamma(n + 1))
-
-
-def cell_mp(n, n_p, n_th, digits=40):
-    """p(n) of the law as the convolution sum in mpmath, with the exact thermal ratio (oracle)."""
-    with mpmath.workdps(digits):
-        n_p, n_th = mpmath.mpf(n_p), mpmath.mpf(n_th)
-        x = n_th / (n_th + 1)
-        return mpmath.fsum(mpmath.exp(-n_p) * n_p**m / mpmath.factorial(m) * x ** (n - m) / (n_th + 1)
-                           for m in range(n + 1))
-
-
-def tail_parts_mp(big_n, n_p, x, digits=40):
-    """The outputs of mixed_tail_parts and the tail P(n >= N) at one element,
-    from their defining sums over p_p(m) and the regularized incomplete gamma
-    function in mpmath; scaled and head are infinite at x == 0 (oracle)."""
-    with mpmath.workdps(digits):
-        lam, x = mpmath.mpf(n_p), mpmath.mpf(x)
-        p = [mpmath.exp(-lam) * lam**m / mpmath.factorial(m) for m in range(big_n)]
-        scaled = [p_m / x**m for m, p_m in enumerate(p)] if x else [mpmath.inf] * big_n
-        poisson = mpmath.gammainc(big_n, 0, lam, regularized=True) if lam else mpmath.mpf(0)
-        return {"tail": poisson + mpmath.fsum(p_m * x ** (big_n - m) for m, p_m in enumerate(p)),
-                "poisson": poisson, "scaled": mpmath.fsum(scaled), "last": p[-1], "head": mpmath.fsum(scaled[:-1])}
-
-
-def relative_error(value, exact):
-    """|value - exact| / |exact|, and |value| where exact is 0."""
-    return float(abs(value - exact) / abs(exact)) if exact else abs(value)
 
 
 class TestThermalPmf:

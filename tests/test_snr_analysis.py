@@ -36,53 +36,11 @@ from pnrlidar.snr_analysis import (
     sweep_ratio,
 )
 from pnrlidar.snr_analysis import _lockstep_roots, _snr_terms
+from oracles import log_bisect_mp, optimum_mp, ratio_mp, rise_terms_mp, same_mode_pmf_mp
 
 BOUNDARY_REFERENCE = json.loads((Path(__file__).parent / "data" / "boundary_reference.json").read_text())["cases"]
 SIGNAL_GRID = (0.0, 0.5, 1.0, 3.0, 10.0)
 NOISE_GRID = (0.2, 1.0, 5.0)
-
-
-def rise_terms_mp(n_p, n_th, big_n, digits):
-    """The two positive terms of rise, n_p u S and T / x^N, in mpmath (oracle).
-
-    T = P_poisson(n >= N) is the regularized lower incomplete gamma
-    function, so it keeps its digits where T is tiny.
-    """
-    with mpmath.workdps(digits):
-        n_p, n_th = mpmath.mpf(n_p), mpmath.mpf(n_th)
-        x = n_th / (n_th + 1)
-        scaled = mpmath.fsum(
-            mpmath.exp(-n_p) * n_p**m / mpmath.factorial(m) / x**m for m in range(big_n)
-        )
-        return n_p * scaled / n_th, mpmath.gammainc(big_n, 0, n_p, regularized=True) / x**big_n
-
-
-def optimum_mp(n_th, big_n, lo, hi, digits=50):
-    """mpmath's root of rise in [lo, hi], a bracket it checks (oracle)."""
-    def relative_rise(n_p):
-        gain, loss = rise_terms_mp(n_p, n_th, big_n, digits)
-        return (gain - loss) / (gain + loss)
-
-    with mpmath.workdps(digits):
-        assert relative_rise(lo) > 0 > relative_rise(hi)
-        return mpmath.findroot(relative_rise, (mpmath.mpf(lo), mpmath.mpf(hi)), solver="anderson")
-
-
-def ratio_mp(n_p, n_th, big_n, digits=40):
-    """snr_ratio at n_p > 0 in mpmath, (T / x^N + S) / (1 + n_p / n_th), from rise's terms (oracle)."""
-    with mpmath.workdps(digits):
-        gain, loss = rise_terms_mp(n_p, n_th, big_n, digits)
-        return (loss + gain * n_th / n_p) / (1 + mpmath.mpf(n_p) / n_th)
-
-
-def same_mode_pmf_mp(n, n_p, n_th):
-    """p(n) of signal and background in one mode, a displaced thermal state, at mpmath's working
-    precision: the Glauber-Lachs law n_th^n / (n_th + 1)^(n+1) e^(-n_p / (n_th + 1))
-    L_n(-n_p / (n_th (n_th + 1))), L_n the Laguerre polynomial (oracle of the model the package
-    does not take)."""
-    n_p, n_th = mpmath.mpf(n_p), mpmath.mpf(n_th)
-    return (n_th**n / (n_th + 1) ** (n + 1) * mpmath.exp(-n_p / (n_th + 1))
-            * mpmath.laguerre(n, 0, -n_p / (n_th * (n_th + 1))))
 
 
 def optimum_grid(n_th):
@@ -114,17 +72,6 @@ def full_scan_optima(n_th, thresholds):
     best_n_p, best_ratio = _lockstep_roots(terms, grid[cell], grid[cell + 1], *ends.T)
     return [OptimumPoint(int(n), float(n_th), p, r)
             for n, p, r in zip(big_n.tolist(), best_n_p.tolist(), best_ratio.tolist())]
-
-
-def log_bisect_mp(f, lo, hi, steps=100):
-    """The root of f in [lo, hi], a bracket with f(lo) > 0 > f(hi) that it
-    checks, by bisection in log scale: 100 steps from a factor of 16 leave
-    it within 3e-30 relative (oracle)."""
-    assert f(lo) > 0 > f(hi)
-    for _ in range(steps):
-        mid = mpmath.sqrt(lo * hi)
-        lo, hi = (mid, hi) if f(mid) > 0 else (lo, mid)
-    return lo
 
 
 def central_diff(f, a, h=1e-5):
