@@ -1,4 +1,7 @@
-"""Count the code lines of each module of src/pnrlidar and their total.
+"""Count the code lines of each module of src/pnrlidar and of the test code, with their totals.
+
+The package's table counts src/pnrlidar/*.py; the tests' table counts
+tests/*.py and tests/data/record.py.
 
 A code line is a source line that holds a token other than a comment, a
 docstring or layout (newlines, indents).  A docstring is a string that makes
@@ -18,7 +21,8 @@ import tokenize
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-PACKAGE = "src/pnrlidar"
+# each table's directory, whose top-level .py files it counts, and the files below it that it also counts
+TABLES = {"src/pnrlidar": (), "tests": ("data/record.py",)}
 _LAYOUT = {tokenize.NL, tokenize.NEWLINE, tokenize.INDENT, tokenize.DEDENT, tokenize.ENDMARKER}
 _STATEMENT_START = {tokenize.NEWLINE, tokenize.INDENT, tokenize.DEDENT, tokenize.NL}
 
@@ -35,24 +39,32 @@ def code_lines(source: str) -> int:
     return len(lines)
 
 
-def _sources(rev: str | None) -> dict[str, str]:
+def _git(*args: str) -> str:
+    return subprocess.run(["git", *args], cwd=ROOT, check=True, capture_output=True, text=True).stdout
+
+
+def _sources(directory: str, rev: str | None) -> dict[str, str]:
+    """The counted files of ``directory``'s table, by their paths below it, and their text."""
     if rev is None:
-        return {path.name: path.read_text() for path in sorted((ROOT / PACKAGE).glob("*.py"))}
-    names = subprocess.run(["git", "ls-tree", "--name-only", f"{rev}:{PACKAGE}"], cwd=ROOT,
-                           check=True, capture_output=True, text=True).stdout.split()
-    return {name: subprocess.run(["git", "show", f"{rev}:{PACKAGE}/{name}"], cwd=ROOT, check=True,
-                                 capture_output=True, text=True).stdout
-            for name in sorted(names) if name.endswith(".py")}
+        names = [path.relative_to(ROOT / directory).as_posix() for path in (ROOT / directory).rglob("*.py")]
+    else:
+        names = _git("ls-tree", "-r", "--name-only", f"{rev}:{directory}").split()
+    counted = sorted(name for name in names if name in TABLES[directory] or ("/" not in name and name.endswith(".py")))
+    if rev is None:
+        return {name: (ROOT / directory / name).read_text() for name in counted}
+    return {name: _git("show", f"{rev}:{directory}/{name}") for name in counted}
 
 
 def main(argv=None) -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--rev", default=None, help="a git revision to count instead of the working tree")
     args = parser.parse_args(argv)
-    counts = {name: code_lines(text) for name, text in _sources(args.rev).items()}
-    for name, count in counts.items():
-        print(f"{name:20} {count:6,}")
-    print(f"{'total':20} {sum(counts.values()):6,}")
+    for i, directory in enumerate(TABLES):
+        counts = {name: code_lines(text) for name, text in _sources(directory, args.rev).items()}
+        print(f"{directory}/" if i == 0 else f"\n{directory}/")
+        for name, count in counts.items():
+            print(f"{name:24} {count:6,}")
+        print(f"{'total':24} {sum(counts.values()):6,}")
 
 
 if __name__ == "__main__":
