@@ -262,7 +262,9 @@ def _cmd_boundary(args) -> int:
         warnings += [f"N = {n}, n_th = {t!r}: no ratio == 1 crossing ({side})" for t, side in curve.no_crossing]
         warnings += [f"N = {n}, n_th = {t!r}: {changes} sign changes of ratio - 1; the largest-n_p crossing is kept"
                      for t, changes in curve.multiple_crossings]
-    if not rows:
+    if not rows:  # N = 1's reason is a theorem, not a side of the grid
+        theorem = "N = 1 never beats intensity: ratio < 1 for every n_p > 0"
+        sides = [theorem if n == 1 else side for n, side in zip(args.thresholds, sides)]
         raise ValueError(
             f"no threshold has a ratio == 1 crossing on the noise grid (no_crossing: {', '.join(sides)})"
         )

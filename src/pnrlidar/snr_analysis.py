@@ -358,9 +358,10 @@ def find_optima(n_th_mean: float, thresholds: Sequence[int]) -> list[OptimumPoin
     to fine.  A coarse scan reads every _OPTIMUM_COARSE_STEP-th grid point
     and the last; a threshold without a positive to not positive coarse
     cell has no interior maximum: SearchError, for the first such threshold
-    in input order.  A second call reads the grid points inside each
-    threshold's first such coarse cell, whose ends it takes from the coarse
-    scan, and keeps the first positive to not positive grid cell there.
+    in input order; for N = 1 it states the theorem that N = 1 never beats
+    intensity.  A second call reads the grid points inside each threshold's
+    first such coarse cell, whose ends it takes from the coarse scan, and
+    keeps the first positive to not positive grid cell there.
     Rise changes sign at most once on this grid (the tests check it over
     the bracket and noise levels from 1e-2 to 1e6), so the first such cell
     of the whole grid lies in the first such coarse cell, and a kernel
@@ -391,6 +392,8 @@ def find_optima(n_th_mean: float, thresholds: Sequence[int]) -> list[OptimumPoin
     found = peak.any(axis=1)
     if not found.all():
         n = int(big_n[np.argmin(found)])
+        if n == 1:
+            raise SearchError("N = 1 never beats intensity: ratio < 1 for every n_p > 0")
         raise SearchError(f"no interior ratio maximum for N={n}, n_th={n_th_mean} in bracket {bracket}")
 
     # each threshold's first falling coarse cell at its grid points: its ends

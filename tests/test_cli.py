@@ -428,7 +428,7 @@ class TestOptimumBoundaryCommands:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == (
-            "pnrlidar: error: no interior ratio maximum for N=1, n_th=1.0 in bracket (0.001, 1000.0)\n"
+            "pnrlidar: error: N = 1 never beats intensity: ratio < 1 for every n_p > 0\n"
         )
 
     def test_boundary_searches_in_lockstep(self, capsys, monkeypatch):
@@ -570,7 +570,7 @@ class TestBoundaryManifest:
         assert captured.out == ""
         assert captured.err == 2 * (
             "pnrlidar: error: no threshold has a ratio == 1 crossing on the noise grid "
-            "(no_crossing: N = 1 below)\n"
+            "(no_crossing: N = 1 never beats intensity: ratio < 1 for every n_p > 0)\n"
         )
         assert not list(tmp_path.iterdir())
 

@@ -36,7 +36,7 @@ from pnrlidar.snr_analysis import (
     sweep_ratio,
 )
 from pnrlidar.snr_analysis import _lockstep_roots, _snr_terms
-from oracles import log_bisect_mp, optimum_mp, ratio_mp, rise_terms_mp, same_mode_pmf_mp
+from oracles import excess_mp, log_bisect_mp, optimum_mp, ratio_mp, rise_terms_mp, same_mode_pmf_mp
 
 BOUNDARY_REFERENCE = json.loads((Path(__file__).parent / "data" / "boundary_reference.json").read_text())["cases"]
 SIGNAL_GRID = (0.0, 0.5, 1.0, 3.0, 10.0)
@@ -61,6 +61,8 @@ def full_scan_optima(n_th, thresholds):
     found = peak.any(axis=1)
     if not found.all():
         n = int(big_n[np.argmin(found)])
+        if n == 1:
+            raise SearchError("N = 1 never beats intensity: ratio < 1 for every n_p > 0")
         raise SearchError(f"no interior ratio maximum for N={n}, n_th={n_th} in bracket {bracket}")
 
     def terms(n_p, live):
@@ -178,6 +180,20 @@ class TestSnrRatio:
             for n_p in (0.001, 0.01, 0.05, 0.1):
                 params = SourceParams(n_p, factor * big_n)
                 assert snr_ratio(params, big_n) > 1.0
+
+    def test_single_threshold_never_beats_intensity(self):
+        # N = 1's exact excess is (1 - n_p - e^-n_p) / n_th < 0, here from
+        # expm1, which keeps its digits at small n_p; snr_ratio at N = 1 is
+        # 1 + excess / c to rounding, and below 1 wherever that is
+        for n_th in log_grid(1e-3, 1e3, 13):
+            for n_p in log_grid(1e-6, 100.0, 25):
+                excess = excess_mp(n_p, n_th, 1)
+                with mpmath.workdps(40):
+                    assert abs(excess / (-(n_p + mpmath.expm1(-n_p)) / n_th) - 1) <= 1e-30
+                    exact = 1 + excess / (1 + mpmath.mpf(n_p) / n_th)
+                ratio = snr_ratio(SourceParams(n_p, n_th), 1)
+                assert abs(ratio / exact - 1) <= 1e-13, (n_p, n_th)
+                assert ratio < 1.0 or exact - 1 >= -1e-13, (n_p, n_th)
 
 
 class TestDerivative:
@@ -625,7 +641,7 @@ class TestArrayKernel:
     def test_optima_refuse_the_first_threshold_without_maximum(self, thresholds):
         with pytest.raises(SearchError) as error:
             find_optima(1.0, thresholds)
-        assert str(error.value) == "no interior ratio maximum for N=1, n_th=1.0 in bracket (0.001, 1000.0)"
+        assert str(error.value) == "N = 1 never beats intensity: ratio < 1 for every n_p > 0"
 
     @pytest.mark.parametrize("call, first", [
         (lambda: find_optima(1e-100, [2, 5, 3, 7]), "n_th = 1e-100 is too small for threshold N = 5:"),
