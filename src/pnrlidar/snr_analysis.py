@@ -27,6 +27,21 @@ thresholds and noise levels.  The optimum's scan runs coarse to fine, since
 rise changes sign at most once on its grid; the boundary's reads every
 point, since it counts every sign change.
 
+Three facts shape these searches.  For N >= 2, rise changes sign once,
+from + to -: so the ratio rises from 1 at n_p = 0 to one maximum and then
+falls toward x^-N / (1 + n_p / n_th) -> 0, crossing 1 exactly once, above
+the maximum (``test_rise_brackets_one_root`` checks rise's single sign
+change over the optimum's bracket, for n_th from 1e-2 to 1e6).  For N = 1
+the excess of SNR_q over SNR_c is (1 - n_p - e^-n_p) / n_th < 0 for every
+n_p > 0, so a click detector, which realises only N = 1, never beats
+intensity detection: :func:`find_optima`, and the CLI's boundary command
+when N = 1 leaves its table empty, refuse it saying so
+(``test_single_threshold_never_beats_intensity`` checks the closed form
+against the exact excess in 40-digit mpmath).  So every
+``multiple_crossings`` flag found so far, all at n_th >= 2000, is rounding
+noise: ratio - 1 loses its digits there, and an exact excess would show
+one crossing.
+
 At both ends of the noise axis the advantage region has closed forms in
 the limit.  At high noise, expanding (1 + u)^m in u = 1/n_th turns the
 excess of the quantum SNR over the classical one into
