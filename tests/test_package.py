@@ -10,6 +10,7 @@ import pnrlidar
 from pnrlidar import photon_stats, rangefinder_sim, snr_analysis
 
 MODULES = sorted(Path(pnrlidar.__file__).parent.glob("*.py"))
+TESTS = Path(__file__).parent
 
 
 @pytest.mark.parametrize("module", [photon_stats, snr_analysis, rangefinder_sim], ids=lambda m: m.__name__)
@@ -33,9 +34,6 @@ def test_modules_import_only_public_names_of_each_other(path):
             if alias.name.startswith("_") and not (alias.name.startswith("__") and alias.name.endswith("__"))
         ]
     assert not private, private
-
-
-TESTS = Path(__file__).parent
 
 
 def imported_modules(path):
