@@ -34,8 +34,8 @@ the maximum (``test_rise_brackets_one_root`` checks rise's single sign
 change over the optimum's bracket, for n_th from 1e-2 to 1e6).  For N = 1
 the excess of SNR_q over SNR_c is (1 - n_p - e^-n_p) / n_th < 0 for every
 n_p > 0, so a click detector, which realises only N = 1, never beats
-intensity detection: :func:`find_optima`, and the CLI's boundary command
-when N = 1 leaves its table empty, refuse it saying so
+intensity detection: :func:`find_optima` refuses N = 1 saying so, and so
+does the CLI's boundary command when its table is empty
 (``test_single_threshold_never_beats_intensity`` checks the closed form
 against the exact excess in 40-digit mpmath).  So every
 ``multiple_crossings`` flag found so far, all at n_th >= 2000, is rounding
